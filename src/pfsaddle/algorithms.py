@@ -247,10 +247,10 @@ def _guard_threshold(problem: SaddleProblem, z0: StackedPoint) -> float:
 
 
 def _check_divergence(z: StackedPoint, threshold: float, k: int):
-    if norm_sq(z) > threshold:
+    if not norm_sq(z) <= threshold:  # a NaN norm fails the comparison too
         raise DivergenceError(
-            f"iterate norm exceeded the safeguard at outer iteration {k}; "
-            f"the step size is likely too large"
+            f"iterate norm exceeded the safeguard or is not finite at outer "
+            f"iteration {k}; the step size is likely too large"
         )
 
 

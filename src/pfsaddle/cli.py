@@ -3,7 +3,7 @@
 Subcommands:
     run       execute an experiment config (or replay a manifest)
     plot      turn a result bundle into two-column plot data files
-    validate  parse a config and construct its topology/problem, no run
+    validate  run the set-up of `run` (parse, build, resolve cells), write nothing
 
 Exit codes: 0 success, 1 configuration/usage error, 2 numerical failure
 (divergence or an unmet convergence cap), 3 I/O error.
@@ -15,8 +15,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, ConvergenceError, DivergenceError
-from .harness import build_problem, build_topology, emit_plot_data, load_config, run
-from .gossip import laplacian
+from .harness import emit_plot_data, load_config, prepare, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,8 +70,7 @@ def main(argv=None) -> int:
             print(f"wrote {len(written)} plot data file(s)")
             return 0
         config = load_config(args.config)
-        problem = build_problem(config)
-        gossip = laplacian(build_topology(config))
+        problem, gossip, _ = prepare(config)
         print(
             f"config ok: {config.family} on {config.topology_kind}"
             f"({config.num_nodes}), L={problem.smoothness:.6g}, "

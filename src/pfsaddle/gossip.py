@@ -154,26 +154,28 @@ class GossipMatrix:
         return self.w.shape[0]
 
     @classmethod
-    def from_matrix(cls, w, edges=None, tol: float = 1e-12) -> "GossipMatrix":
-        """Wrap an explicit matrix, inferring edges from its sparsity."""
+    def from_matrix(cls, w, edges=None) -> "GossipMatrix":
+        """Wrap an explicit symmetric matrix, inferring edges from its sparsity."""
         w = np.asarray(w, dtype=float)
+        _check_symmetric(w)
         if edges is None:
             nz = np.argwhere(w != 0.0)
             edges = {(min(i, j), max(i, j)) for i, j in nz if i != j}
-        return cls(w, _cached_lambda_max(w, tol), frozenset(edges))
+        return cls(w, _lambda_max(w), frozenset(edges))
 
 
-def _cached_lambda_max(w, tol: float = 1e-12) -> float:
-    """Largest eigenvalue for the constructor cache.
+def _check_symmetric(w: np.ndarray) -> None:
+    """Square and symmetric to 1e-12 relative to the largest entry."""
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ShapeError(f"matrix must be square, got {w.shape}")
+    scale_ref = float(np.max(np.abs(w))) if w.size else 0.0
+    if float(np.max(np.abs(w - w.T))) > 1e-12 * max(1.0, scale_ref):
+        raise InvalidValueError("matrix is not symmetric")
 
-    Power iteration first; graphs whose two top eigenvalues nearly coincide
-    cannot settle to 1e-12 within the iteration budget, so those fall back
-    to the dense symmetric eigensolver.
-    """
-    try:
-        return power_lambda_max(w, tol=tol)
-    except ConvergenceError:
-        return float(np.linalg.eigvalsh(np.asarray(w, dtype=float))[-1])
+
+def _lambda_max(w: np.ndarray) -> float:
+    """Largest eigenvalue from the dense symmetric eigensolver."""
+    return float(np.linalg.eigvalsh(w)[-1])
 
 
 def laplacian(topology: Topology) -> GossipMatrix:
@@ -185,7 +187,7 @@ def laplacian(topology: Topology) -> GossipMatrix:
         w[i, j] = w[j, i] = -1.0
         w[i, i] += 1.0
         w[j, j] += 1.0
-    return GossipMatrix(w, _cached_lambda_max(w), frozenset(pairs))
+    return GossipMatrix(w, _lambda_max(w), frozenset(pairs))
 
 
 def scale(g: GossipMatrix, c: float) -> GossipMatrix:
@@ -209,11 +211,7 @@ def power_lambda_max(w, tol: float = 1e-12, max_iter: int | None = None,
     max_iter iterations (default 10 * M * ln(M) + 100).
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ShapeError(f"matrix must be square, got {w.shape}")
-    scale_ref = float(np.max(np.abs(w))) if w.size else 0.0
-    if float(np.max(np.abs(w - w.T))) > 1e-12 * max(1.0, scale_ref):
-        raise InvalidValueError("power_lambda_max requires a symmetric matrix")
+    _check_symmetric(w)
     m = w.shape[0]
     if not w.any():
         return 0.0

@@ -21,6 +21,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from .problems import (
     random_robust_regression,
     reference_solution,
 )
-from .stacked import BallDomain, StackedPoint
+from .stacked import BallDomain
 
 OUTPUT_DIR_ENV = "PFSADDLE_OUTPUT_DIR"
 
@@ -72,6 +73,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "serialize_config",
+    "prepare",
     "run",
     "emit_plot_data",
     "OUTPUT_DIR_ENV",
@@ -493,10 +495,6 @@ def _write_rows_csv(path: Path, columns, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _cell_filename(label: str, lam_index: int, lam: float, seed: int) -> str:
-    return f"{label}__{_lam_token(lam_index, lam)}__seed{seed}.csv"
-
-
 def _reference_needed(config: ExperimentConfig, problem: SaddleProblem) -> bool:
     if config.target_kind == "distance":
         return True
@@ -507,18 +505,46 @@ def _reference_needed(config: ExperimentConfig, problem: SaddleProblem) -> bool:
     return problem.strong_convexity > 0.0
 
 
-def _execute_cell(payload: dict) -> dict:
-    """Run one grid cell; meant to be callable in a worker process."""
-    config = parse_config(payload["config"])
+def prepare(config: ExperimentConfig):
+    """The set-up of a run, done once and written nowhere.
+
+    Builds the problem and the gossip matrix, rejects any use of the
+    restricted gap on an unbounded domain, and resolves every (algorithm,
+    lambda, seed) cell.  Returns (problem, gossip, cells) with cells in
+    grid order, each a tuple (entry, lam_index, alg_config).  Raises
+    ConfigError (or another ValueError) for anything a run would reject
+    before its first solver step.
+    """
     problem = build_problem(config)
     gossip = laplacian(build_topology(config))
-    entry = config.algorithm_entries()[payload["alg_index"]]
-    lam = config.lambda_grid[payload["lam_index"]]
-    seed = config.seeds[payload["seed_index"]]
-    reference = None
-    if payload["reference"] is not None:
-        reference = StackedPoint(payload["reference"][0], payload["reference"][1])
-    alg_config = _resolve_algorithm(entry, config, problem, gossip, lam, seed)
+    if not problem.domain.is_bounded:
+        uses = [name for name, used in (
+            ("target.kind = 'gap'", config.target_kind == "gap"),
+            ("metrics.final_gap", config.final_gap),
+            ("metrics.gap_every > 0", config.gap_every > 0),
+        ) if used]
+        if uses:
+            raise ConfigError(
+                f"the restricted gap ({', '.join(uses)}) requires a bounded "
+                f"domain; set finite problem radii"
+            )
+    cells = [
+        (entry, li, _resolve_algorithm(entry, config, problem, gossip, lam, seed))
+        for entry in config.algorithm_entries()
+        for li, lam in enumerate(config.lambda_grid)
+        for seed in config.seeds
+    ]
+    return problem, gossip, cells
+
+
+def _execute_cell(problem: SaddleProblem, gossip: GossipMatrix,
+                  config: ExperimentConfig, references: list, out: Path,
+                  cell: tuple) -> dict:
+    """Run one prepared grid cell; meant to be callable in a worker process."""
+    entry, lam_index, alg_config = cell
+    lam, seed = alg_config.lam, alg_config.seed
+    cell_id = f"{entry['label']}__{_lam_token(lam_index, lam)}__seed{seed}"
+    reference = references[lam_index]
     recorder = RunRecorder(
         problem, gossip, lam, reference=reference,
         gap_every=config.gap_every, gap_tol=config.gap_inner_tol,
@@ -535,14 +561,13 @@ def _execute_cell(payload: dict) -> dict:
         "final_penalty": None, "final_consensus_x": None,
         "final_consensus_y": None,
     }
-    csv_name = None
+    csv_file = None
     try:
         result = runner(problem, gossip, alg_config,
                         reference=reference, recorder=recorder)
         record = result.record
-        csv_name = _cell_filename(entry["label"], payload["lam_index"], lam, seed)
-        csv_path = Path(payload["output_dir"]) / "runs" / csv_name
-        _write_rows_csv(csv_path, CSV_COLUMNS, record.rows())
+        csv_file = f"runs/{cell_id}.csv"
+        _write_rows_csv(out / csv_file, CSV_COLUMNS, record.rows())
         summary.update({
             "iterations": result.iterations,
             "stop_reason": result.stop_reason,
@@ -571,9 +596,8 @@ def _execute_cell(payload: dict) -> dict:
         "target_value": alg_config.target_value,
     }
     return {
-        "cell_id": payload["cell_id"], "status": status, "error": error,
-        "summary": summary, "resolved": resolved,
-        "csv": (f"runs/{csv_name}" if csv_name else None),
+        "cell_id": cell_id, "status": status, "error": error,
+        "summary": summary, "resolved": resolved, "csv": csv_file,
     }
 
 
@@ -592,57 +616,30 @@ def run(config: ExperimentConfig, jobs: int = 1,
     """Execute the full grid of an experiment config.
 
     Writes runs/<cell>.csv per grid cell, summary.csv, and manifest.json
-    under the resolved output directory.  Numerical failures in single
+    under the resolved output directory.  The set-up (`prepare`) runs once
+    before anything touches disk and is shared with every cell, so a
+    config error leaves no output behind.  Numerical failures in single
     cells are recorded in the manifest and do not abort the other cells.
-    References (when needed) are computed once per lambda up front and
-    shared with all cells.
+    References (when needed) are computed once per lambda up front.
     """
     out = resolve_output_dir(config, output_dir)
-    problem = build_problem(config)
-    gossip = laplacian(build_topology(config))
-    config_dict = config_to_dict(config)
-
-    # resolve every (algorithm, lambda) pair once before touching disk, so
-    # an unresolvable combination (say auto rles parameters at lambda = 0)
-    # fails fast as a config error instead of mid-grid
-    for entry in config.algorithm_entries():
-        for lam in config.lambda_grid:
-            _resolve_algorithm(entry, config, problem, gossip, lam,
-                               config.seeds[0])
+    problem, gossip, cells = prepare(config)
 
     (out / "runs").mkdir(parents=True, exist_ok=True)
 
-    references: dict[int, StackedPoint | None] = {}
     need_ref = _reference_needed(config, problem)
-    for li, lam in enumerate(config.lambda_grid):
-        references[li] = (
-            reference_solution(problem, gossip, lam, tol=config.reference_tol)
-            if need_ref else None
-        )
+    references = [
+        reference_solution(problem, gossip, lam, tol=config.reference_tol)
+        if need_ref else None
+        for lam in config.lambda_grid
+    ]
 
-    payloads = []
-    entries = config.algorithm_entries()
-    for ai in range(len(entries)):
-        for li in range(len(config.lambda_grid)):
-            for si in range(len(config.seeds)):
-                ref = references[li]
-                payloads.append({
-                    "config": config_dict,
-                    "alg_index": ai,
-                    "lam_index": li,
-                    "seed_index": si,
-                    "cell_id": f"{entries[ai]['label']}__"
-                               f"{_lam_token(li, config.lambda_grid[li])}__"
-                               f"seed{config.seeds[si]}",
-                    "reference": (None if ref is None else (ref.x, ref.y)),
-                    "output_dir": str(out),
-                })
-
+    execute = partial(_execute_cell, problem, gossip, config, references, out)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_execute_cell, payloads))
+            outcomes = list(pool.map(execute, cells))
     else:
-        outcomes = [_execute_cell(p) for p in payloads]
+        outcomes = [execute(cell) for cell in cells]
 
     summary_rows = [
         [outcome["summary"][col] for col in SUMMARY_COLUMNS]
@@ -650,10 +647,10 @@ def run(config: ExperimentConfig, jobs: int = 1,
     ]
     _write_rows_csv(out / "summary.csv", SUMMARY_COLUMNS, summary_rows)
 
-    cells = {}
+    manifest_cells = {}
     failures = []
     for outcome in outcomes:
-        cells[outcome["cell_id"]] = {
+        manifest_cells[outcome["cell_id"]] = {
             "status": outcome["status"],
             "error": outcome["error"],
             "csv": outcome["csv"],
@@ -663,13 +660,13 @@ def run(config: ExperimentConfig, jobs: int = 1,
             failures.append(outcome["cell_id"])
     manifest = {
         "version": __version__,
-        "config": config_dict,
+        "config": config_to_dict(config),
         "constants": {
             "smoothness": problem.smoothness,
             "strong_convexity": problem.strong_convexity,
             "lambda_max": gossip.lambda_max,
         },
-        "cells": cells,
+        "cells": manifest_cells,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -8,6 +8,7 @@ import pytest
 from pfsaddle.algorithms import (
     AlgorithmConfig,
     SlidingState,
+    _check_divergence,
     baseline_run,
     extragradient_run,
     params_rles,
@@ -180,6 +181,14 @@ def test_extragradient_diverges_with_huge_step():
     start = StackedPoint(np.full((2, 1), 1.0), np.full((2, 1), 1.0))
     with pytest.raises(DivergenceError):
         extragradient_run(problem, gossip, 0.0, 1e8, start=start, max_iter=10_000)
+
+
+def test_divergence_guard_catches_a_nan_iterate():
+    z = StackedPoint(np.zeros((2, 1)), np.zeros((2, 1)))
+    # bypass the finiteness check of construction, as a raw-array core would
+    object.__setattr__(z, "x", np.array([[np.nan], [0.0]]))
+    with pytest.raises(DivergenceError):
+        _check_divergence(z, 1.0, 3)
 
 
 def test_baseline_run_distance_target_and_counters():

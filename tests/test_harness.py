@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pfsaddle.gossip
+import pfsaddle.harness
 from pfsaddle.cli import main
 from pfsaddle.errors import ConfigError
 from pfsaddle.harness import (
@@ -264,6 +266,51 @@ def test_unresolvable_grid_cell_fails_before_any_output(tmp_path):
     with pytest.raises(ConfigError):
         run(config)
     assert not out.exists()
+
+
+UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
+                       "n_x": 1, "n_y": 1, "radius_x": None, "radius_y": None}
+
+
+@pytest.mark.parametrize("extra", [
+    {"problem": UNBOUNDED_QUADRATIC, "target": {"kind": "gap", "value": 1e-3}},
+    {"problem": UNBOUNDED_QUADRATIC, "metrics": {"final_gap": True}},
+    {"problem": UNBOUNDED_QUADRATIC, "metrics": {"gap_every": 5}},
+    # auto rles parameters are undefined at lambda = 0
+    {"algorithms": [{"name": "rles"}], "lambda_grid": [0.5, 0.0]},
+], ids=["gap-target", "final-gap", "gap-every", "rles-at-lambda-0"])
+def test_validate_rejects_what_run_rejects_at_setup(tmp_path, capsys, extra):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, minimal_raw(output_dir=str(out), **extra))
+    assert main(["validate", path]) == 1
+    assert main(["run", path]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_sets_up_once_and_lambda_max_is_dense(tmp_path, monkeypatch):
+    calls = {"build_problem": 0, "laplacian": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    def no_power_iteration(*args, **kwargs):
+        raise AssertionError("power_lambda_max called during set-up")
+
+    monkeypatch.setattr(pfsaddle.harness, "build_problem",
+                        counted("build_problem", pfsaddle.harness.build_problem))
+    monkeypatch.setattr(pfsaddle.harness, "laplacian",
+                        counted("laplacian", pfsaddle.harness.laplacian))
+    monkeypatch.setattr(pfsaddle.gossip, "power_lambda_max", no_power_iteration)
+    bundle = run(parse_config(small_grid_raw(tmp_path / "out")), jobs=1)
+    assert len(bundle.manifest["cells"]) == 12 and not bundle.failed
+    assert calls == {"build_problem": 1, "laplacian": 1}
+
+    g = pfsaddle.gossip.laplacian(pfsaddle.gossip.Topology("ring", 8))
+    assert g.lambda_max == float(np.linalg.eigvalsh(g.w)[-1])
 
 
 def test_diverging_cell_is_recorded_not_raised(tmp_path):
