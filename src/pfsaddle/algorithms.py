@@ -30,11 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DivergenceError, InvalidValueError
-from .gossip import GossipMatrix, penalty_grad
+from .errors import ConfigError, ConvergenceError, DivergenceError
+from .gossip import GossipMatrix, _check_penalty_args, penalty_grad
 from .metrics import Counters, RunRecorder, distance_sq, restricted_gap
-from .problems import SaddleProblem, grad_full
-from .stacked import StackedPoint, norm_sq, saddle_step
+from .problems import SaddleProblem
+from .rng import Xoshiro256StarStar, derive_seed
+from .stacked import XY, StackedPoint, norm_sq, saddle_step_xy
 
 __all__ = [
     "AlgorithmConfig",
@@ -226,27 +227,21 @@ class RunResult:
     iterations: int
 
 
-def _resolve_start(problem: SaddleProblem, start: StackedPoint | None) -> StackedPoint:
+def _resolve_start(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
+                   start: StackedPoint | None) -> StackedPoint:
+    """The projected start, checked once so that the array steps need not."""
     domain = problem.domain
     if start is None:
-        start = StackedPoint.replicated(
-            domain.center_x, domain.center_y, problem.num_nodes
-        )
+        start = StackedPoint.replicated(domain.center_x, domain.center_y, problem.num_nodes)
     if start.num_nodes != problem.num_nodes:
-        raise ConfigError(
-            f"start point has {start.num_nodes} rows, problem has {problem.num_nodes}"
-        )
-    return domain.project(start)
+        raise ConfigError(f"start point has {start.num_nodes} rows, "
+                          f"problem has {problem.num_nodes}")
+    start = domain.project(start)
+    _check_penalty_args(gossip, lam, start)
+    return start
 
 
-def _guard_threshold(problem: SaddleProblem, z0: StackedPoint) -> float:
-    omega = problem.domain.diameter
-    if math.isfinite(omega):
-        return 1e12 * omega**2
-    return 1e12 * max(1.0, norm_sq(z0))
-
-
-def _check_divergence(z: StackedPoint, threshold: float, k: int):
+def _check_divergence(z: StackedPoint | XY, threshold: float, k: int):
     if not norm_sq(z) <= threshold:  # a NaN norm fails the comparison too
         raise DivergenceError(
             f"iterate norm exceeded the safeguard or is not finite at outer "
@@ -255,7 +250,7 @@ def _check_divergence(z: StackedPoint, threshold: float, k: int):
 
 
 def _target_reached(config: AlgorithmConfig, problem: SaddleProblem,
-                    gossip: GossipMatrix, rep: StackedPoint,
+                    gossip: GossipMatrix, rep: XY,
                     reference: StackedPoint | None, k: int) -> bool:
     if config.target_kind == "iterations":
         return k >= int(config.target_value)
@@ -263,19 +258,84 @@ def _target_reached(config: AlgorithmConfig, problem: SaddleProblem,
         return distance_sq(rep, reference) <= float(config.target_value)
     if k % config.gap_check_every != 0:
         return False
-    gap = restricted_gap(problem, gossip, config.lam, rep,
+    gap = restricted_gap(problem, gossip, config.lam, StackedPoint(rep.x, rep.y),
                          inner_tol=config.gap_inner_tol)
     return gap <= float(config.target_value)
 
 
-def _require_reference(config: AlgorithmConfig, reference: StackedPoint | None):
-    if config.target_kind == "distance" and reference is None:
-        raise ConfigError("distance target needs a reference solution")
+def _penalty(w: np.ndarray, lam: float, p: XY) -> XY:
+    """Array form of `penalty_grad`, (lam W X, -lam W Y): one gossip round."""
+    return XY(lam * (w @ p.x), -lam * (w @ p.y))
+
+
+def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: StackedPoint,
+           counters: Counters, step, *, recorder: RunRecorder | None,
+           config: AlgorithmConfig | None = None,
+           reference: StackedPoint | None = None, limit: int = 0) -> RunResult:
+    """The loop of every solver: step(z, k) on XY pairs from the start z0.
+
+    A step returns the next iterate and the point the method reports there
+    (the iterate, or sliding's running mean), or None for extragradient's
+    residual stop.  Then come the divergence guard, the recorder (given a
+    StackedPoint) and the target of `config`, else a `limit` on steps."""
+    if config is not None:
+        if config.target_kind == "distance" and reference is None:
+            raise ConfigError("distance target needs a reference solution")
+        limit = config.max_outer
+    omega = problem.domain.diameter
+    threshold = 1e12 * (omega**2 if math.isfinite(omega) else max(1.0, norm_sq(z0)))
+    if recorder is not None:
+        recorder.observe(0, z0, counters)
+    z = rep = XY(z0.x, z0.y)
+    k, reason = 0, "max_iter" if config is None else "max_outer"
+    while k < limit:
+        advanced = step(z, k)
+        if advanced is None:
+            reason = "residual"
+            break
+        z, rep = advanced
+        k += 1
+        _check_divergence(z, threshold, k)
+        if recorder is not None:
+            recorder.observe(k, StackedPoint(rep.x, rep.y), counters)
+        if config is not None and _target_reached(config, problem, gossip, rep,
+                                                  reference, k):
+            reason = "target"
+            break
+    last = StackedPoint(z.x, z.y)
+    return RunResult(last, last if rep is z else StackedPoint(rep.x, rep.y), None,
+                     counters, recorder and recorder.record, reason, k)
 
 
 # --------------------------------------------------------------------------
 # extragradient baseline
 # --------------------------------------------------------------------------
+
+
+def _extragradient(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
+                   gamma: float, start: StackedPoint | None,
+                   recorder: RunRecorder | None, residual_tol: float | None = None,
+                   **stop) -> RunResult:
+    """Both extragradient runs: 2 comm rounds and 2 batches per step; with
+    residual_tol set, a step ends after its first half once |z - half| is
+    at most residual_tol.  `stop` goes to `_drive`."""
+    z0, counters = _resolve_start(problem, gossip, lam, start), Counters()
+
+    def toward(base: XY, at: XY) -> XY:
+        local, penalty = problem.grad_xy(at), _penalty(gossip.w, lam, at)
+        counters.add_comm()
+        counters.add_grad()
+        full = XY(local.x + penalty.x, local.y + penalty.y)
+        return problem.domain.project_xy(saddle_step_xy(base, gamma, full))
+
+    def step(z: XY, k: int):
+        half = toward(z, z)
+        if residual_tol is not None and distance_sq(z, half) <= residual_tol**2:
+            return None
+        z = toward(z, half)
+        return z, z
+
+    return _drive(problem, gossip, z0, counters, step, recorder=recorder, **stop)
 
 
 def extragradient_run(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
@@ -290,39 +350,14 @@ def extragradient_run(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     ConvergenceError if that does not happen within max_iter iterations.
     Without it, runs exactly max_iter iterations.
     """
-    z = _resolve_start(problem, start)
-    counters = Counters()
-    threshold = _guard_threshold(problem, z)
-    domain = problem.domain
-    if recorder is not None:
-        recorder.observe(0, z, counters)
-    k = 0
-    while k < max_iter:
-        try:
-            g = grad_full(problem, gossip, lam, z)
-            counters.add_comm()
-            counters.add_grad()
-            half = domain.project(saddle_step(z, gamma, g))
-            if residual_tol is not None and norm_sq(z - half) <= residual_tol**2:
-                return RunResult(z, z, None, counters, _rec(recorder), "residual", k)
-            g = grad_full(problem, gossip, lam, half)
-            counters.add_comm()
-            counters.add_grad()
-            z = domain.project(saddle_step(z, gamma, g))
-        except InvalidValueError as exc:
-            raise DivergenceError(
-                f"iterate became non-finite at outer iteration {k}"
-            ) from exc
-        k += 1
-        _check_divergence(z, threshold, k)
-        if recorder is not None:
-            recorder.observe(k, z, counters)
-    if residual_tol is not None:
+    result = _extragradient(problem, gossip, lam, gamma, start, recorder,
+                            residual_tol, limit=max_iter)
+    if residual_tol is not None and result.stop_reason != "residual":
         raise ConvergenceError(
             f"extragradient did not reach residual {residual_tol} "
             f"within {max_iter} iterations"
         )
-    return RunResult(z, z, None, counters, _rec(recorder), "max_iter", k)
+    return result
 
 
 def baseline_run(problem: SaddleProblem, gossip: GossipMatrix,
@@ -330,46 +365,31 @@ def baseline_run(problem: SaddleProblem, gossip: GossipMatrix,
                  recorder: RunRecorder | None = None,
                  start: StackedPoint | None = None) -> RunResult:
     """Config-driven extragradient with the standard stop protocol."""
-    _require_reference(config, reference)
-    z = _resolve_start(problem, start)
-    counters = Counters()
-    threshold = _guard_threshold(problem, z)
-    domain = problem.domain
-    if recorder is not None:
-        recorder.observe(0, z, counters)
-    k = 0
-    stop_reason = "max_outer"
-    while k < config.max_outer:
-        try:
-            g = grad_full(problem, gossip, config.lam, z)
-            counters.add_comm()
-            counters.add_grad()
-            half = domain.project(saddle_step(z, config.gamma, g))
-            g = grad_full(problem, gossip, config.lam, half)
-            counters.add_comm()
-            counters.add_grad()
-            z = domain.project(saddle_step(z, config.gamma, g))
-        except InvalidValueError as exc:
-            raise DivergenceError(
-                f"iterate became non-finite at outer iteration {k}"
-            ) from exc
-        k += 1
-        _check_divergence(z, threshold, k)
-        if recorder is not None:
-            recorder.observe(k, z, counters)
-        if _target_reached(config, problem, gossip, z, reference, k):
-            stop_reason = "target"
-            break
-    return RunResult(z, z, None, counters, _rec(recorder), stop_reason, k)
-
-
-def _rec(recorder: RunRecorder | None):
-    return recorder.record if recorder is not None else None
+    return _extragradient(problem, gossip, config.lam, config.gamma, start,
+                          recorder, config=config, reference=reference)
 
 
 # --------------------------------------------------------------------------
 # sliding
 # --------------------------------------------------------------------------
+
+
+def _solve_prox(problem: SaddleProblem, v: XY, start: XY, gamma: float,
+                inner_t: int, counters: Counters | None) -> XY:
+    """Array form of `solve_prox`."""
+    eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
+    project, grad_xy = problem.domain.project_xy, problem.grad_xy
+    u = project(start)
+    for _ in range(inner_t):
+        local = grad_xy(u)
+        half = project(saddle_step_xy(u, eta, XY(gamma * local.x + (u.x - v.x),
+                                                 gamma * local.y - (u.y - v.y))))
+        local = grad_xy(half)
+        u = project(saddle_step_xy(u, eta, XY(gamma * local.x + (half.x - v.x),
+                                              gamma * local.y - (half.y - v.y))))
+    if counters is not None:
+        counters.add_grad(2 * inner_t)
+    return u
 
 
 def solve_prox(problem: SaddleProblem, v: StackedPoint, start: StackedPoint,
@@ -390,27 +410,8 @@ def solve_prox(problem: SaddleProblem, v: StackedPoint, start: StackedPoint,
     """
     if inner_t < 1:
         raise ConfigError(f"inner_t must be >= 1, got {inner_t}")
-    eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
-    domain = problem.domain
-    u = domain.project(start)
-    for _ in range(inner_t):
-        local = problem.grad_f(u)
-        if counters is not None:
-            counters.add_grad()
-        h = StackedPoint(
-            gamma * local.x + (u.x - v.x),
-            gamma * local.y - (u.y - v.y),
-        )
-        half = domain.project(saddle_step(u, eta, h))
-        local = problem.grad_f(half)
-        if counters is not None:
-            counters.add_grad()
-        h = StackedPoint(
-            gamma * local.x + (half.x - v.x),
-            gamma * local.y - (half.y - v.y),
-        )
-        u = domain.project(saddle_step(u, eta, h))
-    return u
+    start = problem.domain.project(start)  # checks dims; projecting again is exact
+    return StackedPoint(*_solve_prox(problem, v, start, gamma, inner_t, counters))
 
 
 @dataclass
@@ -423,6 +424,21 @@ class SlidingState:
     k: int
 
 
+def _sliding_step(problem: SaddleProblem, gossip: GossipMatrix,
+                  config: AlgorithmConfig, z: XY,
+                  counters: Counters) -> tuple[XY, XY]:
+    """Array form of `sliding_outer_step`: the next iterate and the inner
+    solution u it was corrected from."""
+    pg_z = _penalty(gossip.w, config.lam, z)
+    counters.add_comm()
+    v = saddle_step_xy(z, config.gamma, pg_z)
+    u = _solve_prox(problem, v, z, config.gamma, config.inner_t, counters)
+    pg_u = _penalty(gossip.w, config.lam, u)
+    counters.add_comm()
+    back = XY(pg_z.x - pg_u.x, pg_z.y - pg_u.y)
+    return problem.domain.project_xy(saddle_step_xy(u, -config.gamma, back)), u
+
+
 def sliding_outer_step(state: SlidingState, problem: SaddleProblem,
                        gossip: GossipMatrix, config: AlgorithmConfig) -> SlidingState:
     """One outer sliding iteration: exactly 2 comm rounds, 2*inner_t batches.
@@ -431,19 +447,10 @@ def sliding_outer_step(state: SlidingState, problem: SaddleProblem,
     reused by the correction step, so the network is touched only for
     them and for the fresh products at the inner solution.
     """
-    pg_z = penalty_grad(gossip, config.lam, state.z)
-    state.counters.add_comm()
-    v = saddle_step(state.z, config.gamma, pg_z)
-    u = solve_prox(problem, v, state.z, config.gamma, config.inner_t, state.counters)
-    pg_u = penalty_grad(gossip, config.lam, u)
-    state.counters.add_comm()
-    state.z = problem.domain.project(
-        saddle_step(u, -config.gamma, pg_z - pg_u)
-    )
-    state.u_sum_x = state.u_sum_x + u.x
-    state.u_sum_y = state.u_sum_y + u.y
-    state.u_count += 1
-    state.k += 1
+    z, u = _sliding_step(problem, gossip, config, state.z, state.counters)
+    state.z = StackedPoint(z.x, z.y)
+    state.u_sum_x, state.u_sum_y = state.u_sum_x + u.x, state.u_sum_y + u.y
+    state.u_count, state.k = state.u_count + 1, state.k + 1
     return state
 
 
@@ -457,54 +464,41 @@ def sliding_run(problem: SaddleProblem, gossip: GossipMatrix,
     convex-concave) the reported iterate is the running mean of the inner
     solutions; otherwise it is the last iterate.
     """
-    _require_reference(config, reference)
-    z0 = _resolve_start(problem, start)
-    state = SlidingState(
-        z=z0,
-        u_sum_x=np.zeros_like(z0.x),
-        u_sum_y=np.zeros_like(z0.y),
-        u_count=0,
-        counters=Counters(),
-        k=0,
-    )
     averaging = config.averaged_output
-    if averaging is None:
-        averaging = problem.strong_convexity <= 0.0
-    threshold = _guard_threshold(problem, z0)
-    if recorder is not None:
-        recorder.observe(0, z0, state.counters)
-    stop_reason = "max_outer"
-    rep = z0
-    while state.k < config.max_outer:
-        try:
-            sliding_outer_step(state, problem, gossip, config)
-        except InvalidValueError as exc:
-            raise DivergenceError(
-                f"iterate became non-finite at outer iteration {state.k}"
-            ) from exc
-        _check_divergence(state.z, threshold, state.k)
-        if averaging:
-            rep = StackedPoint(state.u_sum_x / state.u_count,
-                               state.u_sum_y / state.u_count)
-        else:
-            rep = state.z
-        if recorder is not None:
-            recorder.observe(state.k, rep, state.counters)
-        if _target_reached(config, problem, gossip, rep, reference, state.k):
-            stop_reason = "target"
-            break
-    averaged = None
-    if state.u_count > 0:
-        averaged = StackedPoint(state.u_sum_x / state.u_count,
-                                state.u_sum_y / state.u_count)
-    output = averaged if (averaging and averaged is not None) else state.z
-    return RunResult(state.z, output, averaged, state.counters, _rec(recorder),
-                     stop_reason, state.k)
+    averaging = problem.strong_convexity <= 0.0 if averaging is None else averaging
+    z0, counters = _resolve_start(problem, gossip, config.lam, start), Counters()
+    u_sum, u_count = XY(np.zeros_like(z0.x), np.zeros_like(z0.y)), 0
+
+    def step(z: XY, k: int):
+        nonlocal u_sum, u_count
+        z, u = _sliding_step(problem, gossip, config, z, counters)
+        u_sum, u_count = XY(u_sum.x + u.x, u_sum.y + u.y), u_count + 1
+        return z, (XY(u_sum.x / u_count, u_sum.y / u_count) if averaging else z)
+
+    result = _drive(problem, gossip, z0, counters, step, recorder=recorder,
+                    config=config, reference=reference)
+    if u_count > 0:
+        result.averaged = (result.output if averaging else
+                           StackedPoint(u_sum.x / u_count, u_sum.y / u_count))
+    return result
 
 
 # --------------------------------------------------------------------------
 # randomized local extra step
 # --------------------------------------------------------------------------
+
+
+def _rles_direction(problem: SaddleProblem, w: np.ndarray, lam: float,
+                    p_comm: float, point: XY, anchor_grad: XY,
+                    anchor_penalty: XY, comm_branch: bool) -> XY:
+    """Array form of `rles_direction`."""
+    if comm_branch:
+        fresh, base, scale = _penalty(w, lam, point), anchor_penalty, 1.0 / p_comm
+    else:
+        fresh = problem.grad_xy(point)
+        base, scale = anchor_grad, 1.0 / (1.0 - p_comm)
+    return XY((fresh.x - base.x) * scale + (anchor_grad.x + anchor_penalty.x),
+              (fresh.y - base.y) * scale + (anchor_grad.y + anchor_penalty.y))
 
 
 def rles_direction(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
@@ -519,12 +513,9 @@ def rles_direction(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     with weights (p, 1-p) recovers the full gradient pair at `point`
     exactly.  Callers tick the matching counter.
     """
-    anchor_full = anchor_grad + anchor_penalty
-    if comm_branch:
-        fresh = penalty_grad(gossip, lam, point)
-        return (fresh - anchor_penalty) * (1.0 / p_comm) + anchor_full
-    fresh = problem.grad_f(point)
-    return (fresh - anchor_grad) * (1.0 / (1.0 - p_comm)) + anchor_full
+    _check_penalty_args(gossip, lam, point)
+    return StackedPoint(*_rles_direction(problem, gossip.w, lam, p_comm, point,
+                                         anchor_grad, anchor_penalty, comm_branch))
 
 
 @dataclass
@@ -538,29 +529,46 @@ class RlesState:
     rng: object
 
 
-def _comm_coin(state: RlesState, config: AlgorithmConfig) -> bool:
-    """True when the current draw selects the communication branch."""
-    if config.schedule == "deterministic":
-        period = max(1, round(1.0 / config.p_comm))
-        return (state.k + 1) % period == 0
-    return state.rng.uniform() < config.p_comm
-
-
 def rles_init(problem: SaddleProblem, gossip: GossipMatrix,
               config: AlgorithmConfig,
               start: StackedPoint | None = None) -> RlesState:
     """Project the start point and fill the anchor caches (1 comm, 1 batch)."""
-    from .rng import Xoshiro256StarStar, derive_seed
+    z0 = _resolve_start(problem, gossip, config.lam, start)
+    return RlesState(z=z0, u=z0, grad_u=problem.grad_f(z0),
+                     pg_u=penalty_grad(gossip, config.lam, z0),
+                     counters=Counters(comm_rounds=1, local_grad_batches=1), k=0,
+                     rng=Xoshiro256StarStar(derive_seed(config.seed, "rles-coins")))
 
-    z0 = _resolve_start(problem, start)
-    counters = Counters()
-    grad_u = problem.grad_f(z0)
-    counters.add_grad()
-    pg_u = penalty_grad(gossip, config.lam, z0)
-    counters.add_comm()
-    rng = Xoshiro256StarStar(derive_seed(config.seed, "rles-coins"))
-    return RlesState(z=z0, u=z0, grad_u=grad_u, pg_u=pg_u,
-                     counters=counters, k=0, rng=rng)
+
+def _rles_step(problem: SaddleProblem, w: np.ndarray, config: AlgorithmConfig,
+               z: XY, anchor: tuple, k: int, rng,
+               counters: Counters) -> tuple[XY, tuple]:
+    """Array form of `rles_outer_step`.  anchor is the triple (u, local
+    gradients at u, penalty products at u); a new triple when it moves."""
+    u, grad_u, pg_u = anchor
+    p, project = config.p_comm, problem.domain.project_xy
+
+    def coin() -> bool:  # True selects the communication branch / moves the anchor
+        if config.schedule == "deterministic":
+            return (k + 1) % max(1, round(1.0 / p)) == 0
+        return rng.uniform() < p
+
+    stay, move = float(1.0 - p), float(p)
+    xbar = XY(z.x * stay + u.x * move, z.y * stay + u.y * move)
+    anchor_full = XY(grad_u.x + pg_u.x, grad_u.y + pg_u.y)
+    z_half = project(saddle_step_xy(xbar, config.gamma, anchor_full))
+    comm_branch = coin()
+    d = _rles_direction(problem, w, config.lam, p, z_half, grad_u, pg_u, comm_branch)
+    if comm_branch:
+        counters.add_comm()
+    else:
+        counters.add_grad()
+    z = project(saddle_step_xy(xbar, config.gamma, d))
+    if coin():
+        anchor = (z, problem.grad_xy(z), _penalty(w, config.lam, z))
+        counters.add_grad()
+        counters.add_comm()
+    return z, anchor
 
 
 def rles_outer_step(state: RlesState, problem: SaddleProblem,
@@ -572,25 +580,13 @@ def rles_outer_step(state: RlesState, problem: SaddleProblem,
     anchor moves to the new iterate, refreshing its cached local gradients
     and penalty products when it does.
     """
-    p, gamma = config.p_comm, config.gamma
-    domain = problem.domain
-    xbar = state.z * (1.0 - p) + state.u * p
-    anchor_full = state.grad_u + state.pg_u
-    z_half = domain.project(saddle_step(xbar, gamma, anchor_full))
-    comm_branch = _comm_coin(state, config)
-    direction = rles_direction(problem, gossip, config.lam, p, z_half,
-                               state.grad_u, state.pg_u, comm_branch)
-    if comm_branch:
-        state.counters.add_comm()
-    else:
-        state.counters.add_grad()
-    state.z = domain.project(saddle_step(xbar, gamma, direction))
-    if _comm_coin(state, config):
+    anchor = (state.u, state.grad_u, state.pg_u)
+    z, moved = _rles_step(problem, gossip.w, config, state.z, anchor, state.k,
+                          state.rng, state.counters)
+    state.z = StackedPoint(z.x, z.y)
+    if moved is not anchor:
         state.u = state.z
-        state.grad_u = problem.grad_f(state.u)
-        state.counters.add_grad()
-        state.pg_u = penalty_grad(gossip, config.lam, state.u)
-        state.counters.add_comm()
+        state.grad_u, state.pg_u = StackedPoint(*moved[1]), StackedPoint(*moved[2])
     state.k += 1
     return state
 
@@ -600,24 +596,14 @@ def rles_run(problem: SaddleProblem, gossip: GossipMatrix,
              recorder: RunRecorder | None = None,
              start: StackedPoint | None = None) -> RunResult:
     """Run rles until its stop target or max_outer; reports the last iterate."""
-    _require_reference(config, reference)
     state = rles_init(problem, gossip, config, start)
-    threshold = _guard_threshold(problem, state.z)
-    if recorder is not None:
-        recorder.observe(0, state.z, state.counters)
-    stop_reason = "max_outer"
-    while state.k < config.max_outer:
-        try:
-            rles_outer_step(state, problem, gossip, config)
-        except InvalidValueError as exc:
-            raise DivergenceError(
-                f"iterate became non-finite at outer iteration {state.k}"
-            ) from exc
-        _check_divergence(state.z, threshold, state.k)
-        if recorder is not None:
-            recorder.observe(state.k, state.z, state.counters)
-        if _target_reached(config, problem, gossip, state.z, reference, state.k):
-            stop_reason = "target"
-            break
-    return RunResult(state.z, state.z, None, state.counters, _rec(recorder),
-                     stop_reason, state.k)
+    anchor = (state.u, state.grad_u, state.pg_u)
+
+    def step(z: XY, k: int):
+        nonlocal anchor
+        z, anchor = _rles_step(problem, gossip.w, config, z, anchor, k,
+                               state.rng, state.counters)
+        return z, z
+
+    return _drive(problem, gossip, state.z, state.counters, step,
+                  recorder=recorder, config=config, reference=reference)

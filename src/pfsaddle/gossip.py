@@ -22,7 +22,7 @@ from .errors import (
     TopologyError,
 )
 from .rng import Xoshiro256StarStar, derive_seed
-from .stacked import StackedPoint, trace_inner
+from .stacked import StackedPoint, _ReadOnlyArrays, trace_inner
 
 TOPOLOGY_KINDS = ("complete", "ring", "star", "path", "grid2d", "erdos_renyi")
 
@@ -133,7 +133,7 @@ def _erdos_renyi_edges(m: int, edge_prob: float, seed: int) -> set[tuple[int, in
 
 
 @dataclass(frozen=True)
-class GossipMatrix:
+class GossipMatrix(_ReadOnlyArrays):
     """A concrete gossip matrix with its cached spectral data."""
 
     w: np.ndarray
@@ -263,10 +263,10 @@ def validate(g: GossipMatrix) -> None:
         raise InvalidValueError(
             "kernel dimension exceeds one (underlying graph is disconnected)"
         )
-    for i in range(m):
-        for j in range(m):
-            if i != j and w[i, j] != 0.0 and (min(i, j), max(i, j)) not in g.edges:
-                raise InvalidValueError(f"nonzero entry at non-edge position ({i}, {j})")
+    off_diagonal = (w != 0.0) & ~np.eye(m, dtype=bool)
+    for i, j in np.argwhere(off_diagonal).tolist():  # row-major order
+        if (min(i, j), max(i, j)) not in g.edges:
+            raise InvalidValueError(f"nonzero entry at non-edge position ({i}, {j})")
 
 
 def _check_penalty_args(g: GossipMatrix, lam: float, p: StackedPoint):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .errors import ConvergenceError, InvalidValueError
 from .gossip import GossipMatrix, penalty_value
 from .problems import SaddleProblem
-from .stacked import StackedPoint, frobenius_sq, norm_sq
+from .stacked import XY, StackedPoint, _check_like, frobenius_sq
 
 CSV_COLUMNS = (
     "k",
@@ -58,8 +58,9 @@ class Counters:
 
 
 def distance_sq(p: StackedPoint, reference: StackedPoint) -> float:
-    """Squared Frobenius distance over both blocks."""
-    return norm_sq(p - reference)
+    """Squared Frobenius distance over both blocks (of points or XY pairs)."""
+    _check_like(p, reference)
+    return frobenius_sq(p.x - reference.x) + frobenius_sq(p.y - reference.y)
 
 
 def consensus_residual(p: StackedPoint) -> tuple[float, float]:
@@ -68,9 +69,8 @@ def consensus_residual(p: StackedPoint) -> tuple[float, float]:
     Returns (sum_m |x_m - xbar|^2, sum_m |y_m - ybar|^2); both are zero
     exactly when every node holds the same local model.
     """
-    cx = frobenius_sq(p.x - p.x.mean(axis=0))
-    cy = frobenius_sq(p.y - p.y.mean(axis=0))
-    return cx, cy
+    return (frobenius_sq(p.x - p.x.mean(axis=0)),
+            frobenius_sq(p.y - p.y.mean(axis=0)))
 
 
 @dataclass
@@ -92,17 +92,7 @@ class RunRecord:
 
     def rows(self):
         """Yield tuples matching CSV_COLUMNS; None marks an absent value."""
-        for i in range(len(self.k)):
-            yield (
-                self.k[i],
-                self.comm_rounds[i],
-                self.local_grad_batches[i],
-                self.dist_sq[i],
-                self.gap[i],
-                self.penalty_value[i],
-                self.consensus_x[i],
-                self.consensus_y[i],
-            )
+        return zip(*(getattr(self, name) for name in CSV_COLUMNS))
 
 
 class RunRecorder:
@@ -133,17 +123,13 @@ class RunRecorder:
         rec.k.append(int(k))
         rec.comm_rounds.append(counters.comm_rounds)
         rec.local_grad_batches.append(counters.local_grad_batches)
-        if self.reference is not None:
-            rec.dist_sq.append(distance_sq(point, self.reference))
-        else:
-            rec.dist_sq.append(None)
-        if self.gap_every > 0 and k % self.gap_every == 0:
-            rec.gap.append(
-                restricted_gap(self.problem, self.gossip, self.lam, point,
-                               inner_tol=self.gap_tol)
-            )
-        else:
-            rec.gap.append(None)
+        rec.dist_sq.append(None if self.reference is None
+                           else distance_sq(point, self.reference))
+        rec.gap.append(
+            restricted_gap(self.problem, self.gossip, self.lam, point,
+                           inner_tol=self.gap_tol)
+            if self.gap_every > 0 and k % self.gap_every == 0 else None
+        )
         rec.penalty_value.append(penalty_value(self.gossip, self.lam, point))
         cx, cy = consensus_residual(point)
         rec.consensus_x.append(cx)
@@ -153,25 +139,21 @@ class RunRecorder:
 
 
 def _inner_ball_opt(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
-                    fixed: StackedPoint, which: str, step: float,
-                    inner_tol: float, max_iter: int) -> StackedPoint:
+                    point: StackedPoint, which: str, step: float,
+                    inner_tol: float, max_iter: int) -> XY:
     """Maximize (over y) or minimize (over x) the full objective with the
-    other block frozen, by projected gradient on the free block."""
-    domain = problem.domain
-    point = domain.project(fixed)
-    w = gossip.w
+    other block frozen, by projected gradient on the free block from the
+    projected `point`."""
+    project, w = problem.domain.project_xy, gossip.w
     for _ in range(max_iter):
-        local = problem.grad_f(point)
+        local = problem.grad_xy(point)
         if which == "y":
             grad = local.y - lam * (w @ point.y)
-            candidate = StackedPoint(point.x, point.y + step * grad)
+            candidate = project(XY(point.x, point.y + step * grad))
         else:
             grad = local.x + lam * (w @ point.x)
-            candidate = StackedPoint(point.x - step * grad, point.y)
-        candidate = domain.project(candidate)
-        moved = (
-            frobenius_sq(candidate.x - point.x) + frobenius_sq(candidate.y - point.y)
-        )
+            candidate = project(XY(point.x - step * grad, point.y))
+        moved = frobenius_sq(candidate.x - point.x) + frobenius_sq(candidate.y - point.y)
         point = candidate
         if math.sqrt(moved) / step <= inner_tol:
             return point
@@ -206,8 +188,9 @@ def restricted_gap(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     def total(q: StackedPoint) -> float:
         return problem.value_f(q) + penalty_value(gossip, lam_eff, q)
 
-    best_y = _inner_ball_opt(problem, gossip, lam_eff, p, "y", step,
+    start = problem.domain.project(p)
+    best_y = _inner_ball_opt(problem, gossip, lam_eff, start, "y", step,
                              inner_tol, max_iter)
-    best_x = _inner_ball_opt(problem, gossip, lam_eff, p, "x", step,
+    best_x = _inner_ball_opt(problem, gossip, lam_eff, start, "x", step,
                              inner_tol, max_iter)
     return total(StackedPoint(p.x, best_y.y)) - total(StackedPoint(best_x.x, p.y))

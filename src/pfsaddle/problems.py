@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, InvalidValueError, ShapeError
 from .gossip import GossipMatrix, penalty_grad
 from .rng import Xoshiro256StarStar, derive_seed
-from .stacked import BallDomain, StackedPoint
+from .stacked import XY, BallDomain, StackedPoint, _ReadOnlyArrays
 
 __all__ = [
     "QuadraticSaddleSpec",
@@ -59,7 +59,7 @@ def _sym_psd_stack(mats, name: str, tol: float = 1e-10) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QuadraticSaddleSpec:
+class QuadraticSaddleSpec(_ReadOnlyArrays):
     """Per-node quadratic saddle data, stacked along the leading axis."""
 
     p: np.ndarray  # (M, n_x, n_x), symmetric PSD
@@ -106,7 +106,7 @@ class QuadraticSaddleSpec:
 
 
 @dataclass(frozen=True)
-class RobustRegressionSpec:
+class RobustRegressionSpec(_ReadOnlyArrays):
     """Per-node least-squares data with an adversarial feature shift.
 
     features[m] has shape (N_m, n) and targets[m] has shape (N_m,); the
@@ -158,18 +158,12 @@ class RobustRegressionSpec:
         return self.features[0].shape[1]
 
 
-def _quadratic_grad(spec: QuadraticSaddleSpec, p: StackedPoint) -> StackedPoint:
-    gx = (
-        np.einsum("mij,mj->mi", spec.p, p.x)
-        + np.einsum("mij,mj->mi", spec.coupling, p.y)
-        + spec.a_lin
-    )
-    gy = (
-        np.einsum("mij,mi->mj", spec.coupling, p.x)
-        - np.einsum("mij,mj->mi", spec.q, p.y)
-        - spec.b_lin
-    )
-    return StackedPoint(gx, gy)
+def _quadratic_grad(spec: QuadraticSaddleSpec, x: np.ndarray, y: np.ndarray) -> XY:
+    gx = (np.einsum("mij,mj->mi", spec.p, x)
+          + np.einsum("mij,mj->mi", spec.coupling, y) + spec.a_lin)
+    gy = (np.einsum("mij,mi->mj", spec.coupling, x)
+          - np.einsum("mij,mj->mi", spec.q, y) - spec.b_lin)
+    return XY(gx, gy)
 
 
 def _quadratic_value(spec: QuadraticSaddleSpec, p: StackedPoint) -> float:
@@ -182,17 +176,16 @@ def _quadratic_value(spec: QuadraticSaddleSpec, p: StackedPoint) -> float:
     )
 
 
-def _robust_grad(spec: RobustRegressionSpec, p: StackedPoint) -> StackedPoint:
-    gx = np.empty_like(p.x)
-    gy = np.empty_like(p.y)
+def _robust_grad(spec: RobustRegressionSpec, xs: np.ndarray, ys: np.ndarray) -> XY:
+    gx, gy = np.empty_like(xs), np.empty_like(ys)
     for m in range(spec.num_nodes):
         feats, targs = spec.features[m], spec.targets[m]
-        x, y = p.x[m], p.y[m]
+        x, y = xs[m], ys[m]
         n = feats.shape[0]
         residuals = feats @ x + (x @ y) - targs
         gx[m] = (2.0 / n) * ((feats.T @ residuals) + residuals.sum() * y) + spec.beta_x * x
         gy[m] = (2.0 / n) * residuals.sum() * x - spec.beta_y * y
-    return StackedPoint(gx, gy)
+    return XY(gx, gy)
 
 
 def _robust_value(spec: RobustRegressionSpec, p: StackedPoint) -> float:
@@ -266,9 +259,13 @@ class SaddleProblem:
 
     def grad_f(self, p: StackedPoint) -> StackedPoint:
         """Stacked local gradient pair (d f/d x, d f/d y), one row per node."""
+        return StackedPoint(*self.grad_xy(p))
+
+    def grad_xy(self, p: XY) -> XY:
+        """Array form of `grad_f` on an XY pair, unchecked: one batch."""
         if isinstance(self.spec, QuadraticSaddleSpec):
-            return _quadratic_grad(self.spec, p)
-        return _robust_grad(self.spec, p)
+            return _quadratic_grad(self.spec, p.x, p.y)
+        return _robust_grad(self.spec, p.x, p.y)
 
     def value_f(self, p: StackedPoint) -> float:
         """Sum of the local objective values."""

@@ -9,8 +9,10 @@ the oracles keeps that equivalent to per-node computation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +28,35 @@ __all__ = [
 ]
 
 
+class XY(NamedTuple):
+    """An unvalidated (x, y) pair of stacked blocks, the solvers' internal
+    iterate; its arrays may be shared and are never written in place."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+
+class _ReadOnlyArrays:
+    """Base of the frozen array holders: numpy arrays come back writable from
+    unpickling, so restore the read-only flag without re-running checks."""
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+        self.__dict__.update(state)
+
+
+def _check_like(a, b) -> None:
+    """Both blocks of a and b (StackedPoints or XY pairs) agree in shape."""
+    if a.x.shape != b.x.shape or a.y.shape != b.y.shape:
+        raise ShapeError(
+            f"shape mismatch: {a.x.shape}/{a.y.shape} vs "
+            f"{b.x.shape}/{b.y.shape}"
+        )
+
+
 def _as_matrix(a, name: str) -> np.ndarray:
     arr = np.array(a, dtype=float, copy=True)
     if arr.ndim != 2:
@@ -37,7 +68,7 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class StackedPoint:
+class StackedPoint(_ReadOnlyArrays):
     """Immutable pair of stacked iterate blocks.
 
     Parameters
@@ -75,19 +106,12 @@ class StackedPoint:
     def zeros(cls, num_nodes: int, n_x: int, n_y: int) -> "StackedPoint":
         return cls(np.zeros((num_nodes, n_x)), np.zeros((num_nodes, n_y)))
 
-    def _check_like(self, other: "StackedPoint"):
-        if self.x.shape != other.x.shape or self.y.shape != other.y.shape:
-            raise ShapeError(
-                f"shape mismatch: {self.x.shape}/{self.y.shape} vs "
-                f"{other.x.shape}/{other.y.shape}"
-            )
-
     def __add__(self, other: "StackedPoint") -> "StackedPoint":
-        self._check_like(other)
+        _check_like(self, other)
         return StackedPoint(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "StackedPoint") -> "StackedPoint":
-        self._check_like(other)
+        _check_like(self, other)
         return StackedPoint(self.x - other.x, self.y - other.y)
 
     def __mul__(self, scalar: float) -> "StackedPoint":
@@ -121,26 +145,32 @@ def saddle_step(base: StackedPoint, gamma: float, direction: StackedPoint) -> St
     """One unprojected saddle update: descend in x, ascend in y.
 
     Returns (base.x - gamma * direction.x, base.y + gamma * direction.y).
-    Every solver step in this package goes through here so the sign
-    convention lives in exactly one place.
+    Every solver step in this package goes through here or through its
+    array form `saddle_step_xy`, so the sign convention lives in one place.
     """
-    base._check_like(direction)
+    _check_like(base, direction)
+    return StackedPoint(*saddle_step_xy(base, gamma, direction))
+
+
+def saddle_step_xy(base: XY, gamma: float, direction: XY) -> XY:
+    """Array form of `saddle_step` on XY pairs, unchecked."""
     g = float(gamma)
-    return StackedPoint(base.x - g * direction.x, base.y + g * direction.y)
+    return XY(base.x - g * direction.x, base.y + g * direction.y)
 
 
 def _project_rows(rows: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Project each row of `rows` onto the ball B(center, radius).
 
     Rows already inside the ball are returned bitwise unchanged.  Rows
-    outside are rescaled toward the center; the rescale is repeated until
-    a true fixed point of the map is reached, so projecting twice gives
-    byte-identical output.
+    outside are rescaled toward the center until they lie inside, so
+    projecting twice gives byte-identical output.  As rounding can hold a
+    row just outside a ball centered far from the origin, pass k >= 8 aims
+    2**(k-60) further in, reaching the center itself by pass 60.
     """
     if math.isinf(radius):
         return rows
     out = np.array(rows, dtype=float, copy=True)
-    while True:
+    for k in itertools.count():
         delta = out - center
         norms = np.linalg.norm(delta, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -148,11 +178,12 @@ def _project_rows(rows: np.ndarray, center: np.ndarray, radius: float) -> np.nda
         mask = (norms > radius) & (scale < 1.0)
         if not np.any(mask):
             return out
-        out[mask] = center + delta[mask] * scale[mask, None]
+        shrink = 1.0 if k < 8 else max(0.0, 1.0 - 2.0 ** (k - 60))
+        out[mask] = center + delta[mask] * (scale[mask, None] * shrink)
 
 
 @dataclass(frozen=True)
-class BallDomain:
+class BallDomain(_ReadOnlyArrays):
     """Per-node feasible set: a Euclidean ball for x and one for y.
 
     Every node shares the same centers and radii.  Radii may be math.inf,
@@ -218,10 +249,12 @@ class BallDomain:
     def project(self, p: StackedPoint) -> StackedPoint:
         """Row-wise Euclidean projection of both blocks onto the balls."""
         self._check_dims(p)
-        return StackedPoint(
-            _project_rows(p.x, self.center_x, self.radius_x),
-            _project_rows(p.y, self.center_y, self.radius_y),
-        )
+        return StackedPoint(*self.project_xy(p))
+
+    def project_xy(self, p: XY) -> XY:
+        """Array form of `project`, unchecked; an unbounded block passes as is."""
+        return XY(_project_rows(p.x, self.center_x, self.radius_x),
+                  _project_rows(p.y, self.center_y, self.radius_y))
 
     def contains(self, p: StackedPoint, tol: float = 1e-9) -> bool:
         """True if every row of both blocks lies within tol of its ball."""

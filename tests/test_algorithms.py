@@ -621,6 +621,37 @@ def test_rles_init_costs_one_comm_one_batch():
     assert np.array_equal(state.z.x, state.u.x)
 
 
+def test_rles_run_matches_manual_randomized_step_sequence():
+    problem, gossip, lam = rles_fixture()
+    config = AlgorithmConfig(gamma=0.01, lam=lam, p_comm=0.3, seed=11,
+                             target_kind="iterations", target_value=60,
+                             max_outer=60)
+    res = rles_run(problem, gossip, config)
+    state = rles_init(problem, gossip, config)
+    for _ in range(60):
+        rles_outer_step(state, problem, gossip, config)
+    assert np.array_equal(res.last.x, state.z.x)
+    assert np.array_equal(res.last.y, state.z.y)
+    assert res.counters == state.counters
+    assert res.iterations == state.k == 60
+    # the coins fired both ways, so both branches and refreshes were used
+    assert 1 < state.counters.comm_rounds < 1 + 2 * 60
+
+
+def test_baseline_iterations_target_matches_fixed_length_extragradient():
+    problem = quad_problem(4, 2, 3, mu=0.5, smoothness=6.0, seed=2)
+    gossip = ring_gossip(4)
+    config = AlgorithmConfig(gamma=0.03, lam=0.7, target_kind="iterations",
+                             target_value=25, max_outer=1000)
+    res = baseline_run(problem, gossip, config)
+    want = extragradient_run(problem, gossip, 0.7, 0.03, max_iter=25)
+    assert res.stop_reason == "target" and want.stop_reason == "max_iter"
+    assert res.iterations == want.iterations == 25
+    assert np.array_equal(res.last.x, want.last.x)
+    assert np.array_equal(res.last.y, want.last.y)
+    assert res.counters == want.counters
+
+
 def test_rles_diverges_with_huge_step():
     problem, gossip, lam = rles_fixture()
     config = AlgorithmConfig(gamma=1e9, lam=lam, p_comm=0.3, seed=0,

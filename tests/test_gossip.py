@@ -145,6 +145,16 @@ def test_validate_rejects_sparsity_violation():
         validate(g)
 
 
+def test_validate_names_the_first_non_edge_nonzero_in_row_major_order():
+    # complete-graph laplacian declared with a ring's edges: row 0 holds the
+    # first offender at (0, 2); column-major order would find (2, 0)
+    w = laplacian(Topology("complete", 4)).w
+    g = GossipMatrix.from_matrix(w, edges=((0, 1), (1, 2), (2, 3), (0, 3)))
+    with pytest.raises(InvalidValueError,
+                       match=r"^nonzero entry at non-edge position \(0, 2\)$"):
+        validate(g)
+
+
 def test_validate_rejects_disconnected():
     w = np.zeros((4, 4))
     w[0, 0] = w[1, 1] = 1.0

@@ -1,6 +1,7 @@
 """Tests for the problem families: oracles, constants, and references."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -419,3 +420,30 @@ def test_reference_bounded_fixed_point():
                                + np.sum((ref.y - stepped.y) ** 2)))
     assert residual <= 10.0 * tol
     assert dom.contains(ref)
+
+
+def _arrays_of(obj):
+    for value in vars(obj).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+@pytest.mark.parametrize("make", [
+    lambda: laplacian(Topology("ring", 4)),
+    lambda: StackedPoint(np.ones((3, 2)), np.zeros((3, 1))),
+    lambda: BallDomain(1.0, 2.0, n_x=2, n_y=3),
+    lambda: random_quadratic(3, 2, 2, mu=1.0, smoothness=5.0, seed=1),
+    lambda: random_robust_regression(3, 2, 5, beta_x=1.0, beta_y=3.0, seed=1),
+], ids=["GossipMatrix", "StackedPoint", "BallDomain", "QuadraticSaddleSpec",
+        "RobustRegressionSpec"])
+def test_value_types_stay_read_only_through_pickling(make):
+    # parallel runs ship these to worker processes by pickling
+    original = make()
+    restored = pickle.loads(pickle.dumps(original))
+    arrays = list(_arrays_of(restored))
+    assert len(arrays) == len(list(_arrays_of(original))) >= 1
+    for before, after in zip(_arrays_of(original), arrays):
+        assert np.array_equal(before, after)
+        assert not after.flags.writeable
+
