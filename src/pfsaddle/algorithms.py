@@ -79,7 +79,7 @@ class AlgorithmConfig:
     seed: int = 0
     max_outer: int = 1_000_000
     target_kind: str = "iterations"
-    target_value: float = 0.0
+    target_value: float = 1.0
     gap_check_every: int = 50
     gap_inner_tol: float = 1e-8
     averaged_output: bool | None = None

@@ -132,7 +132,7 @@ def _erdos_renyi_edges(m: int, edge_prob: float, seed: int) -> set[tuple[int, in
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GossipMatrix(_ReadOnlyArrays):
     """A concrete gossip matrix with its cached spectral data."""
 

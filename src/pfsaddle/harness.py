@@ -35,7 +35,7 @@ from .algorithms import (
     rles_run,
     sliding_run,
 )
-from .errors import ConfigError, ConvergenceError, DivergenceError
+from .errors import ConfigError
 from .gossip import GossipMatrix, Topology, laplacian
 from .metrics import CSV_COLUMNS, RunRecorder, restricted_gap
 from .problems import (
@@ -583,7 +583,7 @@ def _execute_cell(problem: SaddleProblem, gossip: GossipMatrix,
                 problem, gossip, lam, result.output,
                 inner_tol=config.gap_inner_tol,
             )
-    except (DivergenceError, ConvergenceError) as exc:
+    except Exception as exc:  # any failure inside a cell is recorded, not raised
         status = "failed"
         error = f"{type(exc).__name__}: {exc}"
         summary["stop_reason"] = "error"
@@ -618,8 +618,9 @@ def run(config: ExperimentConfig, jobs: int = 1,
     Writes runs/<cell>.csv per grid cell, summary.csv, and manifest.json
     under the resolved output directory.  The set-up (`prepare`) runs once
     before anything touches disk and is shared with every cell, so a
-    config error leaves no output behind.  Numerical failures in single
-    cells are recorded in the manifest and do not abort the other cells.
+    config error leaves no output behind.  Any exception raised inside a
+    cell is recorded in the manifest as that cell's failure, with its type
+    and message, and does not abort the other cells.
     References (when needed) are computed once per lambda up front.
     """
     out = resolve_output_dir(config, output_dir)

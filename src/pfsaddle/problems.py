@@ -58,7 +58,7 @@ def _sym_psd_stack(mats, name: str, tol: float = 1e-10) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticSaddleSpec(_ReadOnlyArrays):
     """Per-node quadratic saddle data, stacked along the leading axis."""
 
@@ -105,13 +105,14 @@ class QuadraticSaddleSpec(_ReadOnlyArrays):
         return self.q.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobustRegressionSpec(_ReadOnlyArrays):
     """Per-node least-squares data with an adversarial feature shift.
 
     features[m] has shape (N_m, n) and targets[m] has shape (N_m,); the
     sample counts N_m may differ across nodes.  The same dimension n is
-    used for x and for the shift y.
+    used for x and for the shift y.  Nodes sharing a sample count are also
+    stacked into one group each, (nodes, features, transposed view, targets).
     """
 
     features: tuple
@@ -140,10 +141,25 @@ class RobustRegressionSpec(_ReadOnlyArrays):
             t.setflags(write=False)
         if not (float(self.beta_x) > 0.0 and float(self.beta_y) > 0.0):
             raise InvalidValueError("beta_x and beta_y must be positive")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "targets", targs)
-        object.__setattr__(self, "beta_x", float(self.beta_x))
-        object.__setattr__(self, "beta_y", float(self.beta_y))
+        # set the fields as unpickling does, which also stacks the groups
+        self.__setstate__({"features": feats, "targets": targs,
+                           "beta_x": float(self.beta_x), "beta_y": float(self.beta_y)})
+
+    def __getstate__(self) -> dict:
+        # the groups are rebuilt on unpickling, so the transposed features stay a view
+        return {k: v for k, v in vars(self).items() if k != "_groups"}
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        counts = np.array([t.shape[0] for t in self.targets])
+        groups = []
+        for n in dict.fromkeys(counts.tolist()):
+            nodes = np.flatnonzero(counts == n)
+            feats, targs = (np.stack([a[m] for m in nodes]) for a in (self.features, self.targets))
+            for arr in (nodes, feats, targs):
+                arr.setflags(write=False)
+            groups.append((nodes, feats, feats.transpose(0, 2, 1), targs))
+        object.__setattr__(self, "_groups", tuple(groups))
 
     @property
     def num_nodes(self) -> int:
@@ -177,14 +193,16 @@ def _quadratic_value(spec: QuadraticSaddleSpec, p: StackedPoint) -> float:
 
 
 def _robust_grad(spec: RobustRegressionSpec, xs: np.ndarray, ys: np.ndarray) -> XY:
+    # one pass per sample-count group, with the per-node products' last bits
     gx, gy = np.empty_like(xs), np.empty_like(ys)
-    for m in range(spec.num_nodes):
-        feats, targs = spec.features[m], spec.targets[m]
-        x, y = xs[m], ys[m]
-        n = feats.shape[0]
-        residuals = feats @ x + (x @ y) - targs
-        gx[m] = (2.0 / n) * ((feats.T @ residuals) + residuals.sum() * y) + spec.beta_x * x
-        gy[m] = (2.0 / n) * residuals.sum() * x - spec.beta_y * y
+    for nodes, feats, feats_t, targs in spec._groups:
+        x, y = xs[nodes], ys[nodes]
+        n = feats.shape[1]
+        residuals = (feats @ x[:, :, None])[:, :, 0] + (x[:, None, :] @ y[:, :, None])[:, 0] - targs
+        total = residuals.sum(axis=1)[:, None]
+        gx[nodes] = ((2.0 / n) * ((feats_t @ residuals[:, :, None])[:, :, 0] + total * y)
+                     + spec.beta_x * x)
+        gy[nodes] = (2.0 / n) * total * x - spec.beta_y * y
     return XY(gx, gy)
 
 

@@ -169,20 +169,21 @@ def _project_rows(rows: np.ndarray, center: np.ndarray, radius: float) -> np.nda
     """
     if math.isinf(radius):
         return rows
-    out = np.array(rows, dtype=float, copy=True)
+    out, live = rows, None  # live: the rows rescaled by the previous pass
     for k in itertools.count():
-        delta = out - center
-        norms = np.linalg.norm(delta, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(norms > 0.0, radius / norms, 1.0)
-        mask = (norms > radius) & (scale < 1.0)
-        if not np.any(mask):
+        delta = (out if live is None else out[live]) - center
+        norms = np.sqrt(np.add.reduce(delta * delta, axis=1))
+        hit = (norms > radius).nonzero()[0]
+        scale = radius / norms[hit]
+        hit, scale = hit[scale < 1.0], scale[scale < 1.0]
+        if not hit.size:
             return out
+        out, live = (np.array(rows, dtype=float), hit) if live is None else (out, live[hit])
         shrink = 1.0 if k < 8 else max(0.0, 1.0 - 2.0 ** (k - 60))
-        out[mask] = center + delta[mask] * (scale[mask, None] * shrink)
+        out[live] = center + delta[hit] * (scale[:, None] * shrink)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallDomain(_ReadOnlyArrays):
     """Per-node feasible set: a Euclidean ball for x and one for y.
 

@@ -204,6 +204,13 @@ def test_baseline_run_distance_target_and_counters():
     assert res.counters.local_grad_batches == 2 * res.iterations
 
 
+def test_algorithm_config_defaults_construct_and_run_one_iteration():
+    config = AlgorithmConfig(gamma=0.1)
+    assert (config.target_kind, config.target_value) == ("iterations", 1.0)
+    res = baseline_run(scalar_quadratic_problem(2), ring_gossip(2), config)
+    assert res.iterations == 1 and res.stop_reason == "target"
+
+
 def test_baseline_distance_target_requires_reference():
     problem = scalar_quadratic_problem(2)
     gossip = ring_gossip(2)

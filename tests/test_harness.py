@@ -340,6 +340,29 @@ def test_diverging_cell_is_recorded_not_raised(tmp_path):
     assert "error" in summary
 
 
+def test_any_exception_in_a_cell_is_recorded_not_raised(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise FloatingPointError("overflow in a local step")
+
+    monkeypatch.setattr(pfsaddle.harness, "sliding_run", broken)
+    out = tmp_path / "out"
+    config = parse_config(minimal_raw(
+        algorithms=[{"name": "extragradient"}, {"name": "sliding"},
+                    {"name": "rles"}],
+        output_dir=str(out),
+    ))
+    bundle = run(config)
+    manifest = json.loads((out / "manifest.json").read_text())
+    cells = manifest["cells"]
+    assert bundle.failures == [cid for cid in cells if "sliding" in cid]
+    for cid, cell in cells.items():
+        if "sliding" in cid:
+            assert cell["status"] == "failed"
+            assert cell["error"] == "FloatingPointError: overflow in a local step"
+        else:
+            assert cell["status"] == "ok" and cell["error"] is None
+
+
 def test_manual_gamma_override_wins_over_auto(tmp_path):
     out = tmp_path / "out"
     config = parse_config(minimal_raw(

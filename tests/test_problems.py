@@ -422,11 +422,18 @@ def test_reference_bounded_fixed_point():
     assert dom.contains(ref)
 
 
+def _arrays_in(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays_in(item)
+
+
 def _arrays_of(obj):
+    """Every array attribute of obj, also inside nested tuples."""
     for value in vars(obj).values():
-        for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, np.ndarray):
-                yield item
+        yield from _arrays_in(value)
 
 
 @pytest.mark.parametrize("make", [
@@ -447,3 +454,28 @@ def test_value_types_stay_read_only_through_pickling(make):
         assert np.array_equal(before, after)
         assert not after.flags.writeable
 
+
+
+@pytest.mark.parametrize("make", [
+    lambda: laplacian(Topology("ring", 4)),
+    lambda: BallDomain(1.0, 2.0, n_x=2, n_y=3),
+    lambda: random_quadratic(3, 2, 2, mu=1.0, smoothness=5.0, seed=1),
+    lambda: random_robust_regression(3, 2, 5, beta_x=1.0, beta_y=3.0, seed=1),
+], ids=["GossipMatrix", "BallDomain", "QuadraticSaddleSpec", "RobustRegressionSpec"])
+def test_array_holding_types_compare_and_hash_by_identity(make):
+    # the generated field-wise __eq__ would compare arrays and raise
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_robust_spec_groups_nodes_by_sample_count():
+    spec = RobustRegressionSpec(
+        (np.ones((4, 2)), np.ones((7, 2)), 2.0 * np.ones((4, 2))),
+        (np.zeros(4), np.zeros(7), np.ones(4)), 1.0, 3.0)
+    groups = [(nodes.tolist(), feats.shape, targs.shape)
+              for nodes, feats, _, targs in spec._groups]
+    assert groups == [([0, 2], (2, 4, 2), (2, 4)), ([1], (1, 7, 2), (1, 7))]
+    for restored in (spec, pickle.loads(pickle.dumps(spec))):
+        for _, feats, feats_t, _ in restored._groups:
+            assert feats_t.base is feats and not feats_t.flags.writeable

@@ -1,6 +1,9 @@
 """Property tests over small random problems: the per-method counter
-identities of the cost model, and the invariants of the ball projection."""
+identities of the cost model, the invariants of the ball projection, the
+unbiased rles estimator, and the batched oracle and projection against the
+per-node and multi-pass rules they replace, bit for bit."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,15 +14,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from pfsaddle.algorithms import AlgorithmConfig, baseline_run, rles_run, sliding_run  # noqa: E402
-from pfsaddle.gossip import Topology, laplacian  # noqa: E402
+from pfsaddle.algorithms import (  # noqa: E402
+    AlgorithmConfig,
+    baseline_run,
+    rles_direction,
+    rles_run,
+    sliding_run,
+)
+from pfsaddle.gossip import Topology, laplacian, penalty_grad  # noqa: E402
 from pfsaddle.metrics import distance_sq  # noqa: E402
 from pfsaddle.problems import (  # noqa: E402
+    RobustRegressionSpec,
     SaddleProblem,
+    grad_full,
     random_quadratic,
     random_robust_regression,
 )
-from pfsaddle.stacked import BallDomain, StackedPoint  # noqa: E402
+from pfsaddle.stacked import XY, BallDomain, StackedPoint, _project_rows  # noqa: E402
 
 # few, reproducible examples, and no example database written to disk
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -107,3 +118,81 @@ def test_projection_is_idempotent_and_nonexpansive(m, n_x, n_y, radius_x,
     assert np.array_equal(twice.x, pa.x) and np.array_equal(twice.y, pa.y)
     assert domain.contains(pa)
     assert distance_sq(pa, pb) <= distance_sq(a, b) * (1.0 + 1e-12)
+
+
+def per_node_robust_grad(spec, xs, ys):
+    """The robust gradient one node at a time, as it was before batching."""
+    gx, gy = np.empty_like(xs), np.empty_like(ys)
+    for m in range(spec.num_nodes):
+        feats, targs = spec.features[m], spec.targets[m]
+        x, y = xs[m], ys[m]
+        n = feats.shape[0]
+        residuals = feats @ x + (x @ y) - targs
+        gx[m] = (2.0 / n) * ((feats.T @ residuals) + residuals.sum() * y) + spec.beta_x * x
+        gy[m] = (2.0 / n) * residuals.sum() * x - spec.beta_y * y
+    return gx, gy
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from([1, 2, 5, 30]), min_size=1, max_size=6),
+       st.integers(1, 4), st.integers(0, 2**16))
+def test_batched_robust_gradient_matches_the_per_node_loop(counts, dim, seed):
+    # ragged sample counts, N = 1 and n = 1 included: one pass per group
+    rng = np.random.default_rng(seed)
+    spec = RobustRegressionSpec(tuple(rng.normal(size=(c, dim)) for c in counts),
+                                tuple(rng.normal(size=c) for c in counts), 1.0, 3.0)
+    problem = SaddleProblem.from_spec(spec, BallDomain(1.0, 1.0, n_x=dim, n_y=dim))
+    xs, ys = rng.normal(size=(len(counts), dim)), rng.normal(size=(len(counts), dim))
+    gx, gy = problem.grad_xy(XY(xs, ys))
+    want_x, want_y = per_node_robust_grad(spec, xs, ys)
+    assert np.array_equal(gx, want_x) and np.array_equal(gy, want_y)
+
+
+def multi_pass_projection(rows, center, radius):
+    """The row projection as it was before the single-pass early exit:
+    every pass rechecks every row."""
+    out = np.array(rows, dtype=float, copy=True)
+    for k in itertools.count():
+        delta = out - center
+        norms = np.linalg.norm(delta, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(norms > 0.0, radius / norms, 1.0)
+        mask = (norms > radius) & (scale < 1.0)
+        if not np.any(mask):
+            return out
+        shrink = 1.0 if k < 8 else max(0.0, 1.0 - 2.0 ** (k - 60))
+        out[mask] = center + delta[mask] * (scale[mask, None] * shrink)
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.integers(1, 10), st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+       st.sampled_from([0.0, 0.1, 1.0, 100.0]), st.integers(0, 2**16))
+def test_row_projection_matches_the_multi_pass_rule(m, dim, radius, offset, seed):
+    # offset 0 is a centred ball; large offsets need the late shrink passes
+    rng = np.random.default_rng(seed)
+    center = offset * rng.normal(size=dim)
+    rows = center + rng.normal(size=(m, dim)) * 10.0 ** rng.uniform(-2, 2, size=(m, 1))
+    rows[0] = center  # a row at the center itself is left alone
+    assert np.array_equal(_project_rows(rows, center, radius),
+                          multi_pass_projection(rows, center, radius))
+
+
+@PROPERTY
+@given(problems(), st.floats(0.05, 0.95), st.integers(0, 2**16))
+def test_rles_estimator_is_unbiased(case, p_comm, seed):
+    problem, gossip, lam = case
+    rng = np.random.default_rng(seed)
+
+    def point():
+        return StackedPoint(rng.normal(size=(problem.num_nodes, problem.n_x)),
+                            rng.normal(size=(problem.num_nodes, problem.n_y)))
+
+    z, anchor = point(), point()
+    anchor_grad, anchor_pen = problem.grad_f(anchor), penalty_grad(gossip, lam, anchor)
+    comm, grad = (rles_direction(problem, gossip, lam, p_comm, z, anchor_grad,
+                                 anchor_pen, branch) for branch in (True, False))
+    mix = comm * p_comm + grad * (1.0 - p_comm)
+    full = grad_full(problem, gossip, lam, z)
+    scale = max(1.0, float(np.max(np.abs(full.x))), float(np.max(np.abs(full.y))))
+    assert np.max(np.abs(mix.x - full.x)) <= 1e-12 * scale
+    assert np.max(np.abs(mix.y - full.y)) <= 1e-12 * scale
