@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -96,18 +97,20 @@ def _take(section: dict, known: dict, where: str) -> dict:
 
 
 def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, float) and value.is_integer():  # False for inf and NaN
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if float(value) != int(value):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 def _as_float(value, where: str, *, allow_none_as_inf: bool = False) -> float:
-    if value is None and allow_none_as_inf:
+    """A finite number; with allow_none_as_inf, None or +inf also, as inf."""
+    if allow_none_as_inf and (value is None or value == math.inf):
         return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):  # False for NaN
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -222,8 +225,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(grid, (list, tuple)) or not grid:
         raise ConfigError("lambda_grid must be a non-empty list")
     lambda_grid = tuple(_as_float(v, "lambda_grid entry") for v in grid)
-    if any(v < 0 or not math.isfinite(v) for v in lambda_grid):
-        raise ConfigError("lambda_grid entries must be finite and >= 0")
+    if any(v < 0 for v in lambda_grid):
+        raise ConfigError("lambda_grid entries must be >= 0")
 
     algs_raw = top["algorithms"]
     if not isinstance(algs_raw, (list, tuple)) or not algs_raw:
@@ -288,6 +291,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("metrics.record_dist must be auto/on/off")
     if not isinstance(metrics["final_gap"], bool):
         raise ConfigError("metrics.final_gap must be a boolean")
+    for key in ("gap_inner_tol", "reference_tol"):
+        metrics[key] = _as_float(metrics[key], f"metrics.{key}")
+        if not metrics[key] > 0.0:
+            raise ConfigError(f"metrics.{key} must be positive, got {metrics[key]!r}")
 
     return ExperimentConfig(
         topology_kind=kind,
@@ -305,8 +312,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         record_dist=metrics["record_dist"],
         gap_every=_as_int(metrics["gap_every"], "metrics.gap_every"),
         final_gap=metrics["final_gap"],
-        gap_inner_tol=_as_float(metrics["gap_inner_tol"], "metrics.gap_inner_tol"),
-        reference_tol=_as_float(metrics["reference_tol"], "metrics.reference_tol"),
+        gap_inner_tol=metrics["gap_inner_tol"],
+        reference_tol=metrics["reference_tol"],
         output_dir=str(top["output_dir"]),
     )
 
@@ -616,24 +623,23 @@ def run(config: ExperimentConfig, jobs: int = 1,
     """Execute the full grid of an experiment config.
 
     Writes runs/<cell>.csv per grid cell, summary.csv, and manifest.json
-    under the resolved output directory.  The set-up (`prepare`) runs once
-    before anything touches disk and is shared with every cell, so a
-    config error leaves no output behind.  Any exception raised inside a
-    cell is recorded in the manifest as that cell's failure, with its type
-    and message, and does not abort the other cells.
-    References (when needed) are computed once per lambda up front.
+    under the resolved output directory.  The set-up (`prepare`) and the
+    references (when needed, once per lambda) run before anything touches
+    disk and are shared with every cell, so a config error or a reference
+    that fails its certificate leaves no output behind.  Any exception
+    raised inside a cell is recorded in the manifest as that cell's
+    failure, with its type and message, and does not abort the other cells.
     """
     out = resolve_output_dir(config, output_dir)
     problem, gossip, cells = prepare(config)
-
-    (out / "runs").mkdir(parents=True, exist_ok=True)
-
     need_ref = _reference_needed(config, problem)
     references = [
         reference_solution(problem, gossip, lam, tol=config.reference_tol)
         if need_ref else None
         for lam in config.lambda_grid
     ]
+
+    (out / "runs").mkdir(parents=True, exist_ok=True)
 
     execute = partial(_execute_cell, problem, gossip, config, references, out)
     if jobs > 1:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, InvalidValueError, ShapeError
 from .gossip import GossipMatrix, penalty_grad
 from .rng import Xoshiro256StarStar, derive_seed
-from .stacked import XY, BallDomain, StackedPoint, _ReadOnlyArrays
+from .stacked import XY, BallDomain, StackedPoint, _ReadOnlyArrays, norm_sq, saddle_step
 
 __all__ = [
     "QuadraticSaddleSpec",
@@ -363,66 +363,44 @@ def estimate_constants(spec, domain: BallDomain | None = None) -> tuple[float, f
 # --------------------------------------------------------------------------
 
 
-def _direct_quadratic_solve(spec: QuadraticSaddleSpec, gossip: GossipMatrix,
-                            lam: float) -> StackedPoint:
-    """Solve the stationarity system of an unconstrained quadratic instance.
-
-    Stacks x node-major, then y node-major, and solves the block-linear
-    system given by grad_full = 0.
-    """
-    m, n_x, n_y = spec.num_nodes, spec.n_x, spec.n_y
-    p_hat = np.zeros((m * n_x, m * n_x))
-    q_hat = np.zeros((m * n_y, m * n_y))
-    a_hat = np.zeros((m * n_x, m * n_y))
-    for i in range(m):
-        p_hat[i * n_x:(i + 1) * n_x, i * n_x:(i + 1) * n_x] = spec.p[i]
-        q_hat[i * n_y:(i + 1) * n_y, i * n_y:(i + 1) * n_y] = spec.q[i]
-        a_hat[i * n_x:(i + 1) * n_x, i * n_y:(i + 1) * n_y] = spec.coupling[i]
-    w_x = np.kron(gossip.w, np.eye(n_x))
-    w_y = np.kron(gossip.w, np.eye(n_y))
-    top = np.hstack([p_hat + lam * w_x, a_hat])
-    bottom = np.hstack([a_hat.T, -(q_hat + lam * w_y)])
-    rhs = np.concatenate([-spec.a_lin.ravel(), spec.b_lin.ravel()])
-    solution = np.linalg.solve(np.vstack([top, bottom]), rhs)
-    x = solution[: m * n_x].reshape(m, n_x)
-    y = solution[m * n_x:].reshape(m, n_y)
-    return StackedPoint(x, y)
-
-
 def reference_solution(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
                        tol: float = 1e-12, max_iter: int = 10_000_000) -> StackedPoint:
-    """High-accuracy solution of the penalized saddle problem.
+    """High-accuracy solution of the penalized saddle problem, certified.
 
-    Runs the extragradient baseline with step 1/(2(L + lam*lambda_max))
-    until the fixed-point residual |z - proj(z - gamma F(z))| drops to
-    tol.  On unconstrained quadratic instances with positive strong
-    convexity the result is cross-checked against a direct solve of the
-    stationarity system.
+    Runs the extragradient baseline with step gamma = 1/(2 L_F), where
+    L_F = smoothness + lam*lambda_max bounds the Lipschitz constant of the
+    full operator F, until the fixed-point residual
+    r(z) = |z - proj(z - gamma F(z))| drops to tol.
+
+    When strong_convexity mu > 0, F is mu-strongly monotone (the penalty
+    is PSD), and the returned z is certified with one more `grad_full` by
+    the error bound for strongly monotone variational inequalities
+    (Facchinei & Pang, 2003):
+
+        |z - z*| <= (1 + gamma L_F) / (gamma mu) * r(z).
+
+    On an unbounded domain proj is the identity and the same bound holds.
+    Instances with mu = 0 are returned unchecked.
 
     Raises ConvergenceError if the residual target is not met within
-    max_iter iterations.
+    max_iter iterations, or if the squared bound exceeds 1e-12.
     """
     from .algorithms import extragradient_run  # local import to avoid a cycle
 
-    gamma = 1.0 / (2.0 * (problem.smoothness + lam * gossip.lambda_max))
-    result = extragradient_run(
+    lipschitz = problem.smoothness + lam * gossip.lambda_max
+    gamma = 1.0 / (2.0 * lipschitz)
+    point = extragradient_run(
         problem, gossip, lam, gamma=gamma, residual_tol=tol, max_iter=max_iter,
-    )
-    point = result.last
-    if (
-        isinstance(problem.spec, QuadraticSaddleSpec)
-        and not problem.domain.is_bounded
-        and problem.strong_convexity > 0.0
-    ):
-        direct = _direct_quadratic_solve(problem.spec, gossip, lam)
-        gap_sq = (
-            float(np.sum((point.x - direct.x) ** 2))
-            + float(np.sum((point.y - direct.y) ** 2))
-        )
-        if gap_sq > 1e-12:
+    ).last
+    mu = problem.strong_convexity
+    if mu > 0.0:
+        stepped = problem.domain.project(
+            saddle_step(point, gamma, grad_full(problem, gossip, lam, point)))
+        bound_sq = ((1.0 + gamma * lipschitz) / (gamma * mu)) ** 2 * norm_sq(point - stepped)
+        if bound_sq > 1e-12:
             raise ConvergenceError(
-                f"iterative and direct reference solutions disagree: "
-                f"squared distance {gap_sq:.3e}"
+                f"reference solution not certified: squared error bound "
+                f"{bound_sq:.3e} exceeds 1e-12"
             )
     return point
 

@@ -278,13 +278,32 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
     {"problem": UNBOUNDED_QUADRATIC, "metrics": {"gap_every": 5}},
     # auto rles parameters are undefined at lambda = 0
     {"algorithms": [{"name": "rles"}], "lambda_grid": [0.5, 0.0]},
-], ids=["gap-target", "final-gap", "gap-every", "rles-at-lambda-0"])
+    # tolerances a solve can never reach, and integers that are not finite
+    {"metrics": {"reference_tol": 0.0}},
+    {"metrics": {"reference_tol": math.nan}},
+    {"metrics": {"gap_inner_tol": -1e-8}},
+    {"metrics": {"gap_inner_tol": math.nan}},
+    {"max_outer": math.inf},
+    {"seeds": [0, math.inf]},
+], ids=["gap-target", "final-gap", "gap-every", "rles-at-lambda-0",
+        "reference-tol-0", "reference-tol-nan", "gap-inner-tol-negative",
+        "gap-inner-tol-nan", "max-outer-inf", "seed-inf"])
 def test_validate_rejects_what_run_rejects_at_setup(tmp_path, capsys, extra):
     out = tmp_path / "out"
     path = write_config(tmp_path, minimal_raw(output_dir=str(out), **extra))
     assert main(["validate", path]) == 1
     assert main(["run", path]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_uncertified_reference_leaves_no_bundle(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, minimal_raw(
+        output_dir=str(out), problem=UNBOUNDED_QUADRATIC,
+        metrics={"reference_tol": 1e-2}))
+    assert main(["run", path]) == 2
+    assert "numerical failure:" in capsys.readouterr().err
     assert not out.exists()
 
 

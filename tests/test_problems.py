@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from pfsaddle.errors import InvalidValueError
+from pfsaddle.errors import ConvergenceError, InvalidValueError
 from pfsaddle.gossip import Topology, laplacian
 from pfsaddle.problems import (
     QuadraticSaddleSpec,
@@ -18,11 +18,11 @@ from pfsaddle.problems import (
     random_quadratic,
     random_robust_regression,
     reference_solution,
-    _direct_quadratic_solve,
 )
 from pfsaddle.gossip import penalty_value
 from pfsaddle.rng import Xoshiro256StarStar
 from pfsaddle.stacked import BallDomain, StackedPoint
+from test_acceptance import _dense_stationarity_solve
 
 
 def identity_quadratic(m=3, n=2):
@@ -380,7 +380,7 @@ def test_reference_matches_direct_solve():
     g = laplacian(Topology("ring", 4))
     for lam in (0.0, 0.5, 2.0):
         ref = reference_solution(prob, g, lam, tol=1e-13)
-        direct = _direct_quadratic_solve(spec, g, lam)
+        direct = _dense_stationarity_solve(spec, g.w, lam)
         dist = float(np.sum((ref.x - direct.x) ** 2)
                      + float(np.sum((ref.y - direct.y) ** 2)))
         assert dist <= 1e-16
@@ -397,9 +397,7 @@ def test_reference_lambda_zero_equals_per_node_solve():
             spec.p[m:m + 1], spec.q[m:m + 1], spec.a_lin[m:m + 1],
             spec.b_lin[m:m + 1], spec.coupling[m:m + 1],
         )
-        from pfsaddle.gossip import GossipMatrix
-        tiny = GossipMatrix(np.zeros((1, 1)), 0.0, frozenset())
-        single = _direct_quadratic_solve(node, tiny, 0.0)
+        single = _dense_stationarity_solve(node, np.zeros((1, 1)), 0.0)
         assert np.allclose(ref.x[m], single.x[0], atol=2.0 * math.sqrt(tol))
         assert np.allclose(ref.y[m], single.y[0], atol=2.0 * math.sqrt(tol))
 
@@ -420,6 +418,23 @@ def test_reference_bounded_fixed_point():
                                + np.sum((ref.y - stepped.y) ** 2)))
     assert residual <= 10.0 * tol
     assert dom.contains(ref)
+
+
+@pytest.mark.parametrize("spec, domain", [
+    (random_quadratic(4, 2, 2, mu=1.0, smoothness=5.0, seed=31),
+     BallDomain.unbounded(2, 2)),
+    (random_quadratic(4, 2, 2, mu=1.0, smoothness=5.0, seed=31),
+     BallDomain(0.5, 0.5, n_x=2, n_y=2)),
+    (random_robust_regression(4, 2, 10, beta_x=1.0, beta_y=3.0, seed=31),
+     BallDomain(1.0, 1.0, n_x=2, n_y=2)),
+], ids=["unbounded-quadratic", "ball-quadratic", "robust-regression"])
+def test_reference_with_a_loose_tolerance_fails_its_certificate(spec, domain):
+    # the residual stop is met, but the error bound on |z - z*| is not
+    prob = SaddleProblem.from_spec(spec, domain)
+    assert prob.strong_convexity > 0.0
+    g = laplacian(Topology("ring", 4))
+    with pytest.raises(ConvergenceError):
+        reference_solution(prob, g, 0.5, tol=1e-2)
 
 
 def _arrays_in(value):

@@ -1,9 +1,11 @@
 """Property tests over small random problems: the per-method counter
 identities of the cost model, the invariants of the ball projection, the
-unbiased rles estimator, and the batched oracle and projection against the
-per-node and multi-pass rules they replace, bit for bit."""
+unbiased rles estimator, the batched oracle and projection against the
+per-node and multi-pass rules they replace, bit for bit, and configs that
+round-trip through their dict form."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from pfsaddle.algorithms import (  # noqa: E402
@@ -21,7 +23,14 @@ from pfsaddle.algorithms import (  # noqa: E402
     rles_run,
     sliding_run,
 )
-from pfsaddle.gossip import Topology, laplacian, penalty_grad  # noqa: E402
+from pfsaddle.gossip import TOPOLOGY_KINDS, Topology, laplacian, penalty_grad  # noqa: E402
+from pfsaddle.harness import (  # noqa: E402
+    _PROBLEM_DEFAULTS,
+    ALGORITHM_NAMES,
+    config_to_dict,
+    parse_config,
+    serialize_config,
+)
 from pfsaddle.metrics import distance_sq  # noqa: E402
 from pfsaddle.problems import (  # noqa: E402
     RobustRegressionSpec,
@@ -196,3 +205,77 @@ def test_rles_estimator_is_unbiased(case, p_comm, seed):
     scale = max(1.0, float(np.max(np.abs(full.x))), float(np.max(np.abs(full.y))))
     assert np.max(np.abs(mix.x - full.x)) <= 1e-12 * scale
     assert np.max(np.abs(mix.y - full.y)) <= 1e-12 * scale
+
+
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6)
+OVERRIDES = {
+    "gamma": st.floats(1e-6, 1.0), "inner_t": st.integers(1, 100),
+    "delta_rel": st.floats(0.01, 0.99), "p_comm": st.floats(0.01, 0.99),
+    "gap_check_every": st.integers(1, 100), "averaged_output": st.booleans(),
+}
+
+
+@st.composite
+def raw_configs(draw):
+    """Raw config dicts over every section, most of which parse."""
+    family = draw(st.sampled_from(sorted(_PROBLEM_DEFAULTS)))
+    problem = {"family": family}
+    for key in draw(st.sets(st.sampled_from(sorted(_PROBLEM_DEFAULTS[family])))):
+        if key in ("n_x", "n_y", "dim", "num_samples", "data_seed"):
+            problem[key] = draw(st.integers(1, 50))
+        elif key.startswith("radius") and family == "quadratic":
+            problem[key] = draw(st.none() | NUMBERS)  # None: unbounded
+        else:
+            problem[key] = draw(NUMBERS)
+    algorithms = []
+    for name in draw(st.lists(st.sampled_from(ALGORITHM_NAMES), min_size=1, max_size=3)):
+        overrides = {key: draw(OVERRIDES[key])
+                     for key in draw(st.sets(st.sampled_from(sorted(OVERRIDES))))}
+        params = "manual" if "gamma" in overrides and draw(st.booleans()) else "auto"
+        algorithms.append({
+            "name": name, "params": params, "overrides": overrides,
+            "case": draw(st.sampled_from(["auto", "scsc", "cc"])),
+            "variant": draw(st.sampled_from(["appendix", "table"])),
+            "schedule": draw(st.sampled_from(["randomized", "deterministic"])),
+            "epsilon_for_params": draw(st.floats(1e-12, 1.0)),
+        })
+    kind = draw(st.sampled_from(["iterations", "distance", "gap"]))
+    target = {"kind": kind,
+              "value": draw(st.integers(1, 10**6) if kind == "iterations" else NUMBERS)}
+    # at most one non-finite number where a finite one is expected
+    numeric = [(problem, key) for key, value in problem.items()
+               if key != "family" and not isinstance(value, int)]
+    numeric += [(target, "value")] if kind != "iterations" else []
+    if numeric and draw(st.booleans()):
+        section, key = draw(st.sampled_from(numeric))
+        section[key] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    return {
+        "topology": {"kind": draw(st.sampled_from(TOPOLOGY_KINDS)),
+                     "num_nodes": draw(st.integers(2, 9)),
+                     "seed": draw(st.integers(0, 2**32)),
+                     "edge_prob": draw(st.floats(0.01, 1.0))},
+        "problem": problem,
+        "lambda_grid": draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3)),
+        "algorithms": algorithms,
+        "seeds": draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3)),
+        "target": target,
+        "max_outer": draw(st.integers(1, 10**6)),
+        "metrics": {"record_dist": draw(st.sampled_from(["auto", "on", "off"])),
+                    "gap_every": draw(st.integers(0, 100)),
+                    "final_gap": draw(st.booleans()),
+                    "gap_inner_tol": draw(st.floats(1e-14, 1.0)),
+                    "reference_tol": draw(st.floats(1e-14, 1.0))},
+        "output_dir": draw(st.text(min_size=1, max_size=8)),
+    }
+
+
+@settings(PROPERTY, max_examples=100)
+@given(raw_configs())
+def test_every_parsed_config_round_trips_through_its_dict(raw):
+    # the manifest stores config_to_dict as JSON, and a replay parses it again
+    try:
+        config = parse_config(raw)
+    except ValueError:
+        reject()
+    assert parse_config(config_to_dict(config)) == config
+    assert parse_config(json.loads(serialize_config(config))) == config
