@@ -19,6 +19,9 @@ randomized local extra step (rles)
     communication branch every round(1/p) iterations instead of flipping
     coins.
 
+Every step is a projected z - gamma * F on the joined iterate z = [x | y],
+with the saddle operator F(z) = problem.operator(z) + lam * (W @ z).
+
 Communication is counted structurally: every penalty-gradient evaluation is
 one gossip round even when the penalty weight is zero.
 """
@@ -30,12 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DivergenceError
+from .errors import ConfigError, ConvergenceError, DivergenceError, ShapeError
 from .gossip import GossipMatrix, _check_penalty_args, penalty_grad
-from .metrics import Counters, RunRecorder, distance_sq, restricted_gap
+from .metrics import Counters, RunRecorder, restricted_gap
 from .problems import SaddleProblem
 from .rng import Xoshiro256StarStar, derive_seed
-from .stacked import XY, StackedPoint, norm_sq, saddle_step_xy
+from .stacked import StackedPoint, _join, _split, frobenius_sq
 
 __all__ = [
     "AlgorithmConfig",
@@ -241,8 +244,8 @@ def _resolve_start(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     return start
 
 
-def _check_divergence(z: StackedPoint | XY, threshold: float, k: int):
-    if not norm_sq(z) <= threshold:  # a NaN norm fails the comparison too
+def _check_divergence(z: np.ndarray, threshold: float, k: int):
+    if not frobenius_sq(z) <= threshold:  # a NaN norm fails the comparison too
         raise DivergenceError(
             f"iterate norm exceeded the safeguard or is not finite at outer "
             f"iteration {k}; the step size is likely too large"
@@ -250,43 +253,40 @@ def _check_divergence(z: StackedPoint | XY, threshold: float, k: int):
 
 
 def _target_reached(config: AlgorithmConfig, problem: SaddleProblem,
-                    gossip: GossipMatrix, rep: XY,
-                    reference: StackedPoint | None, k: int) -> bool:
+                    gossip: GossipMatrix, rep: np.ndarray,
+                    reference: np.ndarray | None, k: int) -> bool:
     if config.target_kind == "iterations":
         return k >= int(config.target_value)
     if config.target_kind == "distance":
-        return distance_sq(rep, reference) <= float(config.target_value)
+        return frobenius_sq(rep - reference) <= float(config.target_value)
     if k % config.gap_check_every != 0:
         return False
-    gap = restricted_gap(problem, gossip, config.lam, StackedPoint(rep.x, rep.y),
+    gap = restricted_gap(problem, gossip, config.lam, _split(rep, problem.n_x),
                          inner_tol=config.gap_inner_tol)
     return gap <= float(config.target_value)
 
 
-def _penalty(w: np.ndarray, lam: float, p: XY) -> XY:
-    """Array form of `penalty_grad`, (lam W X, -lam W Y): one gossip round."""
-    return XY(lam * (w @ p.x), -lam * (w @ p.y))
-
-
-def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: StackedPoint,
+def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
            counters: Counters, step, *, recorder: RunRecorder | None,
            config: AlgorithmConfig | None = None,
            reference: StackedPoint | None = None, limit: int = 0) -> RunResult:
-    """The loop of every solver: step(z, k) on XY pairs from the start z0.
+    """The loop of every solver: step(z, k) on joined iterates from z0.
 
     A step returns the next iterate and the point the method reports there
     (the iterate, or sliding's running mean), or None for extragradient's
     residual stop.  Then come the divergence guard, the recorder (given a
     StackedPoint) and the target of `config`, else a `limit` on steps."""
+    if reference is not None and (reference := _join(reference)).shape != z0.shape:
+        raise ShapeError(f"reference shape {reference.shape} is not the iterate's {z0.shape}")
     if config is not None:
         if config.target_kind == "distance" and reference is None:
             raise ConfigError("distance target needs a reference solution")
         limit = config.max_outer
-    omega = problem.domain.diameter
-    threshold = 1e12 * (omega**2 if math.isfinite(omega) else max(1.0, norm_sq(z0)))
+    omega, n_x = problem.domain.diameter, problem.n_x
+    threshold = 1e12 * (omega**2 if math.isfinite(omega) else max(1.0, frobenius_sq(z0)))
     if recorder is not None:
-        recorder.observe(0, z0, counters)
-    z = rep = XY(z0.x, z0.y)
+        recorder.observe(0, _split(z0, n_x), counters)
+    z = rep = z0
     k, reason = 0, "max_iter" if config is None else "max_outer"
     while k < limit:
         advanced = step(z, k)
@@ -297,13 +297,13 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: StackedPoint,
         k += 1
         _check_divergence(z, threshold, k)
         if recorder is not None:
-            recorder.observe(k, StackedPoint(rep.x, rep.y), counters)
+            recorder.observe(k, _split(rep, n_x), counters)
         if config is not None and _target_reached(config, problem, gossip, rep,
                                                   reference, k):
             reason = "target"
             break
-    last = StackedPoint(z.x, z.y)
-    return RunResult(last, last if rep is z else StackedPoint(rep.x, rep.y), None,
+    last = _split(z, n_x)
+    return RunResult(last, last if rep is z else _split(rep, n_x), None,
                      counters, recorder and recorder.record, reason, k)
 
 
@@ -319,18 +319,17 @@ def _extragradient(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     """Both extragradient runs: 2 comm rounds and 2 batches per step; with
     residual_tol set, a step ends after its first half once |z - half| is
     at most residual_tol.  `stop` goes to `_drive`."""
-    z0, counters = _resolve_start(problem, gossip, lam, start), Counters()
+    z0, counters = _join(_resolve_start(problem, gossip, lam, start)), Counters()
 
-    def toward(base: XY, at: XY) -> XY:
-        local, penalty = problem.grad_xy(at), _penalty(gossip.w, lam, at)
+    def toward(base: np.ndarray, at: np.ndarray) -> np.ndarray:
+        full = problem.operator(at) + lam * (gossip.w @ at)
         counters.add_comm()
         counters.add_grad()
-        full = XY(local.x + penalty.x, local.y + penalty.y)
-        return problem.domain.project_xy(saddle_step_xy(base, gamma, full))
+        return problem.domain.project_z(base - gamma * full)
 
-    def step(z: XY, k: int):
+    def step(z: np.ndarray, k: int):
         half = toward(z, z)
-        if residual_tol is not None and distance_sq(z, half) <= residual_tol**2:
+        if residual_tol is not None and frobenius_sq(z - half) <= residual_tol**2:
             return None
         z = toward(z, half)
         return z, z
@@ -374,19 +373,15 @@ def baseline_run(problem: SaddleProblem, gossip: GossipMatrix,
 # --------------------------------------------------------------------------
 
 
-def _solve_prox(problem: SaddleProblem, v: XY, start: XY, gamma: float,
-                inner_t: int, counters: Counters | None) -> XY:
-    """Array form of `solve_prox`."""
+def _solve_prox(problem: SaddleProblem, v: np.ndarray, start: np.ndarray,
+                gamma: float, inner_t: int, counters: Counters | None) -> np.ndarray:
+    """Array form of `solve_prox` on joined iterates."""
     eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
-    project, grad_xy = problem.domain.project_xy, problem.grad_xy
+    project, operator = problem.domain.project_z, problem.operator
     u = project(start)
     for _ in range(inner_t):
-        local = grad_xy(u)
-        half = project(saddle_step_xy(u, eta, XY(gamma * local.x + (u.x - v.x),
-                                                 gamma * local.y - (u.y - v.y))))
-        local = grad_xy(half)
-        u = project(saddle_step_xy(u, eta, XY(gamma * local.x + (half.x - v.x),
-                                              gamma * local.y - (half.y - v.y))))
+        half = project(u - eta * (gamma * operator(u) + (u - v)))
+        u = project(u - eta * (gamma * operator(half) + (half - v)))
     if counters is not None:
         counters.add_grad(2 * inner_t)
     return u
@@ -411,7 +406,8 @@ def solve_prox(problem: SaddleProblem, v: StackedPoint, start: StackedPoint,
     if inner_t < 1:
         raise ConfigError(f"inner_t must be >= 1, got {inner_t}")
     start = problem.domain.project(start)  # checks dims; projecting again is exact
-    return StackedPoint(*_solve_prox(problem, v, start, gamma, inner_t, counters))
+    return _split(_solve_prox(problem, _join(v), _join(start), gamma, inner_t,
+                              counters), problem.n_x)
 
 
 @dataclass
@@ -425,18 +421,17 @@ class SlidingState:
 
 
 def _sliding_step(problem: SaddleProblem, gossip: GossipMatrix,
-                  config: AlgorithmConfig, z: XY,
-                  counters: Counters) -> tuple[XY, XY]:
+                  config: AlgorithmConfig, z: np.ndarray,
+                  counters: Counters) -> tuple[np.ndarray, np.ndarray]:
     """Array form of `sliding_outer_step`: the next iterate and the inner
     solution u it was corrected from."""
-    pg_z = _penalty(gossip.w, config.lam, z)
+    gamma = config.gamma
+    pg_z = config.lam * (gossip.w @ z)
     counters.add_comm()
-    v = saddle_step_xy(z, config.gamma, pg_z)
-    u = _solve_prox(problem, v, z, config.gamma, config.inner_t, counters)
-    pg_u = _penalty(gossip.w, config.lam, u)
+    u = _solve_prox(problem, z - gamma * pg_z, z, gamma, config.inner_t, counters)
+    pg_u = config.lam * (gossip.w @ u)
     counters.add_comm()
-    back = XY(pg_z.x - pg_u.x, pg_z.y - pg_u.y)
-    return problem.domain.project_xy(saddle_step_xy(u, -config.gamma, back)), u
+    return problem.domain.project_z(u + gamma * (pg_z - pg_u)), u
 
 
 def sliding_outer_step(state: SlidingState, problem: SaddleProblem,
@@ -447,8 +442,8 @@ def sliding_outer_step(state: SlidingState, problem: SaddleProblem,
     reused by the correction step, so the network is touched only for
     them and for the fresh products at the inner solution.
     """
-    z, u = _sliding_step(problem, gossip, config, state.z, state.counters)
-    state.z = StackedPoint(z.x, z.y)
+    z, u = _sliding_step(problem, gossip, config, _join(state.z), state.counters)
+    state.z, u = _split(z, problem.n_x), _split(u, problem.n_x)
     state.u_sum_x, state.u_sum_y = state.u_sum_x + u.x, state.u_sum_y + u.y
     state.u_count, state.k = state.u_count + 1, state.k + 1
     return state
@@ -466,20 +461,20 @@ def sliding_run(problem: SaddleProblem, gossip: GossipMatrix,
     """
     averaging = config.averaged_output
     averaging = problem.strong_convexity <= 0.0 if averaging is None else averaging
-    z0, counters = _resolve_start(problem, gossip, config.lam, start), Counters()
-    u_sum, u_count = XY(np.zeros_like(z0.x), np.zeros_like(z0.y)), 0
+    z0, counters = _join(_resolve_start(problem, gossip, config.lam, start)), Counters()
+    u_sum, u_count = np.zeros_like(z0), 0
 
-    def step(z: XY, k: int):
+    def step(z: np.ndarray, k: int):
         nonlocal u_sum, u_count
         z, u = _sliding_step(problem, gossip, config, z, counters)
-        u_sum, u_count = XY(u_sum.x + u.x, u_sum.y + u.y), u_count + 1
-        return z, (XY(u_sum.x / u_count, u_sum.y / u_count) if averaging else z)
+        u_sum, u_count = u_sum + u, u_count + 1
+        return z, (u_sum / u_count if averaging else z)
 
     result = _drive(problem, gossip, z0, counters, step, recorder=recorder,
                     config=config, reference=reference)
     if u_count > 0:
         result.averaged = (result.output if averaging else
-                           StackedPoint(u_sum.x / u_count, u_sum.y / u_count))
+                           _split(u_sum / u_count, problem.n_x))
     return result
 
 
@@ -489,16 +484,15 @@ def sliding_run(problem: SaddleProblem, gossip: GossipMatrix,
 
 
 def _rles_direction(problem: SaddleProblem, w: np.ndarray, lam: float,
-                    p_comm: float, point: XY, anchor_grad: XY,
-                    anchor_penalty: XY, comm_branch: bool) -> XY:
-    """Array form of `rles_direction`."""
+                    p_comm: float, point: np.ndarray, anchor_grad: np.ndarray,
+                    anchor_penalty: np.ndarray, comm_branch: bool) -> np.ndarray:
+    """Array form of `rles_direction` on joined iterates, in operator sign."""
     if comm_branch:
-        fresh, base, scale = _penalty(w, lam, point), anchor_penalty, 1.0 / p_comm
+        fresh, base, scale = lam * (w @ point), anchor_penalty, 1.0 / p_comm
     else:
-        fresh = problem.grad_xy(point)
+        fresh = problem.operator(point)
         base, scale = anchor_grad, 1.0 / (1.0 - p_comm)
-    return XY((fresh.x - base.x) * scale + (anchor_grad.x + anchor_penalty.x),
-              (fresh.y - base.y) * scale + (anchor_grad.y + anchor_penalty.y))
+    return (fresh - base) * scale + (anchor_grad + anchor_penalty)
 
 
 def rles_direction(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
@@ -514,8 +508,10 @@ def rles_direction(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     exactly.  Callers tick the matching counter.
     """
     _check_penalty_args(gossip, lam, point)
-    return StackedPoint(*_rles_direction(problem, gossip.w, lam, p_comm, point,
-                                         anchor_grad, anchor_penalty, comm_branch))
+    d = _rles_direction(problem, gossip.w, lam, p_comm, _join(point),
+                        np.hstack((anchor_grad.x, -anchor_grad.y)),
+                        np.hstack((anchor_penalty.x, -anchor_penalty.y)), comm_branch)
+    return StackedPoint(d[:, :problem.n_x], -d[:, problem.n_x:])
 
 
 @dataclass
@@ -541,31 +537,29 @@ def rles_init(problem: SaddleProblem, gossip: GossipMatrix,
 
 
 def _rles_step(problem: SaddleProblem, w: np.ndarray, config: AlgorithmConfig,
-               z: XY, anchor: tuple, k: int, rng,
-               counters: Counters) -> tuple[XY, tuple]:
+               z: np.ndarray, anchor: tuple, k: int, rng,
+               counters: Counters) -> tuple[np.ndarray, tuple]:
     """Array form of `rles_outer_step`.  anchor is the triple (u, local
-    gradients at u, penalty products at u); a new triple when it moves."""
+    operator at u, penalty products at u); a new triple when it moves."""
     u, grad_u, pg_u = anchor
-    p, project = config.p_comm, problem.domain.project_xy
+    p, project = config.p_comm, problem.domain.project_z
 
     def coin() -> bool:  # True selects the communication branch / moves the anchor
         if config.schedule == "deterministic":
             return (k + 1) % max(1, round(1.0 / p)) == 0
         return rng.uniform() < p
 
-    stay, move = float(1.0 - p), float(p)
-    xbar = XY(z.x * stay + u.x * move, z.y * stay + u.y * move)
-    anchor_full = XY(grad_u.x + pg_u.x, grad_u.y + pg_u.y)
-    z_half = project(saddle_step_xy(xbar, config.gamma, anchor_full))
+    xbar = z * float(1.0 - p) + u * float(p)
+    z_half = project(xbar - config.gamma * (grad_u + pg_u))
     comm_branch = coin()
     d = _rles_direction(problem, w, config.lam, p, z_half, grad_u, pg_u, comm_branch)
     if comm_branch:
         counters.add_comm()
     else:
         counters.add_grad()
-    z = project(saddle_step_xy(xbar, config.gamma, d))
+    z = project(xbar - config.gamma * d)
     if coin():
-        anchor = (z, problem.grad_xy(z), _penalty(w, config.lam, z))
+        anchor = (z, problem.operator(z), config.lam * (w @ z))
         counters.add_grad()
         counters.add_comm()
     return z, anchor
@@ -580,13 +574,15 @@ def rles_outer_step(state: RlesState, problem: SaddleProblem,
     anchor moves to the new iterate, refreshing its cached local gradients
     and penalty products when it does.
     """
-    anchor = (state.u, state.grad_u, state.pg_u)
-    z, moved = _rles_step(problem, gossip.w, config, state.z, anchor, state.k,
-                          state.rng, state.counters)
-    state.z = StackedPoint(z.x, z.y)
+    n_x = problem.n_x
+    anchor = (_join(state.u), np.hstack((state.grad_u.x, -state.grad_u.y)),
+              np.hstack((state.pg_u.x, -state.pg_u.y)))
+    z, moved = _rles_step(problem, gossip.w, config, _join(state.z), anchor,
+                          state.k, state.rng, state.counters)
+    state.z = _split(z, n_x)
     if moved is not anchor:
         state.u = state.z
-        state.grad_u, state.pg_u = StackedPoint(*moved[1]), StackedPoint(*moved[2])
+        state.grad_u, state.pg_u = (StackedPoint(a[:, :n_x], -a[:, n_x:]) for a in moved[1:])
     state.k += 1
     return state
 
@@ -596,14 +592,15 @@ def rles_run(problem: SaddleProblem, gossip: GossipMatrix,
              recorder: RunRecorder | None = None,
              start: StackedPoint | None = None) -> RunResult:
     """Run rles until its stop target or max_outer; reports the last iterate."""
-    state = rles_init(problem, gossip, config, start)
-    anchor = (state.u, state.grad_u, state.pg_u)
+    z0 = _join(_resolve_start(problem, gossip, config.lam, start))
+    anchor = (z0, problem.operator(z0), config.lam * (gossip.w @ z0))
+    counters = Counters(comm_rounds=1, local_grad_batches=1)
+    rng = Xoshiro256StarStar(derive_seed(config.seed, "rles-coins"))
 
-    def step(z: XY, k: int):
+    def step(z: np.ndarray, k: int):
         nonlocal anchor
-        z, anchor = _rles_step(problem, gossip.w, config, z, anchor, k,
-                               state.rng, state.counters)
+        z, anchor = _rles_step(problem, gossip.w, config, z, anchor, k, rng, counters)
         return z, z
 
-    return _drive(problem, gossip, state.z, state.counters, step,
-                  recorder=recorder, config=config, reference=reference)
+    return _drive(problem, gossip, z0, counters, step, recorder=recorder,
+                  config=config, reference=reference)

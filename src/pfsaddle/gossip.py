@@ -22,7 +22,7 @@ from .errors import (
     TopologyError,
 )
 from .rng import Xoshiro256StarStar, derive_seed
-from .stacked import StackedPoint, _ReadOnlyArrays, trace_inner
+from .stacked import StackedPoint, _ReadOnlyArrays, _join, trace_inner
 
 TOPOLOGY_KINDS = ("complete", "ring", "star", "path", "grid2d", "erdos_renyi")
 
@@ -295,4 +295,5 @@ def penalty_grad(g: GossipMatrix, lam: float, p: StackedPoint) -> StackedPoint:
     gossip communication round; callers account for it.
     """
     _check_penalty_args(g, lam, p)
-    return StackedPoint(lam * (g.w @ p.x), -lam * (g.w @ p.y))
+    product = lam * (g.w @ _join(p))
+    return StackedPoint(product[:, :p.x.shape[1]], -product[:, p.x.shape[1]:])

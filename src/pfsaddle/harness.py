@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -231,7 +232,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     algs_raw = top["algorithms"]
     if not isinstance(algs_raw, (list, tuple)) or not algs_raw:
         raise ConfigError("algorithms must be a non-empty list")
-    entries = []
+    entries, labels = [], set()
     for i, entry_raw in enumerate(algs_raw):
         if not isinstance(entry_raw, dict) or "name" not in entry_raw:
             raise ConfigError(f"algorithms[{i}] needs a name")
@@ -243,6 +244,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
             )
         if entry["label"] is None:
             entry["label"] = f"{i:02d}-{entry['name']}"
+        label = entry["label"]  # names the cell's files under runs/
+        if not (isinstance(label, str) and re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*", label)):
+            raise ConfigError(f"algorithms[{i}].label must be a string matching "
+                              f"[A-Za-z0-9][A-Za-z0-9._-]*, got {label!r}")
+        if label in labels:
+            raise ConfigError(f"algorithms[{i}].label {label!r} is used twice")
+        labels.add(label)
         if entry["params"] not in ("auto", "manual"):
             raise ConfigError(f"algorithms[{i}].params must be 'auto' or 'manual'")
         if entry["case"] not in ("auto", "scsc", "cc"):

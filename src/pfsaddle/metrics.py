@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConvergenceError, InvalidValueError
 from .gossip import GossipMatrix, penalty_value
 from .problems import SaddleProblem
-from .stacked import XY, StackedPoint, _check_like, frobenius_sq
+from .stacked import StackedPoint, _check_like, _join, frobenius_sq
 
 CSV_COLUMNS = (
     "k",
@@ -58,7 +60,7 @@ class Counters:
 
 
 def distance_sq(p: StackedPoint, reference: StackedPoint) -> float:
-    """Squared Frobenius distance over both blocks (of points or XY pairs)."""
+    """Squared Frobenius distance over both blocks."""
     _check_like(p, reference)
     return frobenius_sq(p.x - reference.x) + frobenius_sq(p.y - reference.y)
 
@@ -139,24 +141,21 @@ class RunRecorder:
 
 
 def _inner_ball_opt(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
-                    point: StackedPoint, which: str, step: float,
-                    inner_tol: float, max_iter: int) -> XY:
-    """Maximize (over y) or minimize (over x) the full objective with the
-    other block frozen, by projected gradient on the free block from the
-    projected `point`."""
-    project, w = problem.domain.project_xy, gossip.w
+                    z: np.ndarray, which: str, step: float,
+                    inner_tol: float, max_iter: int) -> np.ndarray:
+    """The free block that maximizes (over y) or minimizes (over x) the full
+    objective with the other block frozen, by projected steps z - step * F(z)
+    on the free columns of the projected joined iterate z."""
+    project, w = problem.domain.project_z, gossip.w
+    free = slice(problem.n_x, None) if which == "y" else slice(0, problem.n_x)
     for _ in range(max_iter):
-        local = problem.grad_xy(point)
-        if which == "y":
-            grad = local.y - lam * (w @ point.y)
-            candidate = project(XY(point.x, point.y + step * grad))
-        else:
-            grad = local.x + lam * (w @ point.x)
-            candidate = project(XY(point.x - step * grad, point.y))
-        moved = frobenius_sq(candidate.x - point.x) + frobenius_sq(candidate.y - point.y)
-        point = candidate
+        candidate = z.copy()
+        candidate[:, free] -= step * (problem.operator(z) + lam * (w @ z))[:, free]
+        candidate = project(candidate)
+        moved = frobenius_sq(candidate[:, free] - z[:, free])
+        z = candidate
         if math.sqrt(moved) / step <= inner_tol:
-            return point
+            return z[:, free]
     raise ConvergenceError(
         f"restricted-gap inner solve over {which} did not reach tolerance "
         f"{inner_tol} within {max_iter} iterations"
@@ -188,9 +187,9 @@ def restricted_gap(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     def total(q: StackedPoint) -> float:
         return problem.value_f(q) + penalty_value(gossip, lam_eff, q)
 
-    start = problem.domain.project(p)
+    start = _join(problem.domain.project(p))
     best_y = _inner_ball_opt(problem, gossip, lam_eff, start, "y", step,
                              inner_tol, max_iter)
     best_x = _inner_ball_opt(problem, gossip, lam_eff, start, "x", step,
                              inner_tol, max_iter)
-    return total(StackedPoint(p.x, best_y.y)) - total(StackedPoint(best_x.x, p.y))
+    return total(StackedPoint(p.x, best_y)) - total(StackedPoint(best_x, p.y))

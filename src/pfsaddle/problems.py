@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, InvalidValueError, ShapeError
 from .gossip import GossipMatrix, penalty_grad
 from .rng import Xoshiro256StarStar, derive_seed
-from .stacked import XY, BallDomain, StackedPoint, _ReadOnlyArrays, norm_sq, saddle_step
+from .stacked import BallDomain, StackedPoint, _ReadOnlyArrays, _join, norm_sq, saddle_step
 
 __all__ = [
     "QuadraticSaddleSpec",
@@ -87,10 +87,13 @@ class QuadraticSaddleSpec(_ReadOnlyArrays):
         for arr in (coupling, a_lin, b_lin):
             if not np.all(np.isfinite(arr)):
                 raise InvalidValueError("quadratic spec contains non-finite entries")
+        # the saddle operator on z = [x | y] is F(z) = K z + c, node by node
+        k = np.block([[self.p, coupling], [-coupling.transpose(0, 2, 1), self.q]])
+        c = np.hstack((a_lin, b_lin))
+        for name, arr in (("coupling", coupling), ("a_lin", a_lin), ("b_lin", b_lin),
+                          ("_k", k), ("_c", c)):
             arr.setflags(write=False)
-        object.__setattr__(self, "coupling", coupling)
-        object.__setattr__(self, "a_lin", a_lin)
-        object.__setattr__(self, "b_lin", b_lin)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_nodes(self) -> int:
@@ -174,14 +177,6 @@ class RobustRegressionSpec(_ReadOnlyArrays):
         return self.features[0].shape[1]
 
 
-def _quadratic_grad(spec: QuadraticSaddleSpec, x: np.ndarray, y: np.ndarray) -> XY:
-    gx = (np.einsum("mij,mj->mi", spec.p, x)
-          + np.einsum("mij,mj->mi", spec.coupling, y) + spec.a_lin)
-    gy = (np.einsum("mij,mi->mj", spec.coupling, x)
-          - np.einsum("mij,mj->mi", spec.q, y) - spec.b_lin)
-    return XY(gx, gy)
-
-
 def _quadratic_value(spec: QuadraticSaddleSpec, p: StackedPoint) -> float:
     return float(
         0.5 * np.einsum("mi,mij,mj->", p.x, spec.p, p.x)
@@ -192,18 +187,18 @@ def _quadratic_value(spec: QuadraticSaddleSpec, p: StackedPoint) -> float:
     )
 
 
-def _robust_grad(spec: RobustRegressionSpec, xs: np.ndarray, ys: np.ndarray) -> XY:
+def _robust_operator(spec: RobustRegressionSpec, z: np.ndarray) -> np.ndarray:
     # one pass per sample-count group, with the per-node products' last bits
-    gx, gy = np.empty_like(xs), np.empty_like(ys)
+    out, d = np.empty_like(z), spec.n_x
     for nodes, feats, feats_t, targs in spec._groups:
-        x, y = xs[nodes], ys[nodes]
+        x, y = z[nodes, :d], z[nodes, d:]
         n = feats.shape[1]
         residuals = (feats @ x[:, :, None])[:, :, 0] + (x[:, None, :] @ y[:, :, None])[:, 0] - targs
         total = residuals.sum(axis=1)[:, None]
-        gx[nodes] = ((2.0 / n) * ((feats_t @ residuals[:, :, None])[:, :, 0] + total * y)
-                     + spec.beta_x * x)
-        gy[nodes] = (2.0 / n) * total * x - spec.beta_y * y
-    return XY(gx, gy)
+        out[nodes, :d] = ((2.0 / n) * ((feats_t @ residuals[:, :, None])[:, :, 0] + total * y)
+                          + spec.beta_x * x)
+        out[nodes, d:] = spec.beta_y * y - (2.0 / n) * total * x
+    return out
 
 
 def _robust_value(spec: RobustRegressionSpec, p: StackedPoint) -> float:
@@ -277,13 +272,15 @@ class SaddleProblem:
 
     def grad_f(self, p: StackedPoint) -> StackedPoint:
         """Stacked local gradient pair (d f/d x, d f/d y), one row per node."""
-        return StackedPoint(*self.grad_xy(p))
+        f = self.operator(_join(p))
+        return StackedPoint(f[:, :self.n_x], -f[:, self.n_x:])
 
-    def grad_xy(self, p: XY) -> XY:
-        """Array form of `grad_f` on an XY pair, unchecked: one batch."""
+    def operator(self, z: np.ndarray) -> np.ndarray:
+        """The saddle operator (d f/d x, -d f/d y) on a joined iterate
+        z = [x | y], unchecked: one batch."""
         if isinstance(self.spec, QuadraticSaddleSpec):
-            return _quadratic_grad(self.spec, p.x, p.y)
-        return _robust_grad(self.spec, p.x, p.y)
+            return (self.spec._k @ z[:, :, None])[:, :, 0] + self.spec._c
+        return _robust_operator(self.spec, z)
 
     def value_f(self, p: StackedPoint) -> float:
         """Sum of the local objective values."""

@@ -4,7 +4,8 @@ A network of M nodes, each holding a local pair (x_m, y_m), is represented
 by one StackedPoint: an (M, n_x) matrix of minimization variables and an
 (M, n_y) matrix of maximization variables, one row per node.  All solvers
 in this package operate on whole stacks at once; row-local structure of
-the oracles keeps that equivalent to per-node computation.
+the oracles keeps that equivalent to per-node computation.  Inside the
+solvers the iterate is one joined (M, n_x + n_y) array z = [x | y].
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,14 +28,6 @@ __all__ = [
 ]
 
 
-class XY(NamedTuple):
-    """An unvalidated (x, y) pair of stacked blocks, the solvers' internal
-    iterate; its arrays may be shared and are never written in place."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-
 class _ReadOnlyArrays:
     """Base of the frozen array holders: numpy arrays come back writable from
     unpickling, so restore the read-only flag without re-running checks."""
@@ -49,7 +41,7 @@ class _ReadOnlyArrays:
 
 
 def _check_like(a, b) -> None:
-    """Both blocks of a and b (StackedPoints or XY pairs) agree in shape."""
+    """Both blocks of the StackedPoints a and b agree in shape."""
     if a.x.shape != b.x.shape or a.y.shape != b.y.shape:
         raise ShapeError(
             f"shape mismatch: {a.x.shape}/{a.y.shape} vs "
@@ -121,6 +113,16 @@ class StackedPoint(_ReadOnlyArrays):
     __rmul__ = __mul__
 
 
+def _join(p: StackedPoint) -> np.ndarray:
+    """The joined (M, n_x + n_y) array [x | y] of a stacked point."""
+    return np.hstack((p.x, p.y))
+
+
+def _split(z: np.ndarray, n_x: int) -> StackedPoint:
+    """The validated StackedPoint of a joined array with n_x x columns."""
+    return StackedPoint(z[:, :n_x], z[:, n_x:])
+
+
 def frobenius_sq(a: np.ndarray) -> float:
     """Squared Frobenius norm of a matrix, as a Python float."""
     a = np.asarray(a, dtype=float)
@@ -145,17 +147,10 @@ def saddle_step(base: StackedPoint, gamma: float, direction: StackedPoint) -> St
     """One unprojected saddle update: descend in x, ascend in y.
 
     Returns (base.x - gamma * direction.x, base.y + gamma * direction.y).
-    Every solver step in this package goes through here or through its
-    array form `saddle_step_xy`, so the sign convention lives in one place.
     """
     _check_like(base, direction)
-    return StackedPoint(*saddle_step_xy(base, gamma, direction))
-
-
-def saddle_step_xy(base: XY, gamma: float, direction: XY) -> XY:
-    """Array form of `saddle_step` on XY pairs, unchecked."""
     g = float(gamma)
-    return XY(base.x - g * direction.x, base.y + g * direction.y)
+    return StackedPoint(base.x - g * direction.x, base.y + g * direction.y)
 
 
 def _project_rows(rows: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -250,12 +245,14 @@ class BallDomain(_ReadOnlyArrays):
     def project(self, p: StackedPoint) -> StackedPoint:
         """Row-wise Euclidean projection of both blocks onto the balls."""
         self._check_dims(p)
-        return StackedPoint(*self.project_xy(p))
+        return _split(self.project_z(_join(p)), self.n_x)
 
-    def project_xy(self, p: XY) -> XY:
-        """Array form of `project`, unchecked; an unbounded block passes as is."""
-        return XY(_project_rows(p.x, self.center_x, self.radius_x),
-                  _project_rows(p.y, self.center_y, self.radius_y))
+    def project_z(self, z: np.ndarray) -> np.ndarray:
+        """`project` on a joined iterate, unchecked; z itself if no row moves."""
+        x, y = z[:, :self.n_x], z[:, self.n_x:]
+        px = _project_rows(x, self.center_x, self.radius_x)
+        py = _project_rows(y, self.center_y, self.radius_y)
+        return z if px is x and py is y else np.hstack((px, py))
 
     def contains(self, p: StackedPoint, tol: float = 1e-9) -> bool:
         """True if every row of both blocks lies within tol of its ball."""

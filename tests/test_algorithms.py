@@ -184,9 +184,8 @@ def test_extragradient_diverges_with_huge_step():
 
 
 def test_divergence_guard_catches_a_nan_iterate():
-    z = StackedPoint(np.zeros((2, 1)), np.zeros((2, 1)))
-    # bypass the finiteness check of construction, as a raw-array core would
-    object.__setattr__(z, "x", np.array([[np.nan], [0.0]]))
+    # the solvers' joined (x | y) iterate is never validated on the way
+    z = np.array([[np.nan, 0.0], [0.0, 0.0]])
     with pytest.raises(DivergenceError):
         _check_divergence(z, 1.0, 3)
 

@@ -240,10 +240,22 @@ def test_rerun_is_byte_identical(tmp_path):
     assert len(a) >= 14
 
 
-def test_parallel_run_matches_serial(tmp_path):
-    config = parse_config(small_grid_raw("unused"))
+ROBUST_ON_BALLS = {"family": "robust_regression", "dim": 2, "num_samples": 10,
+                   "radius_x": 1.0, "radius_y": 1.0}
+
+
+@pytest.mark.parametrize("extra, jobs", [
+    ({}, 3),
+    # workers get the problem pickled: the rebuilt robust groups, clipping
+    # projections and the restricted gap must give the serial bytes too
+    ({"problem": ROBUST_ON_BALLS, "topology": {"kind": "ring", "num_nodes": 4},
+      "algorithms": [{"name": "sliding"}, {"name": "rles"}], "lambda_grid": [1.0],
+      "metrics": {"gap_every": 10, "final_gap": True}}, 2),
+], ids=["quadratic", "robust-regression-on-balls"])
+def test_parallel_run_matches_serial(tmp_path, extra, jobs):
+    config = parse_config(small_grid_raw("unused", **extra))
     run(config, jobs=1, output_dir=str(tmp_path / "a"))
-    run(config, jobs=3, output_dir=str(tmp_path / "b"))
+    run(config, jobs=jobs, output_dir=str(tmp_path / "b"))
     assert read_bytes_map(tmp_path / "a") == read_bytes_map(tmp_path / "b")
 
 
@@ -285,9 +297,16 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
     {"metrics": {"gap_inner_tol": math.nan}},
     {"max_outer": math.inf},
     {"seeds": [0, math.inf]},
+    # a label names a file under runs/: unique, and no path or non-string
+    {"algorithms": [{"name": "extragradient", "label": "x"},
+                    {"name": "sliding", "label": "x"}]},
+    {"algorithms": [{"name": "extragradient", "label": "../../escaped"}]},
+    {"algorithms": [{"name": "extragradient", "label": "a/b"}]},
+    {"algorithms": [{"name": "extragradient", "label": 7}]},
 ], ids=["gap-target", "final-gap", "gap-every", "rles-at-lambda-0",
         "reference-tol-0", "reference-tol-nan", "gap-inner-tol-negative",
-        "gap-inner-tol-nan", "max-outer-inf", "seed-inf"])
+        "gap-inner-tol-nan", "max-outer-inf", "seed-inf", "label-duplicate",
+        "label-escapes", "label-path", "label-not-a-string"])
 def test_validate_rejects_what_run_rejects_at_setup(tmp_path, capsys, extra):
     out = tmp_path / "out"
     path = write_config(tmp_path, minimal_raw(output_dir=str(out), **extra))

@@ -1,7 +1,7 @@
 """Property tests over small random problems: the per-method counter
 identities of the cost model, the invariants of the ball projection, the
-unbiased rles estimator, the batched oracle and projection against the
-per-node and multi-pass rules they replace, bit for bit, and configs that
+unbiased rles estimator, the batched oracles and projection against the
+per-node, per-block and multi-pass rules they replace, and configs that
 round-trip through their dict form."""
 
 import itertools
@@ -33,13 +33,14 @@ from pfsaddle.harness import (  # noqa: E402
 )
 from pfsaddle.metrics import distance_sq  # noqa: E402
 from pfsaddle.problems import (  # noqa: E402
+    QuadraticSaddleSpec,
     RobustRegressionSpec,
     SaddleProblem,
     grad_full,
     random_quadratic,
     random_robust_regression,
 )
-from pfsaddle.stacked import XY, BallDomain, StackedPoint, _project_rows  # noqa: E402
+from pfsaddle.stacked import BallDomain, StackedPoint, _join, _project_rows  # noqa: E402
 
 # few, reproducible examples, and no example database written to disk
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -152,9 +153,41 @@ def test_batched_robust_gradient_matches_the_per_node_loop(counts, dim, seed):
                                 tuple(rng.normal(size=c) for c in counts), 1.0, 3.0)
     problem = SaddleProblem.from_spec(spec, BallDomain(1.0, 1.0, n_x=dim, n_y=dim))
     xs, ys = rng.normal(size=(len(counts), dim)), rng.normal(size=(len(counts), dim))
-    gx, gy = problem.grad_xy(XY(xs, ys))
+    grad = problem.grad_f(StackedPoint(xs, ys))
     want_x, want_y = per_node_robust_grad(spec, xs, ys)
-    assert np.array_equal(gx, want_x) and np.array_equal(gy, want_y)
+    assert np.array_equal(grad.x, want_x) and np.array_equal(grad.y, want_y)
+
+
+def four_einsum_quadratic_grad(spec, xs, ys):
+    """The quadratic gradient pair as it was before the joined operator."""
+    gx = (np.einsum("mij,mj->mi", spec.p, xs)
+          + np.einsum("mij,mj->mi", spec.coupling, ys) + spec.a_lin)
+    gy = (np.einsum("mij,mi->mj", spec.coupling, xs)
+          - np.einsum("mij,mj->mi", spec.q, ys) - spec.b_lin)
+    return gx, gy
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.sampled_from([(1, 1), (1, 3), (3, 1), (2, 4), (4, 2)]),
+       st.integers(0, 2**16))
+def test_joined_quadratic_operator_matches_the_four_einsum_gradient(m, dims, seed):
+    # n = 1 and n_x != n_y, on random PSD blocks and a random coupling
+    n_x, n_y = dims
+    rng = np.random.default_rng(seed)
+
+    def psd(n):
+        a = rng.normal(size=(m, n, n))
+        return a @ a.transpose(0, 2, 1)
+
+    spec = QuadraticSaddleSpec(psd(n_x), psd(n_y), rng.normal(size=(m, n_x)),
+                               rng.normal(size=(m, n_y)), rng.normal(size=(m, n_x, n_y)))
+    problem = SaddleProblem.from_spec(spec, BallDomain.unbounded(n_x, n_y))
+    p = StackedPoint(rng.normal(size=(m, n_x)), rng.normal(size=(m, n_y)))
+    grad = problem.grad_f(p)
+    for got, want in zip((grad.x, grad.y), four_einsum_quadratic_grad(spec, p.x, p.y)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    f = problem.operator(_join(p))
+    assert np.array_equal(grad.x, f[:, :n_x]) and np.array_equal(grad.y, -f[:, n_x:])
 
 
 def multi_pass_projection(rows, center, radius):
