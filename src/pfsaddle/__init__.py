@@ -51,4 +51,4 @@ from .problems import (
     random_robust_regression,
     reference_solution,
 )
-from .stacked import BallDomain, StackedPoint, frobenius_sq, norm_sq, saddle_step, trace_inner
+from .stacked import BallDomain, StackedPoint, frobenius_sq, trace_inner

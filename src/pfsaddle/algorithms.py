@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DivergenceError, ShapeError
 from .gossip import GossipMatrix, _check_penalty_args, penalty_grad
-from .metrics import Counters, RunRecorder, restricted_gap
+from .metrics import Counters, RunRecorder, _distance_sq, restricted_gap
 from .problems import SaddleProblem
 from .rng import Xoshiro256StarStar, derive_seed
 from .stacked import StackedPoint, _join, _split, frobenius_sq
@@ -258,7 +258,7 @@ def _target_reached(config: AlgorithmConfig, problem: SaddleProblem,
     if config.target_kind == "iterations":
         return k >= int(config.target_value)
     if config.target_kind == "distance":
-        return frobenius_sq(rep - reference) <= float(config.target_value)
+        return _distance_sq(rep, reference, problem.n_x) <= float(config.target_value)
     if k % config.gap_check_every != 0:
         return False
     gap = restricted_gap(problem, gossip, config.lam, _split(rep, problem.n_x),
@@ -274,8 +274,8 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
 
     A step returns the next iterate and the point the method reports there
     (the iterate, or sliding's running mean), or None for extragradient's
-    residual stop.  Then come the divergence guard, the recorder (given a
-    StackedPoint) and the target of `config`, else a `limit` on steps."""
+    residual stop.  Then come the divergence guard, the recorder (given the
+    reported array) and the target of `config`, else a `limit` on steps."""
     if reference is not None and (reference := _join(reference)).shape != z0.shape:
         raise ShapeError(f"reference shape {reference.shape} is not the iterate's {z0.shape}")
     if config is not None:
@@ -285,7 +285,7 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
     omega, n_x = problem.domain.diameter, problem.n_x
     threshold = 1e12 * (omega**2 if math.isfinite(omega) else max(1.0, frobenius_sq(z0)))
     if recorder is not None:
-        recorder.observe(0, _split(z0, n_x), counters)
+        recorder.observe(0, z0, counters)
     z = rep = z0
     k, reason = 0, "max_iter" if config is None else "max_outer"
     while k < limit:
@@ -297,7 +297,7 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
         k += 1
         _check_divergence(z, threshold, k)
         if recorder is not None:
-            recorder.observe(k, _split(rep, n_x), counters)
+            recorder.observe(k, rep, counters)
         if config is not None and _target_reached(config, problem, gossip, rep,
                                                   reference, k):
             reason = "target"

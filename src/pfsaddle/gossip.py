@@ -278,12 +278,17 @@ def _check_penalty_args(g: GossipMatrix, lam: float, p: StackedPoint):
         )
 
 
+def _penalty_value(w: np.ndarray, lam: float, x: np.ndarray, y: np.ndarray) -> float:
+    """`penalty_value` on the blocks (or column views) x and y, unchecked."""
+    if lam == 0.0:
+        return 0.0
+    return 0.5 * lam * (trace_inner(x, w @ x) - trace_inner(y, w @ y))
+
+
 def penalty_value(g: GossipMatrix, lam: float, p: StackedPoint) -> float:
     """Consensus penalty (lam/2) tr(X^T W X) - (lam/2) tr(Y^T W Y)."""
     _check_penalty_args(g, lam, p)
-    if lam == 0.0:
-        return 0.0
-    return 0.5 * lam * (trace_inner(p.x, g.w @ p.x) - trace_inner(p.y, g.w @ p.y))
+    return _penalty_value(g.w, lam, p.x, p.y)
 
 
 def penalty_grad(g: GossipMatrix, lam: float, p: StackedPoint) -> StackedPoint:

@@ -283,6 +283,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(seeds_raw, (list, tuple)) or not seeds_raw:
         raise ConfigError("seeds must be a non-empty list")
     seeds = tuple(_as_int(s, "seeds entry") for s in seeds_raw)
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds must not repeat, got {list(seeds)}")
 
     target = _take(top["target"], {"kind": "iterations", "value": 200}, "target")
     if target["kind"] not in ("iterations", "distance", "gap"):
@@ -303,6 +305,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         metrics[key] = _as_float(metrics[key], f"metrics.{key}")
         if not metrics[key] > 0.0:
             raise ConfigError(f"metrics.{key} must be positive, got {metrics[key]!r}")
+    if (gap_every := _as_int(metrics["gap_every"], "metrics.gap_every")) < 0:
+        raise ConfigError(f"metrics.gap_every must be >= 0 (0 is off), got {gap_every}")
 
     return ExperimentConfig(
         topology_kind=kind,
@@ -318,7 +322,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         target_value=target_value,
         max_outer=_as_int(top["max_outer"], "max_outer"),
         record_dist=metrics["record_dist"],
-        gap_every=_as_int(metrics["gap_every"], "metrics.gap_every"),
+        gap_every=gap_every,
         final_gap=metrics["final_gap"],
         gap_inner_tol=metrics["gap_inner_tol"],
         reference_tol=metrics["reference_tol"],

@@ -4,7 +4,8 @@ Communication is counted in gossip rounds: one multiplication of a stacked
 block pair by W.  Local work is counted in gradient batches: one evaluation
 of every node's local gradient pair.  Solvers tick these counters at each
 oracle call site; the measures below (distance, restricted gap, consensus
-residuals, penalty value) are metrology and cost nothing.
+residuals, penalty value) are metrology and cost nothing.  Each has one
+array body, shared by the recorder, the distance stop and the public edge.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidValueError
-from .gossip import GossipMatrix, penalty_value
+from .errors import ConvergenceError, InvalidValueError, ShapeError
+from .gossip import GossipMatrix, _penalty_value, penalty_value
 from .problems import SaddleProblem
-from .stacked import StackedPoint, _check_like, _join, frobenius_sq
+from .stacked import StackedPoint, _check_like, _join, _split, frobenius_sq
 
 CSV_COLUMNS = (
     "k",
@@ -59,10 +60,21 @@ class Counters:
         self.local_grad_batches += n
 
 
+def _distance_sq(z: np.ndarray, reference: np.ndarray, n_x: int) -> float:
+    """`distance_sq` on joined arrays with n_x x columns, unchecked."""
+    d = z - reference
+    return frobenius_sq(d[:, :n_x]) + frobenius_sq(d[:, n_x:])
+
+
 def distance_sq(p: StackedPoint, reference: StackedPoint) -> float:
-    """Squared Frobenius distance over both blocks."""
+    """Squared Frobenius distance, summed block by block."""
     _check_like(p, reference)
-    return frobenius_sq(p.x - reference.x) + frobenius_sq(p.y - reference.y)
+    return _distance_sq(_join(p), _join(reference), p.x.shape[1])
+
+
+def _consensus_residual(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """`consensus_residual` on the blocks x and y, unchecked."""
+    return frobenius_sq(x - x.mean(axis=0)), frobenius_sq(y - y.mean(axis=0))
 
 
 def consensus_residual(p: StackedPoint) -> tuple[float, float]:
@@ -71,8 +83,7 @@ def consensus_residual(p: StackedPoint) -> tuple[float, float]:
     Returns (sum_m |x_m - xbar|^2, sum_m |y_m - ybar|^2); both are zero
     exactly when every node holds the same local model.
     """
-    return (frobenius_sq(p.x - p.x.mean(axis=0)),
-            frobenius_sq(p.y - p.y.mean(axis=0)))
+    return _consensus_residual(p.x, p.y)
 
 
 @dataclass
@@ -100,44 +111,43 @@ class RunRecord:
 class RunRecorder:
     """Collects one RunRecord while a solver runs.
 
-    The recorder computes each measure from the point the solver hands
-    over (the iterate the algorithm would report if stopped there).  The
-    restricted gap is only evaluated every `gap_every` iterations when
-    that is positive, since it needs two inner solves.
+    `observe` reads the joined iterate z = [x | y] the solver reports, as
+    checked by its divergence guard, through the column views of z.  The
+    restricted gap is only evaluated every `gap_every` iterations when that
+    is positive, since it needs two inner solves.
     """
 
     def __init__(self, problem: SaddleProblem, gossip: GossipMatrix, lam: float,
                  *, reference: StackedPoint | None = None, gap_every: int = 0,
-                 gap_tol: float = 1e-8, keep_points: bool = False,
-                 header: dict | None = None):
+                 gap_tol: float = 1e-8, header: dict | None = None):
+        if reference is not None and (reference.x.shape, reference.y.shape) != (
+                (problem.num_nodes, problem.n_x), (problem.num_nodes, problem.n_y)):
+            raise ShapeError("reference blocks do not match the problem")
         self.problem = problem
         self.gossip = gossip
         self.lam = float(lam)
-        self.reference = reference
+        self._reference = None if reference is None else _join(reference)
         self.gap_every = int(gap_every)
         self.gap_tol = float(gap_tol)
-        self.keep_points = keep_points
-        self.points: list[StackedPoint] = []
         self.record = RunRecord(header=dict(header or {}))
 
-    def observe(self, k: int, point: StackedPoint, counters: Counters):
-        rec = self.record
+    def observe(self, k: int, z: np.ndarray, counters: Counters):
+        rec, n_x = self.record, self.problem.n_x
+        x, y = z[:, :n_x], z[:, n_x:]
         rec.k.append(int(k))
         rec.comm_rounds.append(counters.comm_rounds)
         rec.local_grad_batches.append(counters.local_grad_batches)
-        rec.dist_sq.append(None if self.reference is None
-                           else distance_sq(point, self.reference))
+        rec.dist_sq.append(None if self._reference is None
+                           else _distance_sq(z, self._reference, n_x))
         rec.gap.append(
-            restricted_gap(self.problem, self.gossip, self.lam, point,
+            restricted_gap(self.problem, self.gossip, self.lam, _split(z, n_x),
                            inner_tol=self.gap_tol)
             if self.gap_every > 0 and k % self.gap_every == 0 else None
         )
-        rec.penalty_value.append(penalty_value(self.gossip, self.lam, point))
-        cx, cy = consensus_residual(point)
+        rec.penalty_value.append(_penalty_value(self.gossip.w, self.lam, x, y))
+        cx, cy = _consensus_residual(x, y)
         rec.consensus_x.append(cx)
         rec.consensus_y.append(cy)
-        if self.keep_points:
-            self.points.append(point)
 
 
 def _inner_ball_opt(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
@@ -164,13 +174,12 @@ def _inner_ball_opt(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
 
 def restricted_gap(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
                    p: StackedPoint, *, inner_tol: float = 1e-8,
-                   objective: str = "full", max_iter: int = 5_000_000) -> float:
+                   max_iter: int = 5_000_000) -> float:
     """Restricted saddle gap of a point over the problem domain.
 
     Computes max_{y'} F(x, y') - min_{x'} F(x', y) where F is the full
     objective (local terms plus penalty) and the primed blocks range over
-    the domain balls.  With objective="local" the penalty is dropped from
-    both the objective and its gradients, measuring the local terms only.
+    the domain balls.
 
     The inner problems are solved by projected gradient with step
     1/(L + lam*lambda_max) down to gradient-mapping norm inner_tol, so the
@@ -179,17 +188,14 @@ def restricted_gap(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     """
     if not problem.domain.is_bounded:
         raise InvalidValueError("restricted gap requires a bounded domain")
-    if objective not in ("full", "local"):
-        raise InvalidValueError(f"objective must be 'full' or 'local', got {objective!r}")
-    lam_eff = float(lam) if objective == "full" else 0.0
-    step = 1.0 / (problem.smoothness + lam_eff * gossip.lambda_max)
+    step = 1.0 / (problem.smoothness + lam * gossip.lambda_max)
 
     def total(q: StackedPoint) -> float:
-        return problem.value_f(q) + penalty_value(gossip, lam_eff, q)
+        return problem.value_f(q) + penalty_value(gossip, lam, q)
 
     start = _join(problem.domain.project(p))
-    best_y = _inner_ball_opt(problem, gossip, lam_eff, start, "y", step,
+    best_y = _inner_ball_opt(problem, gossip, lam, start, "y", step,
                              inner_tol, max_iter)
-    best_x = _inner_ball_opt(problem, gossip, lam_eff, start, "x", step,
+    best_x = _inner_ball_opt(problem, gossip, lam, start, "x", step,
                              inner_tol, max_iter)
     return total(StackedPoint(p.x, best_y)) - total(StackedPoint(best_x, p.y))

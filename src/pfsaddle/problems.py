@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, InvalidValueError, ShapeError
 from .gossip import GossipMatrix, penalty_grad
 from .rng import Xoshiro256StarStar, derive_seed
-from .stacked import BallDomain, StackedPoint, _ReadOnlyArrays, _join, norm_sq, saddle_step
+from .stacked import BallDomain, StackedPoint, _ReadOnlyArrays, _join, frobenius_sq
 
 __all__ = [
     "QuadraticSaddleSpec",
@@ -370,8 +370,8 @@ def reference_solution(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     r(z) = |z - proj(z - gamma F(z))| drops to tol.
 
     When strong_convexity mu > 0, F is mu-strongly monotone (the penalty
-    is PSD), and the returned z is certified with one more `grad_full` by
-    the error bound for strongly monotone variational inequalities
+    is PSD), and the returned z is certified with one more evaluation of F
+    by the error bound for strongly monotone variational inequalities
     (Facchinei & Pang, 2003):
 
         |z - z*| <= (1 + gamma L_F) / (gamma mu) * r(z).
@@ -391,9 +391,10 @@ def reference_solution(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     ).last
     mu = problem.strong_convexity
     if mu > 0.0:
-        stepped = problem.domain.project(
-            saddle_step(point, gamma, grad_full(problem, gossip, lam, point)))
-        bound_sq = ((1.0 + gamma * lipschitz) / (gamma * mu)) ** 2 * norm_sq(point - stepped)
+        z = _join(point)
+        stepped = problem.domain.project_z(
+            z - gamma * (problem.operator(z) + lam * (gossip.w @ z)))
+        bound_sq = ((1.0 + gamma * lipschitz) / (gamma * mu)) ** 2 * frobenius_sq(z - stepped)
         if bound_sq > 1e-12:
             raise ConvergenceError(
                 f"reference solution not certified: squared error bound "

@@ -23,8 +23,6 @@ __all__ = [
     "BallDomain",
     "frobenius_sq",
     "trace_inner",
-    "norm_sq",
-    "saddle_step",
 ]
 
 
@@ -136,21 +134,6 @@ def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ShapeError(f"trace_inner shape mismatch: {a.shape} vs {b.shape}")
     return float(np.sum(a * b))
-
-
-def norm_sq(p: StackedPoint) -> float:
-    """Squared norm of a stacked point over both blocks."""
-    return frobenius_sq(p.x) + frobenius_sq(p.y)
-
-
-def saddle_step(base: StackedPoint, gamma: float, direction: StackedPoint) -> StackedPoint:
-    """One unprojected saddle update: descend in x, ascend in y.
-
-    Returns (base.x - gamma * direction.x, base.y + gamma * direction.y).
-    """
-    _check_like(base, direction)
-    g = float(gamma)
-    return StackedPoint(base.x - g * direction.x, base.y + g * direction.y)
 
 
 def _project_rows(rows: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

@@ -31,7 +31,7 @@ from pfsaddle.problems import (
     random_quadratic,
     reference_solution,
 )
-from pfsaddle.stacked import BallDomain, StackedPoint, norm_sq
+from pfsaddle.stacked import BallDomain, StackedPoint
 
 
 def quad_problem(m, n_x, n_y, **kwargs):
@@ -114,8 +114,7 @@ def test_extragradient_bilinear_contraction_factor_each_iteration():
     gossip = single_node_gossip()
     gamma = 0.1
     factor = 1.0 - gamma**2 + gamma**4
-    rec = RunRecorder(problem, gossip, 0.0,
-                      reference=StackedPoint.zeros(1, 1, 1), keep_points=True)
+    rec = RunRecorder(problem, gossip, 0.0, reference=StackedPoint.zeros(1, 1, 1))
     start = StackedPoint(np.array([[1.0]]), np.array([[1.0]]))
     extragradient_run(problem, gossip, 0.0, gamma, start=start, max_iter=200,
                       recorder=rec)
@@ -131,11 +130,12 @@ def test_extragradient_bilinear_reaches_1e8_in_contraction_budget():
     problem = scalar_bilinear_problem()
     gossip = single_node_gossip()
     start = StackedPoint(np.array([[1.0]]), np.array([[1.0]]))
+    saddle = StackedPoint.zeros(1, 1, 1)
     res = extragradient_run(problem, gossip, 0.0, 0.1, start=start, max_iter=2500)
-    assert norm_sq(res.last) < 1e-8
+    assert distance_sq(res.last, saddle) < 1e-8
     # and 500 iterations is genuinely not enough at this step size
     short = extragradient_run(problem, gossip, 0.0, 0.1, start=start, max_iter=500)
-    assert norm_sq(short.last) > 1e-8
+    assert distance_sq(short.last, saddle) > 1e-8
 
 
 def test_extragradient_matches_dense_operator_loop():
@@ -169,7 +169,7 @@ def test_extragradient_residual_stop_and_exhaustion():
     g = grad_full(problem, gossip, 0.5, res.last)
     moved = problem.domain.project(
         StackedPoint(res.last.x - 0.2 * g.x, res.last.y + 0.2 * g.y))
-    assert math.sqrt(norm_sq(res.last - moved)) <= 1e-10
+    assert math.sqrt(distance_sq(res.last, moved)) <= 1e-10
     with pytest.raises(ConvergenceError):
         extragradient_run(problem, gossip, 0.5, 0.2, start=start,
                           max_iter=3, residual_tol=1e-10)
@@ -594,11 +594,18 @@ def test_rles_iterates_stay_inside_the_domain_balls():
     config = AlgorithmConfig(gamma=0.05, lam=1.0, p_comm=0.3, seed=0,
                              target_kind="iterations", target_value=300,
                              max_outer=300)
-    rec = RunRecorder(bounded, gossip, 1.0, keep_points=True)
-    rles_run(bounded, gossip, config, recorder=rec)
-    for pt in rec.points:
-        assert np.max(np.linalg.norm(pt.x, axis=1)) <= 1.5 + 1e-12
-        assert np.max(np.linalg.norm(pt.y, axis=1)) <= 1.0 + 1e-12
+    iterates = []
+
+    class Collector(RunRecorder):
+        def observe(self, k, z, counters):
+            iterates.append(z)
+            super().observe(k, z, counters)
+
+    rles_run(bounded, gossip, config, recorder=Collector(bounded, gossip, 1.0))
+    assert len(iterates) == 301
+    for z in iterates:
+        assert np.max(np.linalg.norm(z[:, :2], axis=1)) <= 1.5 + 1e-12
+        assert np.max(np.linalg.norm(z[:, 2:], axis=1)) <= 1.0 + 1e-12
 
 
 def test_rles_converges_on_scsc_instance_with_theory_parameters():
@@ -666,6 +673,70 @@ def test_rles_diverges_with_huge_step():
     start = StackedPoint(np.ones((4, 2)), np.ones((4, 2)))
     with pytest.raises(DivergenceError):
         rles_run(problem, gossip, config, start=start)
+
+
+# --------------------------------------------------------------------------
+# the driver loop: distance stop and recorder
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", ["extragradient", "sliding", "rles"])
+def test_distance_stop_reads_the_recorded_distance(method):
+    # the stop test and the dist_sq column share one formula: a rerun whose
+    # target is a recorded new minimum stops there, never an iteration late
+    problem = quad_problem(8, 2, 2, mu=1.0, smoothness=10.0, seed=2)
+    gossip = ring_gossip(8)
+    lam, lmax, smoothness = 1.0, gossip.lambda_max, problem.smoothness
+    ref = reference_solution(problem, gossip, lam)
+    sliding = params_sliding("scsc", smoothness, problem.strong_convexity, lam, lmax)
+    rles = params_rles(smoothness, lam, lmax)
+    fields = {"extragradient": {"gamma": 1.0 / (2.0 * (smoothness + lam * lmax))},
+              "sliding": {"gamma": sliding.gamma, "inner_t": sliding.inner_t},
+              "rles": {"gamma": rles.gamma, "p_comm": rles.p_comm}}[method]
+    runner = {"extragradient": baseline_run, "sliding": sliding_run,
+              "rles": rles_run}[method]
+
+    def run(**target):
+        config = AlgorithmConfig(lam=lam, seed=3, max_outer=60, **fields, **target)
+        recorder = RunRecorder(problem, gossip, lam, reference=ref)
+        return runner(problem, gossip, config, reference=ref, recorder=recorder)
+
+    dist = run(target_kind="iterations", target_value=60).record.dist_sq
+    minima = [k for k in range(1, len(dist)) if dist[k] < min(dist[:k])]
+    assert len(minima) >= 10
+    for k in minima:
+        rerun = run(target_kind="distance", target_value=dist[k])
+        assert (rerun.stop_reason, rerun.iterations) == ("target", k)
+        assert rerun.record.dist_sq[-1] <= dist[k]
+
+
+def test_recorded_runs_validate_points_only_at_the_edges(monkeypatch):
+    # the recorder reads the solver's joined array: the number of validated
+    # StackedPoints does not grow with the iteration count
+    problem = quad_problem(4, 2, 2, mu=1.0, smoothness=4.0, seed=3)
+    gossip = ring_gossip(4)
+    lam = 0.5
+    ref = reference_solution(problem, gossip, lam)
+    built = []
+    original = StackedPoint.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(StackedPoint, "__post_init__", counted)
+
+    def builds(iterations):
+        built.clear()
+        config = AlgorithmConfig(gamma=0.05, lam=lam, inner_t=3,
+                                 target_kind="iterations", target_value=iterations,
+                                 max_outer=iterations)
+        result = sliding_run(problem, gossip, config, reference=ref,
+                             recorder=RunRecorder(problem, gossip, lam, reference=ref))
+        assert len(result.record) == iterations + 1
+        return len(built)
+
+    assert builds(20) == builds(200)
 
 
 # --------------------------------------------------------------------------

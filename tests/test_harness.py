@@ -288,6 +288,8 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
     {"problem": UNBOUNDED_QUADRATIC, "target": {"kind": "gap", "value": 1e-3}},
     {"problem": UNBOUNDED_QUADRATIC, "metrics": {"final_gap": True}},
     {"problem": UNBOUNDED_QUADRATIC, "metrics": {"gap_every": 5}},
+    # a negative cadence would pass the gap check above on any domain
+    {"problem": UNBOUNDED_QUADRATIC, "metrics": {"gap_every": -5}},
     # auto rles parameters are undefined at lambda = 0
     {"algorithms": [{"name": "rles"}], "lambda_grid": [0.5, 0.0]},
     # tolerances a solve can never reach, and integers that are not finite
@@ -297,15 +299,18 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
     {"metrics": {"gap_inner_tol": math.nan}},
     {"max_outer": math.inf},
     {"seeds": [0, math.inf]},
+    # a repeated seed names one cell twice
+    {"seeds": [0, 0]},
     # a label names a file under runs/: unique, and no path or non-string
     {"algorithms": [{"name": "extragradient", "label": "x"},
                     {"name": "sliding", "label": "x"}]},
     {"algorithms": [{"name": "extragradient", "label": "../../escaped"}]},
     {"algorithms": [{"name": "extragradient", "label": "a/b"}]},
     {"algorithms": [{"name": "extragradient", "label": 7}]},
-], ids=["gap-target", "final-gap", "gap-every", "rles-at-lambda-0",
-        "reference-tol-0", "reference-tol-nan", "gap-inner-tol-negative",
-        "gap-inner-tol-nan", "max-outer-inf", "seed-inf", "label-duplicate",
+], ids=["gap-target", "final-gap", "gap-every", "gap-every-negative",
+        "rles-at-lambda-0", "reference-tol-0", "reference-tol-nan",
+        "gap-inner-tol-negative", "gap-inner-tol-nan", "max-outer-inf",
+        "seed-inf", "seed-repeated", "label-duplicate",
         "label-escapes", "label-path", "label-not-a-string"])
 def test_validate_rejects_what_run_rejects_at_setup(tmp_path, capsys, extra):
     out = tmp_path / "out"

@@ -21,7 +21,7 @@ from pfsaddle.problems import (
     random_quadratic,
     reference_solution,
 )
-from pfsaddle.stacked import BallDomain, StackedPoint
+from pfsaddle.stacked import BallDomain, StackedPoint, _join
 
 
 def single_node_gossip():
@@ -131,10 +131,10 @@ def test_recorder_row_layout_matches_csv_columns():
     rec = RunRecorder(problem, gossip, 0.5, header={"algorithm": "x"})
     c = Counters()
     p = StackedPoint.zeros(3, 2, 2)
-    rec.observe(0, p, c)
+    rec.observe(0, _join(p), c)
     c.add_comm(2)
     c.add_grad(4)
-    rec.observe(1, p, c)
+    rec.observe(1, _join(p), c)
     assert len(rec.record) == 2
     rows = list(rec.record.rows())
     assert len(rows[0]) == len(CSV_COLUMNS)
@@ -154,23 +154,11 @@ def test_recorder_gap_cadence_and_reference_distance():
     c = Counters()
     p = StackedPoint(np.full((3, 2), 0.1), np.full((3, 2), -0.1))
     for k in range(5):
-        rec.observe(k, p, c)
+        rec.observe(k, _join(p), c)
     gaps = rec.record.gap
     assert gaps[0] is not None and gaps[2] is not None and gaps[4] is not None
     assert gaps[1] is None and gaps[3] is None
     assert all(d == pytest.approx(distance_sq(p, ref)) for d in rec.record.dist_sq)
-
-
-def test_recorder_keep_points_stores_every_observation():
-    problem, gossip = recorder_fixture()
-    rec = RunRecorder(problem, gossip, 0.0, keep_points=True)
-    c = Counters()
-    pts = [StackedPoint(np.full((3, 2), float(k)), np.zeros((3, 2)))
-           for k in range(4)]
-    for k, p in enumerate(pts):
-        rec.observe(k, p, c)
-    assert len(rec.points) == 4
-    assert all(np.array_equal(a.x, b.x) for a, b in zip(rec.points, pts))
 
 
 def test_recorder_tracks_penalty_and_consensus_columns():
@@ -179,7 +167,7 @@ def test_recorder_tracks_penalty_and_consensus_columns():
     c = Counters()
     p = StackedPoint(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
                      np.zeros((3, 2)))
-    rec.observe(0, p, c)
+    rec.observe(0, _join(p), c)
     assert rec.record.penalty_value[0] > 0.0
     cx, cy = consensus_residual(p)
     assert rec.record.consensus_x[0] == cx
@@ -229,17 +217,6 @@ def test_restricted_gap_near_zero_at_reference_of_scsc_instance():
     assert restricted_gap(bounded, gossip, lam, off, inner_tol=1e-9) > 1e-2
 
 
-def test_restricted_gap_local_objective_drops_the_penalty():
-    problem, gossip = recorder_fixture()
-    rng = np.random.default_rng(11)
-    p = problem.domain.project(
-        StackedPoint(rng.standard_normal((3, 2)), rng.standard_normal((3, 2))))
-    local = restricted_gap(problem, gossip, 5.0, p, objective="local",
-                           inner_tol=1e-9)
-    no_penalty = restricted_gap(problem, gossip, 0.0, p, inner_tol=1e-9)
-    assert local == pytest.approx(no_penalty, abs=1e-7)
-
-
 def test_restricted_gap_monotone_in_distance_from_saddle():
     problem = scalar_bilinear_unit_ball()
     gossip = single_node_gossip()
@@ -250,13 +227,10 @@ def test_restricted_gap_monotone_in_distance_from_saddle():
     assert gaps[0] < gaps[1] < gaps[2]
 
 
-def test_restricted_gap_rejects_unbounded_domain_and_bad_objective():
+def test_restricted_gap_rejects_an_unbounded_domain():
     spec = random_quadratic(3, 2, 2, mu=1.0, smoothness=4.0, seed=5)
     problem = SaddleProblem.from_spec(spec, BallDomain.unbounded(2, 2))
     gossip = laplacian(Topology("ring", 3))
     p = StackedPoint.zeros(3, 2, 2)
     with pytest.raises(InvalidValueError):
         restricted_gap(problem, gossip, 0.5, p)
-    bounded, g2 = recorder_fixture()
-    with pytest.raises(InvalidValueError):
-        restricted_gap(bounded, g2, 0.5, p, objective="both")

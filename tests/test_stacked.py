@@ -11,8 +11,6 @@ from pfsaddle.stacked import (
     BallDomain,
     StackedPoint,
     frobenius_sq,
-    norm_sq,
-    saddle_step,
     trace_inner,
 )
 
@@ -68,7 +66,7 @@ def test_replicated_and_zeros():
     assert np.array_equal(p.y[:, 0], [3.0] * 4)
     z = StackedPoint.zeros(3, 2, 5)
     assert z.x.shape == (3, 2) and z.y.shape == (3, 5)
-    assert norm_sq(z) == 0.0
+    assert frobenius_sq(z.x) == frobenius_sq(z.y) == 0.0
 
 
 def test_arithmetic_matches_numpy():
@@ -136,33 +134,6 @@ def test_frobenius_sum_inequality():
         a = gen.normals((3, 4))
         b = gen.normals((3, 4))
         assert frobenius_sq(a + b) <= 2.0 * frobenius_sq(a) + 2.0 * frobenius_sq(b) + 1e-12
-
-
-def test_norm_sq_splits_over_blocks():
-    p = random_point(12)
-    assert math.isclose(norm_sq(p), frobenius_sq(p.x) + frobenius_sq(p.y),
-                        rel_tol=1e-15)
-
-
-# -- saddle step -------------------------------------------------------------
-
-
-def test_saddle_step_signs():
-    base = StackedPoint(np.ones((2, 1)), np.ones((2, 1)))
-    direction = StackedPoint(np.full((2, 1), 3.0), np.full((2, 1), 5.0))
-    out = saddle_step(base, 0.1, direction)
-    # descend in x, ascend in y
-    assert np.allclose(out.x, 1.0 - 0.3)
-    assert np.allclose(out.y, 1.0 + 0.5)
-
-
-def test_saddle_step_negative_gamma_reverses():
-    base = random_point(13)
-    d = random_point(14)
-    fwd = saddle_step(base, 0.2, d)
-    back = saddle_step(fwd, -0.2, d)
-    assert np.allclose(back.x, base.x, atol=1e-15)
-    assert np.allclose(back.y, base.y, atol=1e-15)
 
 
 # -- ball domains and projection ---------------------------------------------
