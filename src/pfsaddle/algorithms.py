@@ -38,7 +38,7 @@ from .gossip import GossipMatrix, _check_penalty_args, penalty_grad
 from .metrics import Counters, RunRecorder, _distance_sq, restricted_gap
 from .problems import SaddleProblem
 from .rng import Xoshiro256StarStar, derive_seed
-from .stacked import StackedPoint, _join, _split, frobenius_sq
+from .stacked import StackedPoint, _join, _split, _sum_sq
 
 __all__ = [
     "AlgorithmConfig",
@@ -245,7 +245,7 @@ def _resolve_start(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
 
 
 def _check_divergence(z: np.ndarray, threshold: float, k: int):
-    if not frobenius_sq(z) <= threshold:  # a NaN norm fails the comparison too
+    if not _sum_sq(z) <= threshold:  # a NaN norm fails the comparison too
         raise DivergenceError(
             f"iterate norm exceeded the safeguard or is not finite at outer "
             f"iteration {k}; the step size is likely too large"
@@ -253,12 +253,11 @@ def _check_divergence(z: np.ndarray, threshold: float, k: int):
 
 
 def _target_reached(config: AlgorithmConfig, problem: SaddleProblem,
-                    gossip: GossipMatrix, rep: np.ndarray,
-                    reference: np.ndarray | None, k: int) -> bool:
+                    gossip: GossipMatrix, rep: np.ndarray, distance_sq, k: int) -> bool:
     if config.target_kind == "iterations":
         return k >= int(config.target_value)
     if config.target_kind == "distance":
-        return _distance_sq(rep, reference, problem.n_x) <= float(config.target_value)
+        return distance_sq(rep) <= float(config.target_value)
     if k % config.gap_check_every != 0:
         return False
     gap = restricted_gap(problem, gossip, config.lam, _split(rep, problem.n_x),
@@ -275,7 +274,8 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
     A step returns the next iterate and the point the method reports there
     (the iterate, or sliding's running mean), or None for extragradient's
     residual stop.  Then come the divergence guard, the recorder (given the
-    reported array) and the target of `config`, else a `limit` on steps."""
+    reported array) and the target of `config`, else a `limit` on steps; a
+    distance target reads the recorded dist_sq if that is the run's."""
     if reference is not None and (reference := _join(reference)).shape != z0.shape:
         raise ShapeError(f"reference shape {reference.shape} is not the iterate's {z0.shape}")
     if config is not None:
@@ -283,7 +283,10 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
             raise ConfigError("distance target needs a reference solution")
         limit = config.max_outer
     omega, n_x = problem.domain.diameter, problem.n_x
-    threshold = 1e12 * (omega**2 if math.isfinite(omega) else max(1.0, frobenius_sq(z0)))
+    recorded = recorder is not None and np.array_equal(recorder._reference, reference)
+    distance_sq = ((lambda rep: recorder.record.dist_sq[-1]) if recorded
+                   else (lambda rep: _distance_sq(rep, reference, n_x)))
+    threshold = 1e12 * (omega**2 if math.isfinite(omega) else max(1.0, _sum_sq(z0)))
     if recorder is not None:
         recorder.observe(0, z0, counters)
     z = rep = z0
@@ -299,7 +302,7 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
         if recorder is not None:
             recorder.observe(k, rep, counters)
         if config is not None and _target_reached(config, problem, gossip, rep,
-                                                  reference, k):
+                                                  distance_sq, k):
             reason = "target"
             break
     last = _split(z, n_x)
@@ -329,7 +332,7 @@ def _extragradient(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
 
     def step(z: np.ndarray, k: int):
         half = toward(z, z)
-        if residual_tol is not None and frobenius_sq(z - half) <= residual_tol**2:
+        if residual_tol is not None and _sum_sq(z - half) <= residual_tol**2:
             return None
         z = toward(z, half)
         return z, z

@@ -22,7 +22,7 @@ from .errors import (
     TopologyError,
 )
 from .rng import Xoshiro256StarStar, derive_seed
-from .stacked import StackedPoint, _ReadOnlyArrays, _join, trace_inner
+from .stacked import StackedPoint, _ReadOnlyArrays, _join
 
 TOPOLOGY_KINDS = ("complete", "ring", "star", "path", "grid2d", "erdos_renyi")
 
@@ -282,7 +282,8 @@ def _penalty_value(w: np.ndarray, lam: float, x: np.ndarray, y: np.ndarray) -> f
     """`penalty_value` on the blocks (or column views) x and y, unchecked."""
     if lam == 0.0:
         return 0.0
-    return 0.5 * lam * (trace_inner(x, w @ x) - trace_inner(y, w @ y))
+    return float(0.5 * lam * (np.add.reduce(x * (w @ x), axis=None)
+                              - np.add.reduce(y * (w @ y), axis=None)))
 
 
 def penalty_value(g: GossipMatrix, lam: float, p: StackedPoint) -> float:

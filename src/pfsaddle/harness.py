@@ -226,8 +226,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(grid, (list, tuple)) or not grid:
         raise ConfigError("lambda_grid must be a non-empty list")
     lambda_grid = tuple(_as_float(v, "lambda_grid entry") for v in grid)
-    if any(v < 0 for v in lambda_grid):
-        raise ConfigError("lambda_grid entries must be >= 0")
+    if any(v < 0 for v in lambda_grid) or len(set(lambda_grid)) != len(lambda_grid):
+        raise ConfigError(f"lambda_grid entries must be >= 0 and distinct, got {list(lambda_grid)}")
 
     algs_raw = top["algorithms"]
     if not isinstance(algs_raw, (list, tuple)) or not algs_raw:

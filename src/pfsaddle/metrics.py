@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConvergenceError, InvalidValueError, ShapeError
 from .gossip import GossipMatrix, _penalty_value, penalty_value
 from .problems import SaddleProblem
-from .stacked import StackedPoint, _check_like, _join, _split, frobenius_sq
+from .stacked import StackedPoint, _check_like, _join, _split, _sum_sq
 
 CSV_COLUMNS = (
     "k",
@@ -63,7 +63,7 @@ class Counters:
 def _distance_sq(z: np.ndarray, reference: np.ndarray, n_x: int) -> float:
     """`distance_sq` on joined arrays with n_x x columns, unchecked."""
     d = z - reference
-    return frobenius_sq(d[:, :n_x]) + frobenius_sq(d[:, n_x:])
+    return _sum_sq(d[:, :n_x]) + _sum_sq(d[:, n_x:])
 
 
 def distance_sq(p: StackedPoint, reference: StackedPoint) -> float:
@@ -74,7 +74,8 @@ def distance_sq(p: StackedPoint, reference: StackedPoint) -> float:
 
 def _consensus_residual(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """`consensus_residual` on the blocks x and y, unchecked."""
-    return frobenius_sq(x - x.mean(axis=0)), frobenius_sq(y - y.mean(axis=0))
+    m = len(x)
+    return _sum_sq(x - np.add.reduce(x, axis=0) / m), _sum_sq(y - np.add.reduce(y, axis=0) / m)
 
 
 def consensus_residual(p: StackedPoint) -> tuple[float, float]:
@@ -162,7 +163,7 @@ def _inner_ball_opt(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
         candidate = z.copy()
         candidate[:, free] -= step * (problem.operator(z) + lam * (w @ z))[:, free]
         candidate = project(candidate)
-        moved = frobenius_sq(candidate[:, free] - z[:, free])
+        moved = _sum_sq(candidate[:, free] - z[:, free])
         z = candidate
         if math.sqrt(moved) / step <= inner_tol:
             return z[:, free]

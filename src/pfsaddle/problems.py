@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, InvalidValueError, ShapeError
 from .gossip import GossipMatrix, penalty_grad
 from .rng import Xoshiro256StarStar, derive_seed
-from .stacked import BallDomain, StackedPoint, _ReadOnlyArrays, _join, frobenius_sq
+from .stacked import BallDomain, StackedPoint, _ReadOnlyArrays, _join, _sum_sq
 
 __all__ = [
     "QuadraticSaddleSpec",
@@ -394,7 +394,7 @@ def reference_solution(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
         z = _join(point)
         stepped = problem.domain.project_z(
             z - gamma * (problem.operator(z) + lam * (gossip.w @ z)))
-        bound_sq = ((1.0 + gamma * lipschitz) / (gamma * mu)) ** 2 * frobenius_sq(z - stepped)
+        bound_sq = ((1.0 + gamma * lipschitz) / (gamma * mu)) ** 2 * _sum_sq(z - stepped)
         if bound_sq > 1e-12:
             raise ConvergenceError(
                 f"reference solution not certified: squared error bound "

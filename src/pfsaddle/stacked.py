@@ -121,16 +121,19 @@ def _split(z: np.ndarray, n_x: int) -> StackedPoint:
     return StackedPoint(z[:, :n_x], z[:, n_x:])
 
 
+def _sum_sq(a: np.ndarray) -> float:
+    """`frobenius_sq` of a float array, without the conversion."""
+    return float(np.add.reduce(a * a, axis=None))
+
+
 def frobenius_sq(a: np.ndarray) -> float:
     """Squared Frobenius norm of a matrix, as a Python float."""
-    a = np.asarray(a, dtype=float)
-    return float(np.sum(a * a))
+    return _sum_sq(np.asarray(a, dtype=float))
 
 
 def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Trace inner product tr(a^T b) of two equally shaped matrices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ShapeError(f"trace_inner shape mismatch: {a.shape} vs {b.shape}")
     return float(np.sum(a * b))
@@ -232,6 +235,8 @@ class BallDomain(_ReadOnlyArrays):
 
     def project_z(self, z: np.ndarray) -> np.ndarray:
         """`project` on a joined iterate, unchecked; z itself if no row moves."""
+        if self.radius_x == self.radius_y == math.inf:
+            return z
         x, y = z[:, :self.n_x], z[:, self.n_x:]
         px = _project_rows(x, self.center_x, self.radius_x)
         py = _project_rows(y, self.center_y, self.radius_y)

@@ -23,7 +23,7 @@ from pfsaddle.algorithms import (
 )
 from pfsaddle.errors import ConfigError, ConvergenceError, DivergenceError
 from pfsaddle.gossip import GossipMatrix, Topology, laplacian, penalty_grad
-from pfsaddle.metrics import Counters, RunRecorder, distance_sq
+from pfsaddle.metrics import Counters, RunRecorder, _distance_sq, distance_sq
 from pfsaddle.problems import (
     QuadraticSaddleSpec,
     SaddleProblem,
@@ -31,7 +31,7 @@ from pfsaddle.problems import (
     random_quadratic,
     reference_solution,
 )
-from pfsaddle.stacked import BallDomain, StackedPoint
+from pfsaddle.stacked import BallDomain, StackedPoint, _join
 
 
 def quad_problem(m, n_x, n_y, **kwargs):
@@ -708,6 +708,60 @@ def test_distance_stop_reads_the_recorded_distance(method):
         rerun = run(target_kind="distance", target_value=dist[k])
         assert (rerun.stop_reason, rerun.iterations) == ("target", k)
         assert rerun.record.dist_sq[-1] <= dist[k]
+
+
+def distance_target_case(method):
+    """(problem, gossip, config, reference, runner) of a run of `method` to
+    squared distance 1e-6 from its reference."""
+    problem = quad_problem(8, 2, 3, mu=1.0, smoothness=10.0, seed=4)
+    gossip = ring_gossip(8)
+    lam, lmax, smoothness = 1.0, gossip.lambda_max, problem.smoothness
+    sliding = params_sliding("scsc", smoothness, problem.strong_convexity, lam, lmax)
+    rles = params_rles(smoothness, lam, lmax)
+    fields = {"extragradient": {"gamma": 1.0 / (2.0 * (smoothness + lam * lmax))},
+              "sliding": {"gamma": sliding.gamma, "inner_t": sliding.inner_t},
+              "rles": {"gamma": rles.gamma, "p_comm": rles.p_comm}}[method]
+    config = AlgorithmConfig(lam=lam, seed=3, max_outer=2000, target_kind="distance",
+                             target_value=1e-6, **fields)
+    runner = {"extragradient": baseline_run, "sliding": sliding_run,
+              "rles": rles_run}[method]
+    return problem, gossip, config, reference_solution(problem, gossip, lam), runner
+
+
+@pytest.mark.parametrize("method", ["extragradient", "sliding", "rles"])
+def test_distance_target_computes_one_distance_per_iteration(method, monkeypatch):
+    # the stop reads the dist_sq the recorder has just written: one
+    # evaluation per observed iterate, where the stop used to add a second
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _distance_sq(*args)
+
+    monkeypatch.setattr("pfsaddle.metrics._distance_sq", counted)
+    monkeypatch.setattr("pfsaddle.algorithms._distance_sq", counted)
+    problem, gossip, config, ref, runner = distance_target_case(method)
+    result = runner(problem, gossip, config, reference=ref,
+                    recorder=RunRecorder(problem, gossip, config.lam, reference=ref))
+    assert result.stop_reason == "target" and result.iterations >= 10
+    assert len(calls) == len(result.record) == result.iterations + 1
+
+
+@pytest.mark.parametrize("method", ["extragradient", "sliding", "rles"])
+@pytest.mark.parametrize("recorder_reference", ["shifted", "none"])
+def test_distance_target_stops_on_the_runs_own_reference(method, recorder_reference):
+    # a recorder that measures against another reference, or none, does not
+    # move the stop: it is where a run without a recorder stops
+    problem, gossip, config, ref, runner = distance_target_case(method)
+    alone = runner(problem, gossip, config, reference=ref)
+    other = {"shifted": StackedPoint(ref.x + 0.5, ref.y), "none": None}[recorder_reference]
+    recorded = runner(problem, gossip, config, reference=ref,
+                      recorder=RunRecorder(problem, gossip, config.lam, reference=other))
+    assert (recorded.stop_reason, recorded.iterations) == ("target", alone.iterations)
+    assert np.array_equal(_join(recorded.output), _join(alone.output))
+    assert distance_sq(recorded.output, ref) <= 1e-6
+    if other is not None:
+        assert recorded.record.dist_sq[-1] > 1e-6
 
 
 def test_recorded_runs_validate_points_only_at_the_edges(monkeypatch):

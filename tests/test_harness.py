@@ -301,6 +301,8 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
     {"seeds": [0, math.inf]},
     # a repeated seed names one cell twice
     {"seeds": [0, 0]},
+    # so does a repeated lambda, in two summary rows no column tells apart
+    {"lambda_grid": [0.5, 0.5]},
     # a label names a file under runs/: unique, and no path or non-string
     {"algorithms": [{"name": "extragradient", "label": "x"},
                     {"name": "sliding", "label": "x"}]},
@@ -310,7 +312,7 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
 ], ids=["gap-target", "final-gap", "gap-every", "gap-every-negative",
         "rles-at-lambda-0", "reference-tol-0", "reference-tol-nan",
         "gap-inner-tol-negative", "gap-inner-tol-nan", "max-outer-inf",
-        "seed-inf", "seed-repeated", "label-duplicate",
+        "seed-inf", "seed-repeated", "lambda-repeated", "label-duplicate",
         "label-escapes", "label-path", "label-not-a-string"])
 def test_validate_rejects_what_run_rejects_at_setup(tmp_path, capsys, extra):
     out = tmp_path / "out"

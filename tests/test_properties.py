@@ -1,7 +1,8 @@
 """Property tests over small random problems: the per-method counter
 identities of the cost model, the invariants of the ball projection, the
 unbiased rles estimator, the batched oracles and projection against the
-per-node, per-block and multi-pass rules they replace, and configs that
+per-node, per-block and multi-pass rules they replace, the wrapper-free
+measure bodies against the numpy wrappers they replace, and configs that
 round-trip through their dict form."""
 
 import itertools
@@ -31,7 +32,8 @@ from pfsaddle.harness import (  # noqa: E402
     parse_config,
     serialize_config,
 )
-from pfsaddle.metrics import distance_sq  # noqa: E402
+from pfsaddle.gossip import _penalty_value  # noqa: E402
+from pfsaddle.metrics import _consensus_residual, _distance_sq, distance_sq  # noqa: E402
 from pfsaddle.problems import (  # noqa: E402
     QuadraticSaddleSpec,
     RobustRegressionSpec,
@@ -40,7 +42,14 @@ from pfsaddle.problems import (  # noqa: E402
     random_quadratic,
     random_robust_regression,
 )
-from pfsaddle.stacked import BallDomain, StackedPoint, _join, _project_rows  # noqa: E402
+from pfsaddle.stacked import (  # noqa: E402
+    BallDomain,
+    StackedPoint,
+    _join,
+    _project_rows,
+    _sum_sq,
+    trace_inner,
+)
 
 # few, reproducible examples, and no example database written to disk
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -217,6 +226,37 @@ def test_row_projection_matches_the_multi_pass_rule(m, dim, radius, offset, seed
     rows[0] = center  # a row at the center itself is left alone
     assert np.array_equal(_project_rows(rows, center, radius),
                           multi_pass_projection(rows, center, radius))
+
+
+def wrapped_sum_sq(a):
+    """The sum of squares as it was before the wrapper-free reduction."""
+    return float(np.sum(a * a))
+
+
+@PROPERTY
+@given(st.one_of(st.integers(1, 9), st.sampled_from([16, 255, 256])),
+       st.sampled_from([(1, 2), (2, 1), (1, 4), (3, 2), (2, 5), (6, 3)]),
+       st.sampled_from([0.0, 0.1, 1.0, 16.0]), st.integers(0, 2**16))
+def test_wrapper_free_measures_match_the_numpy_wrappers(m, dims, lam, seed):
+    # the measure bodies on column views of a joined array, bit for bit
+    # against np.sum, .mean(axis=0) and trace_inner
+    n_x, n_y = dims
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(m, n_x + n_y)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+    ref = z + rng.normal(size=z.shape) * 10.0 ** rng.uniform(-6, 0)
+    a = rng.normal(size=(m, m))
+    w = a + a.T
+    x, y = z[:, :n_x], z[:, n_x:]
+    d = z - ref
+    for block in (z, x, y, d[:, :n_x], d[:, n_x:]):
+        assert _sum_sq(block) == wrapped_sum_sq(block)
+    assert _distance_sq(z, ref, n_x) == (wrapped_sum_sq(d[:, :n_x])
+                                         + wrapped_sum_sq(d[:, n_x:]))
+    assert _consensus_residual(x, y) == (wrapped_sum_sq(x - x.mean(axis=0)),
+                                         wrapped_sum_sq(y - y.mean(axis=0)))
+    want = 0.0 if lam == 0.0 else 0.5 * lam * (trace_inner(x, w @ x) - trace_inner(y, w @ y))
+    got = _penalty_value(w, lam, x, y)
+    assert type(got) is float and got == want
 
 
 @PROPERTY
