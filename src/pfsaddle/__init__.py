@@ -12,7 +12,6 @@ from .algorithms import (
     params_sliding,
     rles_run,
     sliding_run,
-    solve_prox,
 )
 from .errors import (
     ConfigError,

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DivergenceError, ShapeError
-from .gossip import GossipMatrix, _check_penalty_args, penalty_grad
+from .gossip import GossipMatrix, _check_penalty_args
+from .gossip import penalty_grad  # no caller here; bench/tracer.py wraps algorithms.penalty_grad
 from .metrics import Counters, RunRecorder, _distance_sq, restricted_gap
 from .problems import SaddleProblem
 from .rng import Xoshiro256StarStar, derive_seed
@@ -49,11 +50,8 @@ __all__ = [
     "params_rles",
     "extragradient_run",
     "baseline_run",
-    "solve_prox",
-    "sliding_outer_step",
     "sliding_run",
     "rles_direction",
-    "rles_outer_step",
     "rles_run",
 ]
 
@@ -376,23 +374,12 @@ def baseline_run(problem: SaddleProblem, gossip: GossipMatrix,
 # --------------------------------------------------------------------------
 
 
-def _solve_prox(problem: SaddleProblem, v: np.ndarray, start: np.ndarray,
-                gamma: float, inner_t: int, counters: Counters | None) -> np.ndarray:
-    """Array form of `solve_prox` on joined iterates."""
-    eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
-    project, operator = problem.domain.project_z, problem.operator
-    u = project(start)
-    for _ in range(inner_t):
-        half = project(u - eta * (gamma * operator(u) + (u - v)))
-        u = project(u - eta * (gamma * operator(half) + (half - v)))
-    if counters is not None:
-        counters.add_grad(2 * inner_t)
-    return u
-
-
-def solve_prox(problem: SaddleProblem, v: StackedPoint, start: StackedPoint,
+# solve_prox, sliding_outer_step and rles_outer_step: unchecked array steps,
+# not in __all__, called as module globals under these names because
+# bench/tracer.py times them by patching algorithms.<name>.
+def solve_prox(problem: SaddleProblem, v: np.ndarray, start: np.ndarray,
                gamma: float, inner_t: int,
-               counters: Counters | None = None) -> StackedPoint:
+               counters: Counters | None = None) -> np.ndarray:
     """Approximately solve the sliding proximal subproblem.
 
     The subproblem is, independently for every node row,
@@ -406,50 +393,33 @@ def solve_prox(problem: SaddleProblem, v: StackedPoint, start: StackedPoint,
     communication; the whole stack is advanced at once, which is
     equivalent to per-node solves because f is row-local.
     """
-    if inner_t < 1:
-        raise ConfigError(f"inner_t must be >= 1, got {inner_t}")
-    start = problem.domain.project(start)  # checks dims; projecting again is exact
-    return _split(_solve_prox(problem, _join(v), _join(start), gamma, inner_t,
-                              counters), problem.n_x)
+    eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
+    project, operator = problem.domain.project_z, problem.operator
+    u = project(start)
+    for _ in range(inner_t):
+        half = project(u - eta * (gamma * operator(u) + (u - v)))
+        u = project(u - eta * (gamma * operator(half) + (half - v)))
+    if counters is not None:
+        counters.add_grad(2 * inner_t)
+    return u
 
 
-@dataclass
-class SlidingState:
-    z: StackedPoint
-    u_sum_x: np.ndarray
-    u_sum_y: np.ndarray
-    u_count: int
-    counters: Counters
-    k: int
+def sliding_outer_step(problem: SaddleProblem, gossip: GossipMatrix,
+                       config: AlgorithmConfig, z: np.ndarray,
+                       counters: Counters) -> tuple[np.ndarray, np.ndarray]:
+    """One outer sliding iteration: exactly 2 comm rounds, 2*inner_t batches.
 
-
-def _sliding_step(problem: SaddleProblem, gossip: GossipMatrix,
-                  config: AlgorithmConfig, z: np.ndarray,
-                  counters: Counters) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of `sliding_outer_step`: the next iterate and the inner
-    solution u it was corrected from."""
+    Returns the next iterate and the inner solution u it was corrected
+    from.  The penalty products at z are computed once and reused by the
+    correction step, so the network is touched only for them and at u.
+    """
     gamma = config.gamma
     pg_z = config.lam * (gossip.w @ z)
     counters.add_comm()
-    u = _solve_prox(problem, z - gamma * pg_z, z, gamma, config.inner_t, counters)
+    u = solve_prox(problem, z - gamma * pg_z, z, gamma, config.inner_t, counters)
     pg_u = config.lam * (gossip.w @ u)
     counters.add_comm()
     return problem.domain.project_z(u + gamma * (pg_z - pg_u)), u
-
-
-def sliding_outer_step(state: SlidingState, problem: SaddleProblem,
-                       gossip: GossipMatrix, config: AlgorithmConfig) -> SlidingState:
-    """One outer sliding iteration: exactly 2 comm rounds, 2*inner_t batches.
-
-    The penalty products of the incoming iterate are computed once and
-    reused by the correction step, so the network is touched only for
-    them and for the fresh products at the inner solution.
-    """
-    z, u = _sliding_step(problem, gossip, config, _join(state.z), state.counters)
-    state.z, u = _split(z, problem.n_x), _split(u, problem.n_x)
-    state.u_sum_x, state.u_sum_y = state.u_sum_x + u.x, state.u_sum_y + u.y
-    state.u_count, state.k = state.u_count + 1, state.k + 1
-    return state
 
 
 def sliding_run(problem: SaddleProblem, gossip: GossipMatrix,
@@ -469,7 +439,7 @@ def sliding_run(problem: SaddleProblem, gossip: GossipMatrix,
 
     def step(z: np.ndarray, k: int):
         nonlocal u_sum, u_count
-        z, u = _sliding_step(problem, gossip, config, z, counters)
+        z, u = sliding_outer_step(problem, gossip, config, z, counters)
         u_sum, u_count = u_sum + u, u_count + 1
         return z, (u_sum / u_count if averaging else z)
 
@@ -517,33 +487,15 @@ def rles_direction(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     return StackedPoint(d[:, :problem.n_x], -d[:, problem.n_x:])
 
 
-@dataclass
-class RlesState:
-    z: StackedPoint
-    u: StackedPoint
-    grad_u: StackedPoint
-    pg_u: StackedPoint
-    counters: Counters
-    k: int
-    rng: object
+def rles_outer_step(problem: SaddleProblem, w: np.ndarray, config: AlgorithmConfig,
+                    z: np.ndarray, anchor: tuple, k: int, rng,
+                    counters: Counters) -> tuple[np.ndarray, tuple]:
+    """One rles iteration: mix, extrapolate from the anchor, corrected step.
 
-
-def rles_init(problem: SaddleProblem, gossip: GossipMatrix,
-              config: AlgorithmConfig,
-              start: StackedPoint | None = None) -> RlesState:
-    """Project the start point and fill the anchor caches (1 comm, 1 batch)."""
-    z0 = _resolve_start(problem, gossip, config.lam, start)
-    return RlesState(z=z0, u=z0, grad_u=problem.grad_f(z0),
-                     pg_u=penalty_grad(gossip, config.lam, z0),
-                     counters=Counters(comm_rounds=1, local_grad_batches=1), k=0,
-                     rng=Xoshiro256StarStar(derive_seed(config.seed, "rles-coins")))
-
-
-def _rles_step(problem: SaddleProblem, w: np.ndarray, config: AlgorithmConfig,
-               z: np.ndarray, anchor: tuple, k: int, rng,
-               counters: Counters) -> tuple[np.ndarray, tuple]:
-    """Array form of `rles_outer_step`.  anchor is the triple (u, local
-    operator at u, penalty products at u); a new triple when it moves."""
+    anchor is the triple (u, local operator at u, penalty products at u).
+    Of two coins (or schedule checks), the first picks the estimator
+    branch and the second moves the anchor to the new iterate.
+    """
     u, grad_u, pg_u = anchor
     p, project = config.p_comm, problem.domain.project_z
 
@@ -568,28 +520,6 @@ def _rles_step(problem: SaddleProblem, w: np.ndarray, config: AlgorithmConfig,
     return z, anchor
 
 
-def rles_outer_step(state: RlesState, problem: SaddleProblem,
-                    gossip: GossipMatrix, config: AlgorithmConfig) -> RlesState:
-    """One rles iteration: mix, extrapolate from the anchor, corrected step.
-
-    Draws two coins (or consults the deterministic schedule twice): the
-    first picks the estimator branch, the second decides whether the
-    anchor moves to the new iterate, refreshing its cached local gradients
-    and penalty products when it does.
-    """
-    n_x = problem.n_x
-    anchor = (_join(state.u), np.hstack((state.grad_u.x, -state.grad_u.y)),
-              np.hstack((state.pg_u.x, -state.pg_u.y)))
-    z, moved = _rles_step(problem, gossip.w, config, _join(state.z), anchor,
-                          state.k, state.rng, state.counters)
-    state.z = _split(z, n_x)
-    if moved is not anchor:
-        state.u = state.z
-        state.grad_u, state.pg_u = (StackedPoint(a[:, :n_x], -a[:, n_x:]) for a in moved[1:])
-    state.k += 1
-    return state
-
-
 def rles_run(problem: SaddleProblem, gossip: GossipMatrix,
              config: AlgorithmConfig, *, reference: StackedPoint | None = None,
              recorder: RunRecorder | None = None,
@@ -602,7 +532,7 @@ def rles_run(problem: SaddleProblem, gossip: GossipMatrix,
 
     def step(z: np.ndarray, k: int):
         nonlocal anchor
-        z, anchor = _rles_step(problem, gossip.w, config, z, anchor, k, rng, counters)
+        z, anchor = rles_outer_step(problem, gossip.w, config, z, anchor, k, rng, counters)
         return z, z
 
     return _drive(problem, gossip, z0, counters, step, recorder=recorder,

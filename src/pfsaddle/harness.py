@@ -115,6 +115,12 @@ def _as_float(value, where: str, *, allow_none_as_inf: bool = False) -> float:
     return float(value)
 
 
+def _as_bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be a boolean, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully normalized experiment description."""
@@ -173,10 +179,10 @@ _ALGORITHM_DEFAULTS = {
     "overrides": {},
 }
 
-_OVERRIDE_KEYS = (
-    "gamma", "inner_t", "delta_rel", "p_comm", "gap_check_every",
-    "averaged_output",
-)
+_OVERRIDE_KEYS = {
+    "gamma": _as_float, "inner_t": _as_int, "delta_rel": _as_float,
+    "p_comm": _as_float, "gap_check_every": _as_int, "averaged_output": _as_bool,
+}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -272,6 +278,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 raise ConfigError(
                     f"unknown key {key!r} in algorithms[{i}].overrides"
                 )
+        overrides = {key: _OVERRIDE_KEYS[key](value, f"algorithms[{i}].overrides.{key}")
+                     for key, value in overrides.items()}
         if entry["params"] == "manual" and "gamma" not in overrides:
             raise ConfigError(
                 f"algorithms[{i}]: params='manual' requires overrides.gamma"
@@ -299,12 +307,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     }, "metrics")
     if metrics["record_dist"] not in ("auto", "on", "off"):
         raise ConfigError("metrics.record_dist must be auto/on/off")
-    if not isinstance(metrics["final_gap"], bool):
-        raise ConfigError("metrics.final_gap must be a boolean")
+    _as_bool(metrics["final_gap"], "metrics.final_gap")
     for key in ("gap_inner_tol", "reference_tol"):
         metrics[key] = _as_float(metrics[key], f"metrics.{key}")
-        if not metrics[key] > 0.0:
-            raise ConfigError(f"metrics.{key} must be positive, got {metrics[key]!r}")
+        # below this floor a fixed-point residual (eps * scale) spins to the caps
+        if not metrics[key] >= 1e-14:
+            raise ConfigError(f"metrics.{key} must be >= 1e-14, got {metrics[key]!r}")
     if (gap_every := _as_int(metrics["gap_every"], "metrics.gap_every")) < 0:
         raise ConfigError(f"metrics.gap_every must be >= 0 (0 is off), got {gap_every}")
 

@@ -5,16 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from pfsaddle import algorithms
 from pfsaddle.algorithms import (
     AlgorithmConfig,
-    SlidingState,
     _check_divergence,
     baseline_run,
     extragradient_run,
     params_rles,
     params_sliding,
     rles_direction,
-    rles_init,
     rles_outer_step,
     rles_run,
     sliding_outer_step,
@@ -31,7 +30,8 @@ from pfsaddle.problems import (
     random_quadratic,
     reference_solution,
 )
-from pfsaddle.stacked import BallDomain, StackedPoint, _join
+from pfsaddle.rng import Xoshiro256StarStar, derive_seed
+from pfsaddle.stacked import BallDomain, StackedPoint, _join, _split
 
 
 def quad_problem(m, n_x, n_y, **kwargs):
@@ -223,6 +223,12 @@ def test_baseline_distance_target_requires_reference():
 # --------------------------------------------------------------------------
 
 
+def prox(problem, v, start, gamma, inner_t, counters=None):
+    """The array step `solve_prox` on the joined forms of v and start."""
+    return _split(solve_prox(problem, _join(v), _join(start), gamma, inner_t,
+                             counters), problem.n_x)
+
+
 def test_solve_prox_zero_objective_returns_center_point():
     # With f = 0 the subproblem is min max |x-v_x|^2/2 - |y-v_y|^2/2,
     # whose saddle is exactly v; one inner iteration already lands close,
@@ -236,7 +242,7 @@ def test_solve_prox_zero_objective_returns_center_point():
     v = StackedPoint(np.array([[1.0], [-2.0], [0.5]]),
                      np.array([[3.0], [0.0], [-1.0]]))
     start = StackedPoint.zeros(3, 1, 1)
-    u = solve_prox(problem, v, start, gamma=1.0, inner_t=200)
+    u = prox(problem, v, start, gamma=1.0, inner_t=200)
     assert np.allclose(u.x, v.x, atol=1e-14)
     assert np.allclose(u.y, v.y, atol=1e-14)
 
@@ -247,7 +253,7 @@ def test_solve_prox_scalar_quadratic_known_solution():
     problem = scalar_quadratic_problem(1)
     v = StackedPoint(np.array([[2.0]]), np.array([[2.0]]))
     start = StackedPoint.zeros(1, 1, 1)
-    u = solve_prox(problem, v, start, gamma=1.0, inner_t=200)
+    u = prox(problem, v, start, gamma=1.0, inner_t=200)
     assert u.x[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert u.y[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -280,7 +286,7 @@ def test_solve_prox_matches_per_node_linear_solve():
     gamma = 0.25
     v = random_point(problem, 5)
     exact = prox_exact_solution(problem, v, gamma)
-    u = solve_prox(problem, v, v, gamma, inner_t=400)
+    u = prox(problem, v, v, gamma, inner_t=400)
     assert np.allclose(u.x, exact.x, atol=1e-12)
     assert np.allclose(u.y, exact.y, atol=1e-12)
 
@@ -300,7 +306,7 @@ def test_solve_prox_relative_error_contract():
         v = random_point(problem, 100 + seed)
         start = random_point(problem, 200 + seed)
         exact = prox_exact_solution(problem, v, gamma)
-        u = solve_prox(problem, v, start, gamma, inner_t)
+        u = prox(problem, v, start, gamma, inner_t)
         d0 = distance_sq(start, exact)
         assert distance_sq(u, exact) <= delta * d0
 
@@ -309,21 +315,21 @@ def test_solve_prox_counts_two_batches_per_inner_iteration():
     problem = scalar_quadratic_problem(2)
     v = StackedPoint.zeros(2, 1, 1)
     counters = Counters()
-    solve_prox(problem, v, v, 0.5, inner_t=7, counters=counters)
+    prox(problem, v, v, 0.5, inner_t=7, counters=counters)
     assert counters.local_grad_batches == 14
     assert counters.comm_rounds == 0
-
-
-def test_solve_prox_rejects_empty_budget():
-    problem = scalar_quadratic_problem(1)
-    v = StackedPoint.zeros(1, 1, 1)
-    with pytest.raises(ConfigError):
-        solve_prox(problem, v, v, 0.5, inner_t=0)
 
 
 # --------------------------------------------------------------------------
 # sliding: outer loop
 # --------------------------------------------------------------------------
+
+
+def projected_center(problem):
+    """The drivers' default start: the domain center on every node, projected."""
+    domain = problem.domain
+    return domain.project(
+        StackedPoint.replicated(domain.center_x, domain.center_y, problem.num_nodes))
 
 
 def sliding_fixture(m=4, lam=0.5):
@@ -351,12 +357,11 @@ def test_sliding_zero_penalty_reduces_to_prox_point_loop():
                              target_kind="iterations", target_value=10,
                              max_outer=10)
     res = sliding_run(problem, gossip, config)
-    z = problem.domain.project(
-        StackedPoint.replicated(problem.domain.center_x,
-                                problem.domain.center_y, problem.num_nodes))
+    z = _join(projected_center(problem))
     for _ in range(10):
-        z = problem.domain.project(
+        z = problem.domain.project_z(
             solve_prox(problem, z, z, config.gamma, config.inner_t))
+    z = _split(z, problem.n_x)
     assert np.array_equal(res.last.x, z.x)
     assert np.array_equal(res.last.y, z.y)
 
@@ -367,19 +372,18 @@ def test_sliding_matches_manual_outer_step_sequence():
                              target_kind="iterations", target_value=8,
                              max_outer=8)
     res = sliding_run(problem, gossip, config)
-    z0 = problem.domain.project(
-        StackedPoint.replicated(problem.domain.center_x,
-                                problem.domain.center_y, problem.num_nodes))
-    state = SlidingState(z=z0, u_sum_x=np.zeros_like(z0.x),
-                         u_sum_y=np.zeros_like(z0.y), u_count=0,
-                         counters=Counters(), k=0)
+    z = _join(projected_center(problem))
+    u_sum, counters = np.zeros_like(z), Counters()
     for _ in range(8):
-        sliding_outer_step(state, problem, gossip, config)
-    assert np.array_equal(res.last.x, state.z.x)
-    assert np.array_equal(res.last.y, state.z.y)
+        z, u = sliding_outer_step(problem, gossip, config, z, counters)
+        u_sum = u_sum + u
+    last, mean = _split(z, problem.n_x), _split(u_sum / 8, problem.n_x)
+    assert np.array_equal(res.last.x, last.x)
+    assert np.array_equal(res.last.y, last.y)
+    assert res.counters == counters
     assert res.averaged is not None
-    assert np.allclose(res.averaged.x, state.u_sum_x / 8, atol=0)
-    assert np.allclose(res.averaged.y, state.u_sum_y / 8, atol=0)
+    assert np.allclose(res.averaged.x, mean.x, atol=0)
+    assert np.allclose(res.averaged.y, mean.y, atol=0)
 
 
 def test_sliding_scsc_output_is_last_iterate_cc_is_average():
@@ -623,15 +627,16 @@ def test_rles_converges_on_scsc_instance_with_theory_parameters():
     assert distance_sq(res.last, ref) <= 1e-9
 
 
-def test_rles_init_costs_one_comm_one_batch():
+def test_rles_anchor_setup_costs_one_comm_one_batch():
+    # filling the anchor caches at the start is paid before the first step
     problem, gossip, lam = rles_fixture()
     config = AlgorithmConfig(gamma=0.01, lam=lam, p_comm=0.5,
                              target_kind="iterations", target_value=1)
-    state = rles_init(problem, gossip, config)
-    assert state.counters.comm_rounds == 1
-    assert state.counters.local_grad_batches == 1
-    assert state.k == 0
-    assert np.array_equal(state.z.x, state.u.x)
+    rec = RunRecorder(problem, gossip, lam)
+    rles_run(problem, gossip, config, recorder=rec)
+    assert rec.record.k[0] == 0
+    assert rec.record.comm_rounds[0] == 1
+    assert rec.record.local_grad_batches[0] == 1
 
 
 def test_rles_run_matches_manual_randomized_step_sequence():
@@ -640,15 +645,44 @@ def test_rles_run_matches_manual_randomized_step_sequence():
                              target_kind="iterations", target_value=60,
                              max_outer=60)
     res = rles_run(problem, gossip, config)
-    state = rles_init(problem, gossip, config)
-    for _ in range(60):
-        rles_outer_step(state, problem, gossip, config)
-    assert np.array_equal(res.last.x, state.z.x)
-    assert np.array_equal(res.last.y, state.z.y)
-    assert res.counters == state.counters
-    assert res.iterations == state.k == 60
+    # the anchor triple (u, operator at u, penalty products at u), built from
+    # the public gradient pairs with the y blocks flipped to operator sign
+    start = projected_center(problem)
+    grad_u, pg_u = problem.grad_f(start), penalty_grad(gossip, lam, start)
+    z = _join(start)
+    anchor = (z, np.hstack((grad_u.x, -grad_u.y)), np.hstack((pg_u.x, -pg_u.y)))
+    counters = Counters(comm_rounds=1, local_grad_batches=1)
+    rng = Xoshiro256StarStar(derive_seed(config.seed, "rles-coins"))
+    for k in range(60):
+        z, anchor = rles_outer_step(problem, gossip.w, config, z, anchor, k, rng,
+                                    counters)
+    last = _split(z, problem.n_x)
+    assert np.array_equal(res.last.x, last.x)
+    assert np.array_equal(res.last.y, last.y)
+    assert res.counters == counters
+    assert res.iterations == 60
     # the coins fired both ways, so both branches and refreshes were used
-    assert 1 < state.counters.comm_rounds < 1 + 2 * 60
+    assert 1 < counters.comm_rounds < 1 + 2 * 60
+
+
+def test_drivers_call_the_steps_by_their_module_names(monkeypatch):
+    # a wrapper patched onto pfsaddle.algorithms.<step> sees every step the
+    # drivers take, as a tracer that times these names needs
+    calls = {}
+    for name in ("solve_prox", "sliding_outer_step", "rles_outer_step"):
+        def counted(*args, _name=name, _step=getattr(algorithms, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _step(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, name, counted)
+    problem, gossip, lam = sliding_fixture()
+    iterations = dict(target_kind="iterations", target_value=7, max_outer=7)
+    sliding_run(problem, gossip, AlgorithmConfig(gamma=0.04, lam=lam, inner_t=3,
+                                                 **iterations))
+    assert calls == {"solve_prox": 7, "sliding_outer_step": 7}
+    rles_run(problem, gossip, AlgorithmConfig(gamma=0.01, lam=lam, p_comm=0.3,
+                                              **iterations))
+    assert calls["rles_outer_step"] == 7
 
 
 def test_baseline_iterations_target_matches_fixed_length_extragradient():

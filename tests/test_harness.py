@@ -297,6 +297,9 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
     {"metrics": {"reference_tol": math.nan}},
     {"metrics": {"gap_inner_tol": -1e-8}},
     {"metrics": {"gap_inner_tol": math.nan}},
+    # positive, but below what a fixed-point residual can reach
+    {"metrics": {"reference_tol": 1e-30}},
+    {"metrics": {"gap_inner_tol": 1e-30}},
     {"max_outer": math.inf},
     {"seeds": [0, math.inf]},
     # a repeated seed names one cell twice
@@ -309,11 +312,21 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
     {"algorithms": [{"name": "extragradient", "label": "../../escaped"}]},
     {"algorithms": [{"name": "extragradient", "label": "a/b"}]},
     {"algorithms": [{"name": "extragradient", "label": 7}]},
+    # override values of the wrong type
+    {"algorithms": [{"name": "sliding", "overrides": {"inner_t": 2.5}}]},
+    {"algorithms": [{"name": "rles", "overrides": {"p_comm": "0.5"}}]},
+    {"algorithms": [{"name": "sliding", "overrides": {"averaged_output": "no"}}]},
+    {"algorithms": [{"name": "extragradient", "overrides": {"gamma": True}}]},
+    {"algorithms": [{"name": "sliding", "overrides": {"delta_rel": "0.1"}}]},
+    {"algorithms": [{"name": "sliding", "overrides": {"gap_check_every": 2.5}}]},
 ], ids=["gap-target", "final-gap", "gap-every", "gap-every-negative",
         "rles-at-lambda-0", "reference-tol-0", "reference-tol-nan",
-        "gap-inner-tol-negative", "gap-inner-tol-nan", "max-outer-inf",
-        "seed-inf", "seed-repeated", "lambda-repeated", "label-duplicate",
-        "label-escapes", "label-path", "label-not-a-string"])
+        "gap-inner-tol-negative", "gap-inner-tol-nan", "reference-tol-1e-30",
+        "gap-inner-tol-1e-30", "max-outer-inf", "seed-inf", "seed-repeated",
+        "lambda-repeated", "label-duplicate", "label-escapes", "label-path",
+        "label-not-a-string", "override-inner-t-float", "override-p-comm-string",
+        "override-averaged-output-string", "override-gamma-bool",
+        "override-delta-rel-string", "override-gap-check-every-float"])
 def test_validate_rejects_what_run_rejects_at_setup(tmp_path, capsys, extra):
     out = tmp_path / "out"
     path = write_config(tmp_path, minimal_raw(output_dir=str(out), **extra))
