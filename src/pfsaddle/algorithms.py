@@ -53,6 +53,7 @@ __all__ = [
     "sliding_run",
     "rles_direction",
     "rles_run",
+    "reads_seed",
 ]
 
 SCHEDULES = ("randomized", "deterministic")
@@ -537,3 +538,14 @@ def rles_run(problem: SaddleProblem, gossip: GossipMatrix,
 
     return _drive(problem, gossip, z0, counters, step, recorder=recorder,
                   config=config, reference=reference)
+
+
+def reads_seed(name: str, schedule: str) -> bool:
+    """Whether a run of method `name` depends on `AlgorithmConfig.seed`.
+
+    Only rles's coin stream draws from the seed, and only under the
+    randomized schedule.  Extragradient, sliding and deterministic rles
+    give the same run for every seed, so the harness runs one cell for
+    all the seeds of such a method.
+    """
+    return name == "rles" and schedule == "randomized"

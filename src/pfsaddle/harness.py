@@ -2,7 +2,8 @@
 
 A single JSON config describes one experiment: a topology, a problem
 family, a grid of penalty weights, one or more algorithm entries, and a
-list of seeds.  `run` executes the full (algorithm x lambda x seed) grid,
+list of seeds.  `run` covers the full (algorithm x lambda x seed) grid,
+running a method that reads no seed once per (algorithm, lambda), and
 writes one trajectory CSV per cell plus a summary CSV, and a manifest
 that embeds the normalized config so any run can be replayed bit-exactly
 (pass the manifest itself back to `run`).
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -34,6 +36,7 @@ from .algorithms import (
     baseline_run,
     params_rles,
     params_sliding,
+    reads_seed,
     rles_run,
     sliding_run,
 )
@@ -564,13 +567,24 @@ def prepare(config: ExperimentConfig):
     return problem, gossip, cells
 
 
+def _cell_id(entry: dict, lam_index: int, alg_config: AlgorithmConfig) -> str:
+    return f"{entry['label']}__{_lam_token(lam_index, alg_config.lam)}__seed{alg_config.seed}"
+
+
+def _run_key(cell: tuple) -> tuple:
+    """Cells of one key run alike: the seed is part of it only if read."""
+    entry, lam_index, alg_config = cell
+    read = reads_seed(entry["name"], alg_config.schedule)
+    return entry["label"], lam_index, alg_config.seed if read else None
+
+
 def _execute_cell(problem: SaddleProblem, gossip: GossipMatrix,
                   config: ExperimentConfig, references: list, out: Path,
                   cell: tuple) -> dict:
     """Run one prepared grid cell; meant to be callable in a worker process."""
     entry, lam_index, alg_config = cell
     lam, seed = alg_config.lam, alg_config.seed
-    cell_id = f"{entry['label']}__{_lam_token(lam_index, lam)}__seed{seed}"
+    cell_id = _cell_id(*cell)
     reference = references[lam_index]
     recorder = RunRecorder(
         problem, gossip, lam, reference=reference,
@@ -628,6 +642,20 @@ def _execute_cell(problem: SaddleProblem, gossip: GossipMatrix,
     }
 
 
+def _as_cell(outcome: dict, cell: tuple, out: Path) -> dict:
+    """`outcome` of a cell of `cell`'s key, filed under `cell`'s seed."""
+    cell_id = _cell_id(*cell)
+    if cell_id == outcome["cell_id"]:
+        return outcome
+    seed = cell[2].seed
+    csv_file = outcome["csv"] and f"runs/{cell_id}.csv"
+    if csv_file:
+        shutil.copyfile(out / outcome["csv"], out / csv_file)
+    return {**outcome, "cell_id": cell_id, "csv": csv_file,
+            "summary": {**outcome["summary"], "seed": seed},
+            "resolved": {**outcome["resolved"], "seed": seed}}
+
+
 def resolve_output_dir(config: ExperimentConfig, override: str | None = None) -> Path:
     """CLI flag beats the environment variable beats the config value."""
     if override:
@@ -636,6 +664,14 @@ def resolve_output_dir(config: ExperimentConfig, override: str | None = None) ->
     if env:
         return Path(env)
     return Path(config.output_dir)
+
+
+def _check_replaceable(out: Path):
+    """Refuse an output directory that is neither absent, empty nor a bundle."""
+    if out.exists() and not (out / "manifest.json").is_file() and (
+            not out.is_dir() or any(out.iterdir())):
+        raise ConfigError(f"output directory {out} exists and holds no "
+                          f"manifest.json; refusing to replace it")
 
 
 def run(config: ExperimentConfig, jobs: int = 1,
@@ -649,8 +685,17 @@ def run(config: ExperimentConfig, jobs: int = 1,
     that fails its certificate leaves no output behind.  Any exception
     raised inside a cell is recorded in the manifest as that cell's
     failure, with its type and message, and does not abort the other cells.
+
+    A method that reads no seed (`reads_seed`) runs once per (algorithm,
+    lambda); its outcome is filed under every seed of the grid.  The
+    bundle is written into a hidden sibling directory and renamed into
+    place once complete, replacing a previous bundle, so an interrupted
+    run leaves nothing behind and a rerun no file of the last one.  An
+    output directory that exists, is not empty and holds no manifest.json
+    is refused with a ConfigError before anything runs.
     """
     out = resolve_output_dir(config, output_dir)
+    _check_replaceable(out)
     problem, gossip, cells = prepare(config)
     need_ref = _reference_needed(config, problem)
     references = [
@@ -659,14 +704,39 @@ def run(config: ExperimentConfig, jobs: int = 1,
         for lam in config.lambda_grid
     ]
 
-    (out / "runs").mkdir(parents=True, exist_ok=True)
+    target = Path(os.path.abspath(out))  # "." has no name to put siblings by
+    target.parent.mkdir(parents=True, exist_ok=True)
+    partial_dir = target.with_name(f".{target.name}.partial-{os.getpid()}")
+    previous = target.with_name(f".{target.name}.previous-{os.getpid()}")
+    (partial_dir / "runs").mkdir(parents=True)
+    try:
+        manifest, failures = _write_bundle(config, problem, gossip, references,
+                                           cells, jobs, partial_dir)
+        if target.exists():  # a previous bundle, or an empty directory
+            target.rename(previous)
+        partial_dir.rename(target)
+        shutil.rmtree(previous, ignore_errors=True)
+    finally:
+        shutil.rmtree(partial_dir, ignore_errors=True)
+    return ResultBundle(output_dir=out, manifest=manifest, failures=failures)
 
+
+def _write_bundle(config: ExperimentConfig, problem: SaddleProblem,
+                  gossip: GossipMatrix, references: list, cells: list,
+                  jobs: int, out: Path) -> tuple[dict, list]:
+    """Run one cell per `_run_key` and write the grid's bundle under `out`;
+    returns the manifest and the failed cell ids."""
+    firsts: dict = {}
+    for cell in cells:
+        firsts.setdefault(_run_key(cell), cell)
     execute = partial(_execute_cell, problem, gossip, config, references, out)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(execute, cells))
+            ran = list(pool.map(execute, firsts.values()))
     else:
-        outcomes = [execute(cell) for cell in cells]
+        ran = [execute(cell) for cell in firsts.values()]
+    by_key = dict(zip(firsts, ran))
+    outcomes = [_as_cell(by_key[_run_key(cell)], cell, out) for cell in cells]
 
     summary_rows = [
         [outcome["summary"][col] for col in SUMMARY_COLUMNS]
@@ -698,7 +768,7 @@ def run(config: ExperimentConfig, jobs: int = 1,
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return ResultBundle(output_dir=out, manifest=manifest, failures=failures)
+    return manifest, failures
 
 
 # --------------------------------------------------------------------------

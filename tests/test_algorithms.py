@@ -13,6 +13,7 @@ from pfsaddle.algorithms import (
     extragradient_run,
     params_rles,
     params_sliding,
+    reads_seed,
     rles_direction,
     rles_outer_step,
     rles_run,
@@ -712,6 +713,28 @@ def test_rles_diverges_with_huge_step():
 # --------------------------------------------------------------------------
 # the driver loop: distance stop and recorder
 # --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, schedule", [
+    ("extragradient", "randomized"), ("sliding", "randomized"),
+    ("rles", "deterministic"), ("rles", "randomized"),
+])
+def test_reads_seed_is_true_exactly_for_runs_that_differ_by_seed(name, schedule):
+    # the harness runs one cell for every seed of a method this rule calls
+    # seed-free, so a method that starts drawing from the seed must fail here
+    problem, gossip, lam = rles_fixture()
+    runner = {"extragradient": baseline_run, "sliding": sliding_run,
+              "rles": rles_run}[name]
+
+    def rows(seed):
+        config = AlgorithmConfig(gamma=0.01, lam=lam, inner_t=3, p_comm=0.25,
+                                 schedule=schedule, seed=seed,
+                                 target_value=60, max_outer=60)
+        recorder = RunRecorder(problem, gossip, lam)
+        runner(problem, gossip, config, recorder=recorder)
+        return list(recorder.record.rows())
+
+    assert (rows(0) == rows(1)) is not reads_seed(name, schedule)
 
 
 @pytest.mark.parametrize("method", ["extragradient", "sliding", "rles"])

@@ -9,20 +9,26 @@ import pytest
 
 import pfsaddle.gossip
 import pfsaddle.harness
+from pfsaddle.algorithms import baseline_run
 from pfsaddle.cli import main
 from pfsaddle.errors import ConfigError
 from pfsaddle.harness import (
     SUMMARY_COLUMNS,
+    _execute_cell,
     _lam_token,
+    _reference_needed,
+    _write_rows_csv,
     build_problem,
     config_to_dict,
     emit_plot_data,
     load_config,
     parse_config,
+    prepare,
     resolve_output_dir,
     run,
     serialize_config,
 )
+from pfsaddle.problems import reference_solution
 
 
 def minimal_raw(**extra):
@@ -244,6 +250,23 @@ ROBUST_ON_BALLS = {"family": "robust_regression", "dim": 2, "num_samples": 10,
                    "radius_x": 1.0, "radius_y": 1.0}
 
 
+def cell_by_cell(config, out: Path) -> tuple[dict, dict]:
+    """(files but the manifest, manifest cells) of `config`'s bundle with
+    `_execute_cell` run on every cell of `prepare`, none shared by seeds."""
+    problem, gossip, cells = prepare(config)
+    references = [reference_solution(problem, gossip, lam, tol=config.reference_tol)
+                  if _reference_needed(config, problem) else None
+                  for lam in config.lambda_grid]
+    (out / "runs").mkdir(parents=True)
+    outcomes = [_execute_cell(problem, gossip, config, references, out, cell)
+                for cell in cells]
+    _write_rows_csv(out / "summary.csv", SUMMARY_COLUMNS,
+                    [[o["summary"][col] for col in SUMMARY_COLUMNS] for o in outcomes])
+    return read_bytes_map(out), {
+        o["cell_id"]: {key: o[key] for key in ("status", "error", "csv", "resolved")}
+        for o in outcomes}
+
+
 @pytest.mark.parametrize("extra, jobs", [
     ({}, 3),
     # workers get the problem pickled: the rebuilt robust groups, clipping
@@ -251,12 +274,96 @@ ROBUST_ON_BALLS = {"family": "robust_regression", "dim": 2, "num_samples": 10,
     ({"problem": ROBUST_ON_BALLS, "topology": {"kind": "ring", "num_nodes": 4},
       "algorithms": [{"name": "sliding"}, {"name": "rles"}], "lambda_grid": [1.0],
       "metrics": {"gap_every": 10, "final_gap": True}}, 2),
-], ids=["quadratic", "robust-regression-on-balls"])
+    # seed-free cells run once and are filed under every seed; randomized
+    # rles runs per seed
+    ({"algorithms": [{"name": "extragradient"}, {"name": "sliding"},
+                     {"name": "rles"}, {"name": "rles", "schedule": "deterministic"}],
+      "seeds": [0, 1, 2]}, 2),
+], ids=["quadratic", "robust-regression-on-balls", "seed-free-and-seeded"])
 def test_parallel_run_matches_serial(tmp_path, extra, jobs):
     config = parse_config(small_grid_raw("unused", **extra))
     run(config, jobs=1, output_dir=str(tmp_path / "a"))
     run(config, jobs=jobs, output_dir=str(tmp_path / "b"))
-    assert read_bytes_map(tmp_path / "a") == read_bytes_map(tmp_path / "b")
+    bundle = read_bytes_map(tmp_path / "a")
+    assert bundle == read_bytes_map(tmp_path / "b")
+    files, cells = cell_by_cell(config, tmp_path / "c")
+    assert json.loads(bundle.pop("manifest.json"))["cells"] == cells
+    assert bundle == files
+
+
+def test_seed_free_cells_run_once_per_lambda(tmp_path, monkeypatch):
+    seeds = []
+
+    def counted(problem, gossip, config, **kwargs):
+        seeds.append(config.seed)
+        return baseline_run(problem, gossip, config, **kwargs)
+
+    monkeypatch.setattr(pfsaddle.harness, "baseline_run", counted)
+    out = tmp_path / "out"
+    bundle = run(parse_config(minimal_raw(lambda_grid=[0.5, 2.0], seeds=[3, 1, 2],
+                                          output_dir=str(out))))
+    assert seeds == [3, 3]
+    cells = bundle.manifest["cells"]
+    assert len(cells) == 6 and not bundle.failed
+    for cell_id, cell in cells.items():
+        assert cell["resolved"]["seed"] == int(cell_id.rsplit("seed", 1)[1])
+        first = cell_id.rsplit("seed", 1)[0] + "seed3"
+        assert (out / cell["csv"]).read_bytes() == (out / cells[first]["csv"]).read_bytes()
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[SUMMARY_COLUMNS.index("seed")] for row in rows] == ["3", "1", "2"] * 2
+
+
+@pytest.mark.parametrize("previous", [False, True], ids=["fresh", "over-a-bundle"])
+def test_interrupted_run_leaves_nothing_behind(tmp_path, monkeypatch, previous):
+    out = tmp_path / "out"
+    config = parse_config(small_grid_raw(out))
+    if previous:
+        run(config)
+    before = read_bytes_map(tmp_path)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    # the extragradient cells have written their CSVs when sliding's first runs
+    monkeypatch.setattr(pfsaddle.harness, "sliding_run", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(config)
+    assert [p.name for p in tmp_path.iterdir()] == (["out"] if previous else [])
+    assert read_bytes_map(tmp_path) == before
+
+
+def test_rerun_with_fewer_seeds_leaves_no_stale_file(tmp_path):
+    out = tmp_path / "out"
+    run(parse_config(small_grid_raw(out, seeds=[0, 1])))
+    bundle = run(parse_config(small_grid_raw(out, seeds=[0])))
+    listed = {cell["csv"] for cell in bundle.manifest["cells"].values()}
+    assert {f"runs/{p.name}" for p in (out / "runs").iterdir()} == listed
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_run_replaces_only_a_bundle_or_an_empty_directory(tmp_path, capsys, monkeypatch):
+    prepared = []
+
+    def counted(config):
+        prepared.append(config)
+        return prepare(config)
+
+    monkeypatch.setattr(pfsaddle.harness, "prepare", counted)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("not a bundle")
+    (tmp_path / "file").write_text("not a directory")
+    for target in (out, tmp_path / "file"):
+        path = write_config(tmp_path, minimal_raw(output_dir=str(target)))
+        assert main(["run", path]) == 1
+        assert "refusing to replace it" in capsys.readouterr().err
+    assert not prepared
+    assert read_bytes_map(out) == {"notes.txt": b"not a bundle"}
+    assert (tmp_path / "file").read_text() == "not a directory"
+    (out / "notes.txt").unlink()
+    path = write_config(tmp_path, minimal_raw(output_dir=str(out)))
+    assert main(["run", path]) == 0
+    assert (out / "manifest.json").is_file() and len(prepared) == 1
 
 
 def test_manifest_replay_reproduces_the_bundle(tmp_path):
