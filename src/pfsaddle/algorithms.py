@@ -20,10 +20,11 @@ randomized local extra step (rles)
     coins.
 
 Every step is a projected z - gamma * F on the joined iterate z = [x | y],
-with the saddle operator F(z) = problem.operator(z) + lam * (W @ z).
+with the saddle operator F(z) = problem.operator(z) + gossip.penalty(lam, z).
 
-Communication is counted structurally: every penalty-gradient evaluation is
-one gossip round even when the penalty weight is zero.
+Costs are counted by those two oracles, which tick the run's Counters they
+are given: every gossip product is one round even when the penalty weight is
+zero, and every operator evaluation is one local gradient batch.
 """
 
 from __future__ import annotations
@@ -324,9 +325,7 @@ def _extragradient(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     z0, counters = _join(_resolve_start(problem, gossip, lam, start)), Counters()
 
     def toward(base: np.ndarray, at: np.ndarray) -> np.ndarray:
-        full = problem.operator(at) + lam * (gossip.w @ at)
-        counters.add_comm()
-        counters.add_grad()
+        full = problem.operator(at, counters) + gossip.penalty(lam, at, counters)
         return problem.domain.project_z(base - gamma * full)
 
     def step(z: np.ndarray, k: int):
@@ -398,10 +397,8 @@ def solve_prox(problem: SaddleProblem, v: np.ndarray, start: np.ndarray,
     project, operator = problem.domain.project_z, problem.operator
     u = project(start)
     for _ in range(inner_t):
-        half = project(u - eta * (gamma * operator(u) + (u - v)))
-        u = project(u - eta * (gamma * operator(half) + (half - v)))
-    if counters is not None:
-        counters.add_grad(2 * inner_t)
+        half = project(u - eta * (gamma * operator(u, counters) + (u - v)))
+        u = project(u - eta * (gamma * operator(half, counters) + (half - v)))
     return u
 
 
@@ -415,11 +412,9 @@ def sliding_outer_step(problem: SaddleProblem, gossip: GossipMatrix,
     correction step, so the network is touched only for them and at u.
     """
     gamma = config.gamma
-    pg_z = config.lam * (gossip.w @ z)
-    counters.add_comm()
+    pg_z = gossip.penalty(config.lam, z, counters)
     u = solve_prox(problem, z - gamma * pg_z, z, gamma, config.inner_t, counters)
-    pg_u = config.lam * (gossip.w @ u)
-    counters.add_comm()
+    pg_u = gossip.penalty(config.lam, u, counters)
     return problem.domain.project_z(u + gamma * (pg_z - pg_u)), u
 
 
@@ -457,14 +452,16 @@ def sliding_run(problem: SaddleProblem, gossip: GossipMatrix,
 # --------------------------------------------------------------------------
 
 
-def _rles_direction(problem: SaddleProblem, w: np.ndarray, lam: float,
+def _rles_direction(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
                     p_comm: float, point: np.ndarray, anchor_grad: np.ndarray,
-                    anchor_penalty: np.ndarray, comm_branch: bool) -> np.ndarray:
-    """Array form of `rles_direction` on joined iterates, in operator sign."""
+                    anchor_penalty: np.ndarray, comm_branch: bool,
+                    counters: Counters | None = None) -> np.ndarray:
+    """Array form of `rles_direction` on joined iterates, in operator sign;
+    the oracle of the branch taken ticks `counters` if given."""
     if comm_branch:
-        fresh, base, scale = lam * (w @ point), anchor_penalty, 1.0 / p_comm
+        fresh, base, scale = gossip.penalty(lam, point, counters), anchor_penalty, 1.0 / p_comm
     else:
-        fresh = problem.operator(point)
+        fresh = problem.operator(point, counters)
         base, scale = anchor_grad, 1.0 / (1.0 - p_comm)
     return (fresh - base) * scale + (anchor_grad + anchor_penalty)
 
@@ -482,13 +479,13 @@ def rles_direction(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     exactly.  Callers tick the matching counter.
     """
     _check_penalty_args(gossip, lam, point)
-    d = _rles_direction(problem, gossip.w, lam, p_comm, _join(point),
+    d = _rles_direction(problem, gossip, lam, p_comm, _join(point),
                         np.hstack((anchor_grad.x, -anchor_grad.y)),
                         np.hstack((anchor_penalty.x, -anchor_penalty.y)), comm_branch)
     return StackedPoint(d[:, :problem.n_x], -d[:, problem.n_x:])
 
 
-def rles_outer_step(problem: SaddleProblem, w: np.ndarray, config: AlgorithmConfig,
+def rles_outer_step(problem: SaddleProblem, gossip: GossipMatrix, config: AlgorithmConfig,
                     z: np.ndarray, anchor: tuple, k: int, rng,
                     counters: Counters) -> tuple[np.ndarray, tuple]:
     """One rles iteration: mix, extrapolate from the anchor, corrected step.
@@ -508,16 +505,11 @@ def rles_outer_step(problem: SaddleProblem, w: np.ndarray, config: AlgorithmConf
     xbar = z * float(1.0 - p) + u * float(p)
     z_half = project(xbar - config.gamma * (grad_u + pg_u))
     comm_branch = coin()
-    d = _rles_direction(problem, w, config.lam, p, z_half, grad_u, pg_u, comm_branch)
-    if comm_branch:
-        counters.add_comm()
-    else:
-        counters.add_grad()
+    d = _rles_direction(problem, gossip, config.lam, p, z_half, grad_u, pg_u,
+                        comm_branch, counters)
     z = project(xbar - config.gamma * d)
     if coin():
-        anchor = (z, problem.operator(z), config.lam * (w @ z))
-        counters.add_grad()
-        counters.add_comm()
+        anchor = (z, problem.operator(z, counters), gossip.penalty(config.lam, z, counters))
     return z, anchor
 
 
@@ -526,14 +518,13 @@ def rles_run(problem: SaddleProblem, gossip: GossipMatrix,
              recorder: RunRecorder | None = None,
              start: StackedPoint | None = None) -> RunResult:
     """Run rles until its stop target or max_outer; reports the last iterate."""
-    z0 = _join(_resolve_start(problem, gossip, config.lam, start))
-    anchor = (z0, problem.operator(z0), config.lam * (gossip.w @ z0))
-    counters = Counters(comm_rounds=1, local_grad_batches=1)
+    z0, counters = _join(_resolve_start(problem, gossip, config.lam, start)), Counters()
+    anchor = (z0, problem.operator(z0, counters), gossip.penalty(config.lam, z0, counters))
     rng = Xoshiro256StarStar(derive_seed(config.seed, "rles-coins"))
 
     def step(z: np.ndarray, k: int):
         nonlocal anchor
-        z, anchor = rles_outer_step(problem, gossip.w, config, z, anchor, k, rng, counters)
+        z, anchor = rles_outer_step(problem, gossip, config, z, anchor, k, rng, counters)
         return z, z
 
     return _drive(problem, gossip, z0, counters, step, recorder=recorder,

@@ -4,8 +4,8 @@ A gossip matrix W here is the graph Laplacian of a connected undirected
 graph (or a positive multiple of it): symmetric, positive semidefinite,
 with kernel spanned by the constant vector and sparsity confined to graph
 edges.  Multiplying a stacked iterate by W is the one primitive that costs
-a communication round; solvers count those rounds, this module only
-provides the linear algebra.
+a communication round: `GossipMatrix.penalty` is that product, and it ticks
+the round on the Counters a solver hands it.
 """
 
 from __future__ import annotations
@@ -163,6 +163,12 @@ class GossipMatrix(_ReadOnlyArrays):
             edges = {(min(i, j), max(i, j)) for i, j in nz if i != j}
         return cls(w, _lambda_max(w), frozenset(edges))
 
+    def penalty(self, lam: float, z: np.ndarray, counters=None) -> np.ndarray:
+        """The gossip product lam * (W @ z), unchecked: one round, ticked on `counters`."""
+        if counters is not None:
+            counters.add_comm()
+        return lam * (self.w @ z)
+
 
 def _check_symmetric(w: np.ndarray) -> None:
     """Square and symmetric to 1e-12 relative to the largest entry."""
@@ -183,10 +189,9 @@ def laplacian(topology: Topology) -> GossipMatrix:
     m = topology.num_nodes
     pairs = topology.edges()
     w = np.zeros((m, m))
-    for i, j in pairs:
-        w[i, j] = w[j, i] = -1.0
-        w[i, i] += 1.0
-        w[j, j] += 1.0
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    w[i, j] = w[j, i] = -1.0
+    np.fill_diagonal(w, np.count_nonzero(w, axis=1))  # the degrees
     return GossipMatrix(w, _lambda_max(w), frozenset(pairs))
 
 
@@ -301,5 +306,5 @@ def penalty_grad(g: GossipMatrix, lam: float, p: StackedPoint) -> StackedPoint:
     gossip communication round; callers account for it.
     """
     _check_penalty_args(g, lam, p)
-    product = lam * (g.w @ _join(p))
+    product = g.penalty(lam, _join(p))
     return StackedPoint(product[:, :p.x.shape[1]], -product[:, p.x.shape[1]:])

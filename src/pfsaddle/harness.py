@@ -619,11 +619,10 @@ def _execute_cell(problem: SaddleProblem, gossip: GossipMatrix,
             "final_consensus_x": record.consensus_x[-1],
             "final_consensus_y": record.consensus_y[-1],
         })
-        if config.final_gap:
-            summary["final_gap"] = restricted_gap(
-                problem, gossip, lam, result.output,
-                inner_tol=config.gap_inner_tol,
-            )
+        if config.final_gap:  # the recorder may have measured the last point already
+            summary["final_gap"] = record.gap[-1] if record.gap[-1] is not None else (
+                restricted_gap(problem, gossip, lam, result.output,
+                               inner_tol=config.gap_inner_tol))
     except Exception as exc:  # any failure inside a cell is recorded, not raised
         status = "failed"
         error = f"{type(exc).__name__}: {exc}"
@@ -808,10 +807,11 @@ def emit_plot_data(bundle_dir, quantity: str, x_axis: str,
                    output_dir=None) -> list[Path]:
     """Write two-column plot files for every run in a bundle.
 
-    One file per run CSV, plus one seed-median curve per (algorithm,
-    lambda) group when a group has more than one seed.  Median curves are
-    pointwise over the row index, truncated to the shortest run in the
-    group; both columns are medians.  Returns the written paths.
+    One file per run CSV, plus one seed-median curve per (algorithm, lambda)
+    group of two or more seeds whose method `reads_seed` (the seeds of other
+    methods are copies of one run).  Median curves are pointwise over the row
+    index, truncated to the shortest run in the group; both columns are
+    medians.  Returns the written paths.
     """
     if quantity not in _PLOT_QUANTITIES:
         raise ConfigError(f"quantity must be one of {_PLOT_QUANTITIES}")
@@ -828,6 +828,7 @@ def emit_plot_data(bundle_dir, quantity: str, x_axis: str,
 
     written = []
     groups: dict[tuple, list] = {}
+    names = {entry["label"]: entry["name"] for entry in manifest["config"]["algorithms"]}
     for cell_id, cell in sorted(manifest["cells"].items()):
         if cell["status"] != "ok" or not cell["csv"]:
             continue
@@ -844,7 +845,8 @@ def emit_plot_data(bundle_dir, quantity: str, x_axis: str,
         _write_plot_file(path, x_axis, quantity, xs, ys, cell["csv"])
         written.append(path)
         label, lam_token, _ = cell_id.rsplit("__", 2)
-        groups.setdefault((label, lam_token), []).append((xs, ys))
+        if reads_seed(names[label], cell["resolved"]["schedule"]):
+            groups.setdefault((label, lam_token), []).append((xs, ys))
 
     for (label, lam_token), curves in sorted(groups.items()):
         if len(curves) < 2:

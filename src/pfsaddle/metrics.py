@@ -2,10 +2,11 @@
 
 Communication is counted in gossip rounds: one multiplication of a stacked
 block pair by W.  Local work is counted in gradient batches: one evaluation
-of every node's local gradient pair.  Solvers tick these counters at each
-oracle call site; the measures below (distance, restricted gap, consensus
-residuals, penalty value) are metrology and cost nothing.  Each has one
-array body, shared by the recorder, the distance stop and the public edge.
+of every node's local gradient pair.  The oracles `GossipMatrix.penalty` and
+`SaddleProblem.operator` tick the Counters a solver hands them; the measures
+below (distance, restricted gap, consensus residuals, penalty value) hand
+none and cost nothing.  Each has one array body, shared by the recorder, the
+distance stop and the public edge.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import ConvergenceError, InvalidValueError, ShapeError
 from .gossip import GossipMatrix, _penalty_value, penalty_value
 from .problems import SaddleProblem
-from .stacked import StackedPoint, _check_like, _join, _split, _sum_sq
+from .stacked import StackedPoint, _check_like, _join, _project_rows, _split, _sum_sq
 
 CSV_COLUMNS = (
     "k",
@@ -156,15 +157,17 @@ def _inner_ball_opt(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
                     inner_tol: float, max_iter: int) -> np.ndarray:
     """The free block that maximizes (over y) or minimizes (over x) the full
     objective with the other block frozen, by projected steps z - step * F(z)
-    on the free columns of the projected joined iterate z."""
-    project, w = problem.domain.project_z, gossip.w
-    free = slice(problem.n_x, None) if which == "y" else slice(0, problem.n_x)
+    on the free columns of a copy of the projected joined iterate z; the
+    frozen block is already projected, so only the free one is."""
+    domain, z = problem.domain, z.copy()
+    free, center, radius = ((slice(problem.n_x, None), domain.center_y, domain.radius_y)
+                            if which == "y" else
+                            (slice(0, problem.n_x), domain.center_x, domain.radius_x))
     for _ in range(max_iter):
-        candidate = z.copy()
-        candidate[:, free] -= step * (problem.operator(z) + lam * (w @ z))[:, free]
-        candidate = project(candidate)
-        moved = _sum_sq(candidate[:, free] - z[:, free])
-        z = candidate
+        full = problem.operator(z) + gossip.penalty(lam, z)
+        block = _project_rows(z[:, free] - step * full[:, free], center, radius)
+        moved = _sum_sq(block - z[:, free])
+        z[:, free] = block
         if math.sqrt(moved) / step <= inner_tol:
             return z[:, free]
     raise ConvergenceError(

@@ -44,16 +44,22 @@ __all__ = [
 
 
 def _sym_psd_stack(mats, name: str, tol: float = 1e-10) -> np.ndarray:
+    """A symmetrized copy of a stack of symmetric PSD matrices; all nodes are
+    checked for symmetry before PSD-ness, and an error names the first bad node."""
     arr = np.array(mats, dtype=float, copy=True)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ShapeError(f"{name} must have shape (M, d, d), got {arr.shape}")
-    for m in range(arr.shape[0]):
-        if float(np.max(np.abs(arr[m] - arr[m].T))) > tol * max(1.0, float(np.max(np.abs(arr[m])))):
-            raise InvalidValueError(f"{name}[{m}] is not symmetric")
-        arr[m] = 0.5 * (arr[m] + arr[m].T)
-        smallest = float(np.linalg.eigvalsh(arr[m])[0])
-        if smallest < -1e-10:
-            raise InvalidValueError(f"{name}[{m}] is not PSD (eigenvalue {smallest:.3e})")
+    arr_t = arr.transpose(0, 2, 1)
+    size = np.maximum(1.0, np.abs(arr).max(axis=(1, 2), initial=0.0))
+    bad = np.flatnonzero(np.abs(arr - arr_t).max(axis=(1, 2), initial=0.0) > tol * size)
+    if bad.size:
+        raise InvalidValueError(f"{name}[{bad[0]}] is not symmetric")
+    arr = 0.5 * (arr + arr_t)
+    smallest = np.linalg.eigvalsh(arr)[:, 0]
+    bad = np.flatnonzero(smallest < -1e-10)
+    if bad.size:
+        raise InvalidValueError(
+            f"{name}[{bad[0]}] is not PSD (eigenvalue {smallest[bad[0]]:.3e})")
     arr.setflags(write=False)
     return arr
 
@@ -275,9 +281,11 @@ class SaddleProblem:
         f = self.operator(_join(p))
         return StackedPoint(f[:, :self.n_x], -f[:, self.n_x:])
 
-    def operator(self, z: np.ndarray) -> np.ndarray:
+    def operator(self, z: np.ndarray, counters=None) -> np.ndarray:
         """The saddle operator (d f/d x, -d f/d y) on a joined iterate
-        z = [x | y], unchecked: one batch."""
+        z = [x | y], unchecked: one batch, ticked on `counters` when given."""
+        if counters is not None:
+            counters.add_grad()
         if isinstance(self.spec, QuadraticSaddleSpec):
             return (self.spec._k @ z[:, :, None])[:, :, 0] + self.spec._c
         return _robust_operator(self.spec, z)
@@ -300,22 +308,12 @@ def grad_full(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
 
 
 def _quadratic_constants(spec: QuadraticSaddleSpec) -> tuple[float, float]:
-    smoothness = 0.0
-    strong = math.inf
-    for m in range(spec.num_nodes):
-        pm, qm, am = spec.p[m], spec.q[m], spec.coupling[m]
-        plus = np.block([[pm, am], [am.T, qm]])
-        minus = np.block([[pm, am], [am.T, -qm]])
-        spectral = max(
-            float(np.max(np.abs(np.linalg.eigvalsh(plus)))),
-            float(np.max(np.abs(np.linalg.eigvalsh(minus)))),
-        )
-        smoothness = max(smoothness, spectral)
-        strong = min(
-            strong,
-            float(np.linalg.eigvalsh(pm)[0]),
-            float(np.linalg.eigvalsh(qm)[0]),
-        )
+    p, q, a = spec.p, spec.q, spec.coupling
+    a_t = a.transpose(0, 2, 1)
+    # both sign variants of the Hessian block matrix, each one call over all nodes
+    spectra = (np.abs(np.linalg.eigvalsh(np.block([[p, a], [a_t, s]]))) for s in (q, -q))
+    smoothness = max(float(e.max(initial=0.0)) for e in spectra)
+    strong = min(float(np.linalg.eigvalsh(s)[:, 0].min(initial=math.inf)) for s in (p, q))
     return smoothness, max(strong, 0.0)
 
 
@@ -393,7 +391,7 @@ def reference_solution(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     if mu > 0.0:
         z = _join(point)
         stepped = problem.domain.project_z(
-            z - gamma * (problem.operator(z) + lam * (gossip.w @ z)))
+            z - gamma * (problem.operator(z) + gossip.penalty(lam, z)))
         bound_sq = ((1.0 + gamma * lipschitz) / (gamma * mu)) ** 2 * _sum_sq(z - stepped)
         if bound_sq > 1e-12:
             raise ConvergenceError(

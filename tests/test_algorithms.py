@@ -655,7 +655,7 @@ def test_rles_run_matches_manual_randomized_step_sequence():
     counters = Counters(comm_rounds=1, local_grad_batches=1)
     rng = Xoshiro256StarStar(derive_seed(config.seed, "rles-coins"))
     for k in range(60):
-        z, anchor = rles_outer_step(problem, gossip.w, config, z, anchor, k, rng,
+        z, anchor = rles_outer_step(problem, gossip, config, z, anchor, k, rng,
                                     counters)
     last = _split(z, problem.n_x)
     assert np.array_equal(res.last.x, last.x)
@@ -684,6 +684,49 @@ def test_drivers_call_the_steps_by_their_module_names(monkeypatch):
     rles_run(problem, gossip, AlgorithmConfig(gamma=0.01, lam=lam, p_comm=0.3,
                                               **iterations))
     assert calls["rles_outer_step"] == 7
+
+
+class _CountingW(np.ndarray):
+    """A gossip matrix that counts the products taken with it."""
+
+    def __matmul__(self, other):
+        self.products += 1
+        return np.matmul(self.view(np.ndarray), other)
+
+
+@pytest.mark.parametrize("runner, extra", [
+    (baseline_run, {}),
+    (sliding_run, {"inner_t": 3}),
+    (rles_run, {"p_comm": 0.3}),
+    (rles_run, {"p_comm": 0.3, "schedule": "deterministic"}),
+], ids=["extragradient", "sliding", "rles-randomized", "rles-deterministic"])
+def test_counters_equal_the_oracle_evaluations_made(monkeypatch, runner, extra):
+    # counted from outside: every W product is one gossip round and every
+    # operator call one local batch; metrology (a recorder with gaps and
+    # distances) adds evaluations but never ticks
+    lam = 0.5
+    spec = random_quadratic(4, 2, 2, mu=1.0, smoothness=10.0, seed=9)
+    problem = SaddleProblem.from_spec(spec, BallDomain(1.0, 1.0, n_x=2, n_y=2))
+    gossip = ring_gossip(4)
+    reference = reference_solution(problem, gossip, lam)
+    object.__setattr__(gossip, "w", gossip.w.view(_CountingW))
+    batches = []
+    operator = SaddleProblem.operator
+
+    def counted(self, *args, **kwargs):
+        batches.append(1)
+        return operator(self, *args, **kwargs)
+
+    monkeypatch.setattr(SaddleProblem, "operator", counted)
+    config = AlgorithmConfig(gamma=0.01, lam=lam, target_kind="iterations",
+                             target_value=30, max_outer=30, **extra)
+    gossip.w.products = 0
+    plain = runner(problem, gossip, config).counters
+    assert plain.comm_rounds == gossip.w.products > 0
+    assert plain.local_grad_batches == len(batches) > 0
+    recorder = RunRecorder(problem, gossip, lam, reference=reference, gap_every=10)
+    assert runner(problem, gossip, config, recorder=recorder).counters == plain
+    assert recorder.record.gap[-1] is not None
 
 
 def test_baseline_iterations_target_matches_fixed_length_extragradient():

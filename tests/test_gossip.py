@@ -117,6 +117,18 @@ def test_degrees_on_diagonal():
     assert all(g.w[i, i] == 1.0 for i in range(1, 6))
 
 
+@pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+def test_laplacian_equals_the_edge_by_edge_build(kind):
+    for m in (2, 3, 9, 40):
+        topology = Topology(kind, m)
+        want = np.zeros((m, m))
+        for i, j in topology.edges():
+            want[i, j] = want[j, i] = -1.0
+            want[i, i] += 1.0
+            want[j, j] += 1.0
+        assert laplacian(topology).w.tobytes() == want.tobytes()
+
+
 def test_validate_all_kinds_all_sizes():
     for kind in TOPOLOGY_KINDS:
         for m in range(2, 17):

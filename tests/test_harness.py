@@ -9,6 +9,7 @@ import pytest
 
 import pfsaddle.gossip
 import pfsaddle.harness
+import pfsaddle.metrics
 from pfsaddle.algorithms import baseline_run
 from pfsaddle.cli import main
 from pfsaddle.errors import ConfigError
@@ -553,6 +554,32 @@ def test_final_gap_column_populated_on_request(tmp_path):
     float(gap)
 
 
+@pytest.mark.parametrize("gap_every, solves", [(10, 5), (15, 4), (0, 1)])
+def test_final_gap_reuses_a_gap_recorded_at_the_last_iteration(tmp_path, monkeypatch,
+                                                               gap_every, solves):
+    # 40 iterations: gap_every 10 records k = 0, 10, .., 40, so the final gap
+    # is read from the record; gap_every 15 stops recording at k = 30
+    calls = []
+    restricted_gap = pfsaddle.metrics.restricted_gap
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return restricted_gap(*args, **kwargs)
+
+    for module in (pfsaddle.metrics, pfsaddle.harness):
+        monkeypatch.setattr(module, "restricted_gap", counted)
+    out = tmp_path / "out"
+    bundle = run(parse_config(minimal_raw(
+        metrics={"gap_every": gap_every, "final_gap": True}, output_dir=str(out))))
+    assert len(calls) == solves
+    (cell,) = bundle.manifest["cells"].values()
+    last_gap = (out / cell["csv"]).read_text().splitlines()[-1].split(",")[4]
+    final_gap = (out / "summary.csv").read_text().splitlines()[1].split(",")[
+        SUMMARY_COLUMNS.index("final_gap")]
+    assert final_gap != ""
+    assert (final_gap == last_gap) == (gap_every == 10)
+
+
 # --------------------------------------------------------------------------
 # plot data
 # --------------------------------------------------------------------------
@@ -637,6 +664,22 @@ def test_plot_median_is_pointwise_median_of_seeds(tmp_path):
     want_y = np.median([ys[:shortest] for _, ys, _ in columns], axis=0)
     assert np.allclose(xs_m, want_x, atol=0)
     assert np.allclose(ys_m, want_y, atol=0)
+
+
+@pytest.mark.parametrize("algorithm, seeds, medians", [
+    ({"name": "extragradient"}, [0, 1, 2], 0),
+    ({"name": "rles", "schedule": "deterministic"}, [0, 1], 0),
+    ({"name": "rles"}, [0, 1], 1),
+], ids=["extragradient", "rles-deterministic", "rles-randomized"])
+def test_plot_median_only_where_the_method_reads_the_seed(tmp_path, algorithm, seeds,
+                                                          medians):
+    # a seed-free method's seeds are copies of one run, not a spread
+    bundle = run(parse_config(minimal_raw(
+        topology={"kind": "ring", "num_nodes": 4}, algorithms=[algorithm],
+        seeds=seeds, output_dir=str(tmp_path / "out"))))
+    written = emit_plot_data(bundle.output_dir, "dist_sq", "k")
+    assert len(written) == len(seeds) + medians
+    assert sum("median" in p.name for p in written) == medians
 
 
 def test_plot_rejects_unknown_quantity_axis_and_missing_manifest(tmp_path):

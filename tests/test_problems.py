@@ -12,6 +12,7 @@ from pfsaddle.problems import (
     QuadraticSaddleSpec,
     RobustRegressionSpec,
     SaddleProblem,
+    _sym_psd_stack,
     estimate_constants,
     grad_full,
     random_bilinear,
@@ -239,6 +240,60 @@ def test_constants_match_dense_block_oracle():
         # estimate upper-bounds within a hair of the symmetric-form norm
         assert L >= worst - 1e-9
         assert math.isclose(mu, mu_oracle, rel_tol=1e-9)
+
+
+def _sym_psd_loop(mats, name, tol=1e-10):
+    """`_sym_psd_stack` node by node, as it was written before the stack."""
+    arr = np.array(mats, dtype=float, copy=True)
+    for m in range(arr.shape[0]):
+        if float(np.max(np.abs(arr[m] - arr[m].T))) > tol * max(1.0, float(np.max(np.abs(arr[m])))):
+            raise InvalidValueError(f"{name}[{m}] is not symmetric")
+        arr[m] = 0.5 * (arr[m] + arr[m].T)
+        if float(np.linalg.eigvalsh(arr[m])[0]) < -1e-10:
+            raise InvalidValueError(f"{name}[{m}] is not PSD")
+    return arr
+
+
+def _quadratic_constants_loop(spec):
+    """The quadratic branch of `estimate_constants`, node by node."""
+    smoothness, strong = 0.0, math.inf
+    for m in range(spec.num_nodes):
+        pm, qm, am = spec.p[m], spec.q[m], spec.coupling[m]
+        for qs in (qm, -qm):
+            block = np.block([[pm, am], [am.T, qs]])
+            smoothness = max(smoothness, float(np.max(np.abs(np.linalg.eigvalsh(block)))))
+        strong = min(strong, float(np.linalg.eigvalsh(pm)[0]), float(np.linalg.eigvalsh(qm)[0]))
+    return smoothness, max(strong, 0.0)
+
+
+@pytest.mark.parametrize("m, n_x, n_y", [(1, 1, 1), (1, 3, 2), (2, 1, 3), (7, 4, 2), (64, 3, 3)])
+def test_stacked_set_up_equals_the_per_node_loop(m, n_x, n_y):
+    rng = np.random.default_rng(100 * m + 10 * n_x + n_y)
+    for seed in range(3):
+        g, h = rng.standard_normal((m, n_x, n_x)), rng.standard_normal((m, n_y, n_y))
+        # PSD stacks, nudged off symmetry within the tolerance
+        p = g @ g.transpose(0, 2, 1) + 1e-12 * rng.standard_normal((m, n_x, n_x))
+        q = h @ h.transpose(0, 2, 1)
+        assert _sym_psd_stack(p, "p").tobytes() == _sym_psd_loop(p, "p").tobytes()
+        specs = [
+            QuadraticSaddleSpec(p, q, rng.standard_normal((m, n_x)),
+                                rng.standard_normal((m, n_y)),
+                                rng.standard_normal((m, n_x, n_y))),
+            random_quadratic(m, n_x, n_y, mu=0.3, smoothness=7.0, seed=seed),
+        ]
+        if n_x == n_y:
+            specs.append(random_bilinear(m, n_x, seed=seed))
+        for spec in specs:
+            assert estimate_constants(spec) == _quadratic_constants_loop(spec)
+
+
+def test_sym_psd_stack_checks_symmetry_on_every_node_first():
+    eye, indefinite = np.eye(2), np.diag([1.0, -0.5])
+    asymmetric = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(InvalidValueError, match=r"^p\[2\] is not symmetric"):
+        _sym_psd_stack([eye, indefinite, asymmetric], "p")
+    with pytest.raises(InvalidValueError, match=r"^q\[1\] is not PSD"):
+        _sym_psd_stack([eye, indefinite, indefinite], "q")
 
 
 def test_generator_pins_exact_constants():
