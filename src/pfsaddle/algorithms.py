@@ -223,7 +223,6 @@ class RunResult:
 
     last: StackedPoint
     output: StackedPoint
-    averaged: StackedPoint | None
     counters: Counters
     record: object
     stop_reason: str
@@ -252,19 +251,6 @@ def _check_divergence(z: np.ndarray, threshold: float, k: int):
         )
 
 
-def _target_reached(config: AlgorithmConfig, problem: SaddleProblem,
-                    gossip: GossipMatrix, rep: np.ndarray, distance_sq, k: int) -> bool:
-    if config.target_kind == "iterations":
-        return k >= int(config.target_value)
-    if config.target_kind == "distance":
-        return distance_sq(rep) <= float(config.target_value)
-    if k % config.gap_check_every != 0:
-        return False
-    gap = restricted_gap(problem, gossip, config.lam, _split(rep, problem.n_x),
-                         inner_tol=config.gap_inner_tol)
-    return gap <= float(config.target_value)
-
-
 def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
            counters: Counters, step, *, recorder: RunRecorder | None,
            config: AlgorithmConfig | None = None,
@@ -274,8 +260,9 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
     A step returns the next iterate and the point the method reports there
     (the iterate, or sliding's running mean), or None for extragradient's
     residual stop.  Then come the divergence guard, the recorder (given the
-    reported array) and the target of `config`, else a `limit` on steps; a
-    distance target reads the recorded dist_sq if that is the run's."""
+    reported array) and the target of `config`, else a `limit` on steps.  A
+    distance or gap target reads the value `observe` has just recorded if
+    the recorder measured it with the target's arguments, else measures."""
     if reference is not None and (reference := _join(reference)).shape != z0.shape:
         raise ShapeError(f"reference shape {reference.shape} is not the iterate's {z0.shape}")
     if config is not None:
@@ -283,9 +270,26 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
             raise ConfigError("distance target needs a reference solution")
         limit = config.max_outer
     omega, n_x = problem.domain.diameter, problem.n_x
-    recorded = recorder is not None and np.array_equal(recorder._reference, reference)
-    distance_sq = ((lambda rep: recorder.record.dist_sq[-1]) if recorded
-                   else (lambda rep: _distance_sq(rep, reference, n_x)))
+    record = recorder and recorder.record
+    same_distance = recorder is not None and np.array_equal(recorder._reference, reference)
+    same_gap = recorder is not None and config is not None and (
+        recorder.problem, recorder.gossip, recorder.lam, recorder.gap_tol) == (
+        problem, gossip, config.lam, config.gap_inner_tol)
+
+    def reached(rep: np.ndarray, k: int) -> bool:
+        if config.target_kind == "iterations":
+            return k >= int(config.target_value)
+        if config.target_kind == "distance":
+            measured = record.dist_sq[-1] if same_distance else _distance_sq(rep, reference, n_x)
+        elif k % config.gap_check_every != 0:
+            return False
+        elif same_gap and record.gap[-1] is not None:
+            measured = record.gap[-1]
+        else:
+            measured = restricted_gap(problem, gossip, config.lam, _split(rep, n_x),
+                                      inner_tol=config.gap_inner_tol)
+        return measured <= float(config.target_value)
+
     threshold = 1e12 * (omega**2 if math.isfinite(omega) else max(1.0, _sum_sq(z0)))
     if recorder is not None:
         recorder.observe(0, z0, counters)
@@ -301,13 +305,12 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
         _check_divergence(z, threshold, k)
         if recorder is not None:
             recorder.observe(k, rep, counters)
-        if config is not None and _target_reached(config, problem, gossip, rep,
-                                                  distance_sq, k):
+        if config is not None and reached(rep, k):
             reason = "target"
             break
     last = _split(z, n_x)
-    return RunResult(last, last if rep is z else _split(rep, n_x), None,
-                     counters, recorder and recorder.record, reason, k)
+    return RunResult(last, last if rep is z else _split(rep, n_x), counters,
+                     record, reason, k)
 
 
 # --------------------------------------------------------------------------
@@ -436,15 +439,12 @@ def sliding_run(problem: SaddleProblem, gossip: GossipMatrix,
     def step(z: np.ndarray, k: int):
         nonlocal u_sum, u_count
         z, u = sliding_outer_step(problem, gossip, config, z, counters)
-        u_sum, u_count = u_sum + u, u_count + 1
+        if averaging:  # the running mean of the inner solutions is the output
+            u_sum, u_count = u_sum + u, u_count + 1
         return z, (u_sum / u_count if averaging else z)
 
-    result = _drive(problem, gossip, z0, counters, step, recorder=recorder,
-                    config=config, reference=reference)
-    if u_count > 0:
-        result.averaged = (result.output if averaging else
-                           _split(u_sum / u_count, problem.n_x))
-    return result
+    return _drive(problem, gossip, z0, counters, step, recorder=recorder,
+                  config=config, reference=reference)
 
 
 # --------------------------------------------------------------------------

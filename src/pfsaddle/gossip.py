@@ -11,7 +11,7 @@ the round on the Counters a solver hands it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,19 +134,22 @@ def _erdos_renyi_edges(m: int, edge_prob: float, seed: int) -> set[tuple[int, in
 
 @dataclass(frozen=True, eq=False)
 class GossipMatrix(_ReadOnlyArrays):
-    """A concrete gossip matrix with its cached spectral data."""
+    """A concrete gossip matrix; its lambda_max comes from the dense symmetric
+    eigensolver on w when it is built."""
 
     w: np.ndarray
-    lambda_max: float
     edges: frozenset
+    lambda_max: float = field(init=False)
 
     def __post_init__(self):
-        w = np.array(self.w, dtype=float, copy=True)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ShapeError(f"gossip matrix must be square, got {w.shape}")
+        w = np.asarray(self.w, dtype=float)
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or not w.size:
+            raise ShapeError(f"gossip matrix must be square and non-empty, got {w.shape}")
+        # before the copy, so the solver's work array and the copy never coexist
+        object.__setattr__(self, "lambda_max", float(np.linalg.eigvalsh(w)[-1]))
+        w = np.array(w, copy=True)
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "lambda_max", float(self.lambda_max))
         object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
 
     @property
@@ -161,7 +164,7 @@ class GossipMatrix(_ReadOnlyArrays):
         if edges is None:
             nz = np.argwhere(w != 0.0)
             edges = {(min(i, j), max(i, j)) for i, j in nz if i != j}
-        return cls(w, _lambda_max(w), frozenset(edges))
+        return cls(w, frozenset(edges))
 
     def penalty(self, lam: float, z: np.ndarray, counters=None) -> np.ndarray:
         """The gossip product lam * (W @ z), unchecked: one round, ticked on `counters`."""
@@ -179,28 +182,23 @@ def _check_symmetric(w: np.ndarray) -> None:
         raise InvalidValueError("matrix is not symmetric")
 
 
-def _lambda_max(w: np.ndarray) -> float:
-    """Largest eigenvalue from the dense symmetric eigensolver."""
-    return float(np.linalg.eigvalsh(w)[-1])
-
-
 def laplacian(topology: Topology) -> GossipMatrix:
-    """Graph Laplacian D - A of the topology, with lambda_max attached."""
+    """Graph Laplacian D - A of the topology."""
     m = topology.num_nodes
     pairs = topology.edges()
     w = np.zeros((m, m))
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
     w[i, j] = w[j, i] = -1.0
     np.fill_diagonal(w, np.count_nonzero(w, axis=1))  # the degrees
-    return GossipMatrix(w, _lambda_max(w), frozenset(pairs))
+    return GossipMatrix(w, frozenset(pairs))
 
 
 def scale(g: GossipMatrix, c: float) -> GossipMatrix:
-    """Positive rescale c*W; lambda_max scales along, edges are unchanged."""
+    """Positive rescale c*W, with lambda_max recomputed; edges are unchanged."""
     c = float(c)
     if not (c > 0.0) or math.isinf(c):
         raise InvalidValueError(f"scale factor must be a positive finite number, got {c}")
-    return GossipMatrix(c * g.w, c * g.lambda_max, g.edges)
+    return GossipMatrix(c * g.w, g.edges)
 
 
 def power_lambda_max(w, tol: float = 1e-12, max_iter: int | None = None,

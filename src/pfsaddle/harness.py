@@ -318,6 +318,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"metrics.{key} must be >= 1e-14, got {metrics[key]!r}")
     if (gap_every := _as_int(metrics["gap_every"], "metrics.gap_every")) < 0:
         raise ConfigError(f"metrics.gap_every must be >= 0 (0 is off), got {gap_every}")
+    if not isinstance(output_dir := top["output_dir"], str) or not output_dir:
+        raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
 
     return ExperimentConfig(
         topology_kind=kind,
@@ -337,7 +339,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         final_gap=metrics["final_gap"],
         gap_inner_tol=metrics["gap_inner_tol"],
         reference_tol=metrics["reference_tol"],
-        output_dir=str(top["output_dir"]),
+        output_dir=output_dir,
     )
 
 
@@ -589,7 +591,6 @@ def _execute_cell(problem: SaddleProblem, gossip: GossipMatrix,
     recorder = RunRecorder(
         problem, gossip, lam, reference=reference,
         gap_every=config.gap_every, gap_tol=config.gap_inner_tol,
-        header={"algorithm": entry["label"], "lambda": lam, "seed": seed},
     )
     runner = {"extragradient": baseline_run, "sliding": sliding_run,
               "rles": rles_run}[entry["name"]]
@@ -623,7 +624,9 @@ def _execute_cell(problem: SaddleProblem, gossip: GossipMatrix,
             summary["final_gap"] = record.gap[-1] if record.gap[-1] is not None else (
                 restricted_gap(problem, gossip, lam, result.output,
                                inner_tol=config.gap_inner_tol))
-    except Exception as exc:  # any failure inside a cell is recorded, not raised
+    except OSError:  # writing the cell's files failed: the run's I/O error
+        raise
+    except Exception as exc:  # any other failure inside a cell is recorded, not raised
         status = "failed"
         error = f"{type(exc).__name__}: {exc}"
         summary["stop_reason"] = "error"
@@ -681,9 +684,9 @@ def run(config: ExperimentConfig, jobs: int = 1,
     under the resolved output directory.  The set-up (`prepare`) and the
     references (when needed, once per lambda) run before anything touches
     disk and are shared with every cell, so a config error or a reference
-    that fails its certificate leaves no output behind.  Any exception
-    raised inside a cell is recorded in the manifest as that cell's
-    failure, with its type and message, and does not abort the other cells.
+    that fails its certificate leaves no output behind.  An exception inside
+    a cell is recorded in the manifest as that cell's failure, with its type
+    and message, and does not abort the other cells; an OSError aborts the run.
 
     A method that reads no seed (`reads_seed`) runs once per (algorithm,
     lambda); its outcome is filed under every seed of the grid.  The
@@ -705,10 +708,12 @@ def run(config: ExperimentConfig, jobs: int = 1,
 
     target = Path(os.path.abspath(out))  # "." has no name to put siblings by
     target.parent.mkdir(parents=True, exist_ok=True)
-    partial_dir = target.with_name(f".{target.name}.partial-{os.getpid()}")
-    previous = target.with_name(f".{target.name}.previous-{os.getpid()}")
-    (partial_dir / "runs").mkdir(parents=True)
+    token = f"{os.getpid()}-{os.urandom(4).hex()}"  # a hard-killed run's pid recurs
+    partial_dir = target.with_name(f".{target.name}.partial-{token}")
+    previous = target.with_name(f".{target.name}.previous-{token}")
+    partial_dir.mkdir()
     try:
+        (partial_dir / "runs").mkdir()
         manifest, failures = _write_bundle(config, problem, gossip, references,
                                            cells, jobs, partial_dir)
         if target.exists():  # a previous bundle, or an empty directory

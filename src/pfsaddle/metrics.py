@@ -45,20 +45,16 @@ __all__ = [
 
 @dataclass
 class Counters:
-    """Monotone counters for gossip rounds and local gradient batches."""
+    """Gossip rounds and local gradient batches, ticked one at a time by the oracles."""
 
     comm_rounds: int = 0
     local_grad_batches: int = 0
 
-    def add_comm(self, n: int = 1):
-        if n < 0:
-            raise InvalidValueError("counters are monotone; negative increments forbidden")
-        self.comm_rounds += n
+    def add_comm(self):
+        self.comm_rounds += 1
 
-    def add_grad(self, n: int = 1):
-        if n < 0:
-            raise InvalidValueError("counters are monotone; negative increments forbidden")
-        self.local_grad_batches += n
+    def add_grad(self):
+        self.local_grad_batches += 1
 
 
 def _distance_sq(z: np.ndarray, reference: np.ndarray, n_x: int) -> float:
@@ -92,7 +88,6 @@ def consensus_residual(p: StackedPoint) -> tuple[float, float]:
 class RunRecord:
     """Per-iteration trajectory of one solver run, in column order."""
 
-    header: dict = field(default_factory=dict)
     k: list = field(default_factory=list)
     comm_rounds: list = field(default_factory=list)
     local_grad_batches: list = field(default_factory=list)
@@ -121,7 +116,7 @@ class RunRecorder:
 
     def __init__(self, problem: SaddleProblem, gossip: GossipMatrix, lam: float,
                  *, reference: StackedPoint | None = None, gap_every: int = 0,
-                 gap_tol: float = 1e-8, header: dict | None = None):
+                 gap_tol: float = 1e-8):
         if reference is not None and (reference.x.shape, reference.y.shape) != (
                 (problem.num_nodes, problem.n_x), (problem.num_nodes, problem.n_y)):
             raise ShapeError("reference blocks do not match the problem")
@@ -131,7 +126,7 @@ class RunRecorder:
         self._reference = None if reference is None else _join(reference)
         self.gap_every = int(gap_every)
         self.gap_tol = float(gap_tol)
-        self.record = RunRecord(header=dict(header or {}))
+        self.record = RunRecord()
 
     def observe(self, k: int, z: np.ndarray, counters: Counters):
         rec, n_x = self.record, self.problem.n_x

@@ -1,5 +1,6 @@
 """Tests for the three solvers, their accounting, and the parameter rules."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -65,7 +66,7 @@ def scalar_quadratic_problem(m, mu=1.0, radius=math.inf, centers=None):
 
 
 def single_node_gossip():
-    return GossipMatrix(np.zeros((1, 1)), 0.0, frozenset())
+    return GossipMatrix(np.zeros((1, 1)), frozenset())
 
 
 def ring_gossip(m):
@@ -373,6 +374,8 @@ def test_sliding_matches_manual_outer_step_sequence():
                              target_kind="iterations", target_value=8,
                              max_outer=8)
     res = sliding_run(problem, gossip, config)
+    averaged = sliding_run(problem, gossip,
+                           dataclasses.replace(config, averaged_output=True))
     z = _join(projected_center(problem))
     u_sum, counters = np.zeros_like(z), Counters()
     for _ in range(8):
@@ -382,9 +385,11 @@ def test_sliding_matches_manual_outer_step_sequence():
     assert np.array_equal(res.last.x, last.x)
     assert np.array_equal(res.last.y, last.y)
     assert res.counters == counters
-    assert res.averaged is not None
-    assert np.allclose(res.averaged.x, mean.x, atol=0)
-    assert np.allclose(res.averaged.y, mean.y, atol=0)
+    assert res.output is res.last
+    # averaging changes only the reported point: the mean of the inner solutions
+    assert np.array_equal(averaged.last.x, last.x)
+    assert np.array_equal(averaged.output.x, mean.x)
+    assert np.array_equal(averaged.output.y, mean.y)
 
 
 def test_sliding_scsc_output_is_last_iterate_cc_is_average():
@@ -399,8 +404,31 @@ def test_sliding_scsc_output_is_last_iterate_cc_is_average():
                              target_kind="iterations", target_value=5,
                              max_outer=5, averaged_output=True)
     res2 = sliding_run(problem, gossip, forced)
-    assert res2.output is res2.averaged
     assert not np.array_equal(res2.output.x, res2.last.x)
+
+
+def test_gap_stop_solves_when_the_recorder_measures_another_gap(monkeypatch):
+    # the recorder's gap at gap_tol 1e-9 is not the stop's at 1e-8, so the
+    # stop solves at each of its checks, k = 10, 20, ..
+    problem = SaddleProblem.from_spec(random_quadratic(4, 2, 2, mu=1.0, smoothness=10.0,
+                                                       heterogeneity=1.0, seed=0),
+                                      BallDomain(10.0, 10.0, n_x=2, n_y=2))
+    gossip, lam = ring_gossip(4), 1.0
+    config = AlgorithmConfig(gamma=1.0 / (2.0 * (problem.smoothness + 4.0)), lam=lam,
+                             target_kind="gap", target_value=1e-6, gap_check_every=10,
+                             max_outer=1000)
+    stop_solves = []
+    restricted_gap = algorithms.restricted_gap
+
+    def counted(*args, **kwargs):
+        stop_solves.append(1)
+        return restricted_gap(*args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "restricted_gap", counted)
+    recorder = RunRecorder(problem, gossip, lam, gap_every=10, gap_tol=1e-9)
+    res = baseline_run(problem, gossip, config, recorder=recorder)
+    assert res.stop_reason == "target" and res.iterations % 10 == 0
+    assert len(stop_solves) == res.iterations // 10
 
 
 def test_sliding_converges_linearly_on_scsc_instance():

@@ -195,6 +195,24 @@ def test_scale_complete_by_m_squared():
     validate(s)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: laplacian(Topology("erdos_renyi", 9, seed=2)),
+    lambda: GossipMatrix.from_matrix(laplacian(Topology("star", 5)).w),
+    lambda: scale(laplacian(Topology("ring", 7)), 0.3),
+    lambda: GossipMatrix(np.diag([3.0, 0.0, 1.0]), frozenset()),
+], ids=["laplacian", "from_matrix", "scale", "constructor"])
+def test_lambda_max_is_computed_from_w(make):
+    # the one source of lambda_max: the dense eigensolver on the stored w
+    g = make()
+    assert g.lambda_max == float(np.linalg.eigvalsh(g.w)[-1])
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,)])
+def test_gossip_matrix_rejects_a_w_with_no_lambda_max(shape):
+    with pytest.raises(ShapeError):
+        GossipMatrix(np.zeros(shape), frozenset())
+
+
 def test_scale_rejects_nonpositive():
     g = laplacian(Topology("path", 3))
     with pytest.raises(InvalidValueError):

@@ -1,12 +1,15 @@
 """Tests for config parsing, grid execution, plot data, and the CLI."""
 
+import errno
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pfsaddle.algorithms
 import pfsaddle.gossip
 import pfsaddle.harness
 import pfsaddle.metrics
@@ -29,6 +32,7 @@ from pfsaddle.harness import (
     run,
     serialize_config,
 )
+from pfsaddle.metrics import RunRecorder
 from pfsaddle.problems import reference_solution
 
 
@@ -427,6 +431,10 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
     {"algorithms": [{"name": "extragradient", "overrides": {"gamma": True}}]},
     {"algorithms": [{"name": "sliding", "overrides": {"delta_rel": "0.1"}}]},
     {"algorithms": [{"name": "sliding", "overrides": {"gap_check_every": 2.5}}]},
+    # an output directory is a non-empty string, not str() of any JSON value
+    {"output_dir": None},
+    {"output_dir": 5},
+    {"output_dir": ""},
 ], ids=["gap-target", "final-gap", "gap-every", "gap-every-negative",
         "rles-at-lambda-0", "reference-tol-0", "reference-tol-nan",
         "gap-inner-tol-negative", "gap-inner-tol-nan", "reference-tol-1e-30",
@@ -434,14 +442,16 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
         "lambda-repeated", "label-duplicate", "label-escapes", "label-path",
         "label-not-a-string", "override-inner-t-float", "override-p-comm-string",
         "override-averaged-output-string", "override-gamma-bool",
-        "override-delta-rel-string", "override-gap-check-every-float"])
-def test_validate_rejects_what_run_rejects_at_setup(tmp_path, capsys, extra):
+        "override-delta-rel-string", "override-gap-check-every-float",
+        "output-dir-null", "output-dir-number", "output-dir-empty"])
+def test_validate_rejects_what_run_rejects_at_setup(tmp_path, capsys, monkeypatch, extra):
+    monkeypatch.chdir(tmp_path)  # where a relative output_dir would land
     out = tmp_path / "out"
-    path = write_config(tmp_path, minimal_raw(output_dir=str(out), **extra))
+    path = write_config(tmp_path, {**minimal_raw(output_dir=str(out)), **extra})
     assert main(["validate", path]) == 1
     assert main(["run", path]) == 1
     assert "error:" in capsys.readouterr().err
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_uncertified_reference_leaves_no_bundle(tmp_path, capsys):
@@ -578,6 +588,95 @@ def test_final_gap_reuses_a_gap_recorded_at_the_last_iteration(tmp_path, monkeyp
         SUMMARY_COLUMNS.index("final_gap")]
     assert final_gap != ""
     assert (final_gap == last_gap) == (gap_every == 10)
+
+
+# ring(4), the default quadratic: extragradient reaches a gap of 1e-6 at
+# k = 100, checked every 10 iterations
+GAP_STOP_RAW = {
+    "topology": {"kind": "ring", "num_nodes": 4}, "problem": {"family": "quadratic"},
+    "algorithms": [{"name": "extragradient", "overrides": {"gap_check_every": 10}}],
+    "target": {"kind": "gap", "value": 1e-6},
+}
+
+
+def count_gap_solves(monkeypatch) -> dict:
+    """Count restricted_gap calls by the module that makes them."""
+    calls = {}
+    restricted_gap = pfsaddle.metrics.restricted_gap
+    for module in (pfsaddle.metrics, pfsaddle.algorithms, pfsaddle.harness):
+        name = module.__name__.rsplit(".", 1)[1]
+
+        def counted(*args, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return restricted_gap(*args, **kwargs)
+
+        monkeypatch.setattr(module, "restricted_gap", counted)
+    return calls
+
+
+def summary_row(out: Path) -> dict:
+    return dict(zip(SUMMARY_COLUMNS, (out / "summary.csv").read_text().splitlines()[1].split(",")))
+
+
+@pytest.mark.parametrize("gap_every, solves", [
+    # the recorder measures k = 0, 10, .., 100; the stop and the final gap read it
+    (10, {"metrics": 11}),
+    # nothing recorded: the stop solves at k = 10, .., 100, the final gap once more
+    (0, {"algorithms": 10, "harness": 1}),
+])
+def test_gap_stop_reads_the_gap_the_recorder_measured(tmp_path, monkeypatch, gap_every,
+                                                      solves):
+    config = parse_config(dict(GAP_STOP_RAW, metrics={"gap_every": gap_every,
+                                                      "final_gap": True}))
+    calls = count_gap_solves(monkeypatch)
+    shared = run(config, output_dir=str(tmp_path / "shared")).output_dir
+    assert calls == solves
+    # a recorder on a second build of the problem measures the same gaps, but
+    # the stop cannot tell, so it solves at each of its checks
+    monkeypatch.setattr(pfsaddle.harness, "RunRecorder", lambda problem, *args, **kwargs:
+                        RunRecorder(build_problem(config), *args, **kwargs))
+    calls.clear()
+    apart = run(config, output_dir=str(tmp_path / "apart")).output_dir
+    assert calls == {**solves, "algorithms": 10}
+    assert read_bytes_map(shared) == read_bytes_map(apart)
+    row = summary_row(shared)
+    assert (row["iterations"], row["stop_reason"]) == ("100", "target")
+    (csv_file,) = (shared / "runs").iterdir()
+    last_gap = csv_file.read_text().splitlines()[-1].split(",")[4]
+    assert row["final_gap"] != "" and last_gap == (row["final_gap"] if gap_every else "")
+
+
+def test_a_cell_write_error_exits_3_and_leaves_nothing(tmp_path, monkeypatch, capsys):
+    write = pfsaddle.harness._write_rows_csv
+
+    def disk_full(path, columns, rows):
+        if path.name.startswith("01-sliding"):
+            path.write_text("k,comm_rou")
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write(path, columns, rows)
+
+    monkeypatch.setattr(pfsaddle.harness, "_write_rows_csv", disk_full)
+    path = write_config(tmp_path, small_grid_raw(tmp_path / "out"))
+    assert main(["run", path]) == 3
+    assert "i/o error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_run_leaves_the_work_directories_of_a_killed_run_alone(tmp_path):
+    path = write_config(tmp_path, minimal_raw(output_dir=str(tmp_path / "out")))
+    assert main(["run", path]) == 0
+    # a hard-killed run with this pid left both hidden directories behind
+    planted = [tmp_path / f".out.{kind}-{os.getpid()}" for kind in ("partial", "previous")]
+    for left in planted:
+        (left / "runs").mkdir(parents=True)
+        (left / "runs" / "left.csv").write_text("k\n")
+    before = read_bytes_map(tmp_path / "out")
+    assert main(["run", path]) == 0
+    assert read_bytes_map(tmp_path / "out") == before
+    for left in planted:
+        assert read_bytes_map(left) == {"runs/left.csv": b"k\n"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["config.json", "out"] + [left.name for left in planted])
 
 
 # --------------------------------------------------------------------------
