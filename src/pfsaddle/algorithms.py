@@ -88,12 +88,16 @@ class AlgorithmConfig:
     averaged_output: bool | None = None
 
     def __post_init__(self):
+        for name in ("inner_t", "max_outer", "gap_check_every", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "seed":
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if not (float(self.gamma) > 0.0 and math.isfinite(self.gamma)):
             raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
         if not (float(self.lam) >= 0.0 and math.isfinite(self.lam)):
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
-        if int(self.inner_t) < 1:
-            raise ConfigError(f"inner_t must be >= 1, got {self.inner_t}")
         if not (0.0 < float(self.delta_rel) < 1.0):
             raise ConfigError(f"delta_rel must lie in (0, 1), got {self.delta_rel}")
         if not (0.0 < float(self.p_comm) < 1.0):
@@ -104,15 +108,12 @@ class AlgorithmConfig:
             raise ConfigError(
                 f"target_kind must be one of {TARGET_KINDS}, got {self.target_kind!r}"
             )
-        if int(self.max_outer) < 1:
-            raise ConfigError(f"max_outer must be >= 1, got {self.max_outer}")
         if self.target_kind == "iterations":
-            if int(self.target_value) < 1:
-                raise ConfigError("iterations target needs target_value >= 1")
+            value = self.target_value
+            if isinstance(value, bool) or not (float(value).is_integer() and value >= 1):
+                raise ConfigError(f"iterations target needs an integral value >= 1, got {value!r}")
         elif not (float(self.target_value) > 0.0):
             raise ConfigError(f"{self.target_kind} target needs target_value > 0")
-        if int(self.gap_check_every) < 1:
-            raise ConfigError("gap_check_every must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,7 @@ class GossipMatrix(_ReadOnlyArrays):
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or not w.size:
             raise ShapeError(f"gossip matrix must be square and non-empty, got {w.shape}")
+        _check_symmetric(w)  # eigvalsh reads one triangle, penalty all of w
         # before the copy, so the solver's work array and the copy never coexist
         object.__setattr__(self, "lambda_max", float(np.linalg.eigvalsh(w)[-1]))
         w = np.array(w, copy=True)
@@ -160,7 +161,6 @@ class GossipMatrix(_ReadOnlyArrays):
     def from_matrix(cls, w, edges=None) -> "GossipMatrix":
         """Wrap an explicit symmetric matrix, inferring edges from its sparsity."""
         w = np.asarray(w, dtype=float)
-        _check_symmetric(w)
         if edges is None:
             nz = np.argwhere(w != 0.0)
             edges = {(min(i, j), max(i, j)) for i, j in nz if i != j}
@@ -177,6 +177,8 @@ def _check_symmetric(w: np.ndarray) -> None:
     """Square and symmetric to 1e-12 relative to the largest entry."""
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"matrix must be square, got {w.shape}")
+    if np.array_equal(w, w.T):  # as every Laplacian is; spares two float copies of W
+        return
     scale_ref = float(np.max(np.abs(w))) if w.size else 0.0
     if float(np.max(np.abs(w - w.T))) > 1e-12 * max(1.0, scale_ref):
         raise InvalidValueError("matrix is not symmetric")

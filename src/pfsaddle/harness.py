@@ -414,23 +414,18 @@ def build_problem(config: ExperimentConfig) -> SaddleProblem:
             smoothness=params["smoothness"],
             heterogeneity=params["heterogeneity"], seed=params["data_seed"],
         )
-        domain = BallDomain(params["radius_x"], params["radius_y"],
-                            n_x=params["n_x"], n_y=params["n_y"])
     elif config.family == "bilinear":
         spec = random_bilinear(
             m, params["dim"], coupling_scale=params["coupling_scale"],
             heterogeneity=params["heterogeneity"], seed=params["data_seed"],
         )
-        domain = BallDomain(params["radius_x"], params["radius_y"],
-                            n_x=params["dim"], n_y=params["dim"])
     else:
         spec = random_robust_regression(
             m, params["dim"], params["num_samples"], beta_x=params["beta_x"],
             beta_y=params["beta_y"], heterogeneity=params["heterogeneity"],
             seed=params["data_seed"],
         )
-        domain = BallDomain(params["radius_x"], params["radius_y"],
-                            n_x=params["dim"], n_y=params["dim"])
+    domain = BallDomain(params["radius_x"], params["radius_y"], n_x=spec.n_x, n_y=spec.n_y)
     return SaddleProblem.from_spec(spec, domain)
 
 

@@ -174,11 +174,12 @@ def _inner_ball_opt(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
 def restricted_gap(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
                    p: StackedPoint, *, inner_tol: float = 1e-8,
                    max_iter: int = 5_000_000) -> float:
-    """Restricted saddle gap of a point over the problem domain.
+    """Restricted saddle gap of a point's projection onto the problem domain.
 
-    Computes max_{y'} F(x, y') - min_{x'} F(x', y) where F is the full
-    objective (local terms plus penalty) and the primed blocks range over
-    the domain balls.
+    Computes max_{y'} F(x, y') - min_{x'} F(x', y) at (x, y), the point
+    projected onto the domain, where F is the full objective (local terms
+    plus penalty) and the primed blocks range over the domain balls.  A
+    feasible point is its own projection.
 
     The inner problems are solved by projected gradient with step
     1/(L + lam*lambda_max) down to gradient-mapping norm inner_tol, so the
@@ -192,7 +193,8 @@ def restricted_gap(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     def total(q: StackedPoint) -> float:
         return problem.value_f(q) + penalty_value(gossip, lam, q)
 
-    start = _join(problem.domain.project(p))
+    p = problem.domain.project(p)
+    start = _join(p)
     best_y = _inner_ball_opt(problem, gossip, lam, start, "y", step,
                              inner_tol, max_iter)
     best_x = _inner_ball_opt(problem, gossip, lam, start, "x", step,

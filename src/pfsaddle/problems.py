@@ -15,13 +15,13 @@ robust regression
                 + (beta_x/2)|x|^2 - (beta_y/2)|y|^2
     where y is an adversarial shift of the feature vectors.  Concavity in
     y on a ball of radius R_x around the origin requires
-    beta_y >= 2 R_x^2; assembly enforces a margin of 0.1 on top of that.
+    beta_y >= 2 R_x^2; its constants require a margin of 0.1 on top of that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,6 +113,32 @@ class QuadraticSaddleSpec(_ReadOnlyArrays):
     def n_y(self) -> int:
         return self.q.shape[1]
 
+    def operator(self, z: np.ndarray) -> np.ndarray:
+        """The saddle operator (d f/d x, -d f/d y) on a joined iterate z = [x | y]."""
+        return (self._k @ z[:, :, None])[:, :, 0] + self._c
+
+    def value(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Sum of the local objective values."""
+        return float(
+            0.5 * np.einsum("mi,mij,mj->", x, self.p, x)
+            + np.einsum("mi,mij,mj->", x, self.coupling, y)
+            - 0.5 * np.einsum("mi,mij,mj->", y, self.q, y)
+            + np.sum(self.a_lin * x)
+            - np.sum(self.b_lin * y)
+        )
+
+    def constants(self, domain: BallDomain | None = None) -> tuple[float, float]:
+        """Per-node spectral norm of the Hessian block matrix [[P, A], [A', +/-Q]]
+        (both sign variants, so the result bounds the Lipschitz constant of the
+        gradient pair), and min eigenvalue of P, Q over nodes; any domain."""
+        p, q, a = self.p, self.q, self.coupling
+        a_t = a.transpose(0, 2, 1)
+        # both sign variants of the Hessian block matrix, each one call over all nodes
+        spectra = (np.abs(np.linalg.eigvalsh(np.block([[p, a], [a_t, s]]))) for s in (q, -q))
+        smoothness = max(float(e.max(initial=0.0)) for e in spectra)
+        strong = min(float(np.linalg.eigvalsh(s)[:, 0].min(initial=math.inf)) for s in (p, q))
+        return smoothness, max(strong, 0.0)
+
 
 @dataclass(frozen=True, eq=False)
 class RobustRegressionSpec(_ReadOnlyArrays):
@@ -182,41 +208,63 @@ class RobustRegressionSpec(_ReadOnlyArrays):
     def n_y(self) -> int:
         return self.features[0].shape[1]
 
+    def operator(self, z: np.ndarray) -> np.ndarray:
+        """The saddle operator (d f/d x, -d f/d y) on a joined iterate z = [x | y]."""
+        # one pass per sample-count group, with the per-node products' last bits
+        out, d = np.empty_like(z), self.n_x
+        for nodes, feats, feats_t, targs in self._groups:
+            x, y = z[nodes, :d], z[nodes, d:]
+            n = feats.shape[1]
+            residuals = ((feats @ x[:, :, None])[:, :, 0] + (x[:, None, :] @ y[:, :, None])[:, 0]
+                         - targs)
+            total = residuals.sum(axis=1)[:, None]
+            out[nodes, :d] = ((2.0 / n) * ((feats_t @ residuals[:, :, None])[:, :, 0] + total * y)
+                              + self.beta_x * x)
+            out[nodes, d:] = self.beta_y * y - (2.0 / n) * total * x
+        return out
 
-def _quadratic_value(spec: QuadraticSaddleSpec, p: StackedPoint) -> float:
-    return float(
-        0.5 * np.einsum("mi,mij,mj->", p.x, spec.p, p.x)
-        + np.einsum("mi,mij,mj->", p.x, spec.coupling, p.y)
-        - 0.5 * np.einsum("mi,mij,mj->", p.y, spec.q, p.y)
-        + np.sum(spec.a_lin * p.x)
-        - np.sum(spec.b_lin * p.y)
-    )
+    def value(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Sum of the local objective values."""
+        total = 0.0
+        for m in range(self.num_nodes):
+            feats, targs = self.features[m], self.targets[m]
+            x_m, y_m = x[m], y[m]
+            n = feats.shape[0]
+            residuals = feats @ x_m + (x_m @ y_m) - targs
+            total += float(residuals @ residuals) / n
+            total += 0.5 * self.beta_x * float(x_m @ x_m) - 0.5 * self.beta_y * float(y_m @ y_m)
+        return total
 
-
-def _robust_operator(spec: RobustRegressionSpec, z: np.ndarray) -> np.ndarray:
-    # one pass per sample-count group, with the per-node products' last bits
-    out, d = np.empty_like(z), spec.n_x
-    for nodes, feats, feats_t, targs in spec._groups:
-        x, y = z[nodes, :d], z[nodes, d:]
-        n = feats.shape[1]
-        residuals = (feats @ x[:, :, None])[:, :, 0] + (x[:, None, :] @ y[:, :, None])[:, 0] - targs
-        total = residuals.sum(axis=1)[:, None]
-        out[nodes, :d] = ((2.0 / n) * ((feats_t @ residuals[:, :, None])[:, :, 0] + total * y)
-                          + spec.beta_x * x)
-        out[nodes, d:] = spec.beta_y * y - (2.0 / n) * total * x
-    return out
-
-
-def _robust_value(spec: RobustRegressionSpec, p: StackedPoint) -> float:
-    total = 0.0
-    for m in range(spec.num_nodes):
-        feats, targs = spec.features[m], spec.targets[m]
-        x, y = p.x[m], p.y[m]
-        n = feats.shape[0]
-        residuals = feats @ x + (x @ y) - targs
-        total += float(residuals @ residuals) / n
-        total += 0.5 * spec.beta_x * float(x @ x) - 0.5 * spec.beta_y * float(y @ y)
-    return total
+    def constants(self, domain: BallDomain | None) -> tuple[float, float]:
+        """Interval-arithmetic bounds on the Hessian blocks over the domain,
+        which must be bounded with zero centers and have beta_y clear the
+        concavity requirement 2 * radius_x^2 by at least 0.1 (else
+        InvalidValueError); the slack is the y part of strong_convexity."""
+        if domain is None or not domain.is_bounded:
+            raise InvalidValueError("robust regression requires a bounded domain")
+        if np.any(domain.center_x != 0.0) or np.any(domain.center_y != 0.0):
+            raise InvalidValueError("robust regression requires zero-centered balls")
+        margin = self.beta_y - 2.0 * domain.radius_x**2
+        if margin < 0.1:
+            raise InvalidValueError(
+                f"beta_y={self.beta_y} too small for radius_x={domain.radius_x}: "
+                f"need beta_y >= 2*radius_x^2 + 0.1 (margin {margin:.3g})"
+            )
+        r_x, r_y = domain.radius_x, domain.radius_y
+        smoothness = 0.0
+        for m in range(self.num_nodes):
+            feats, targs = self.features[m], self.targets[m]
+            n = feats.shape[0]
+            anorms = np.linalg.norm(feats, axis=1)
+            shifted = anorms + r_y
+            c_xx = (2.0 / n) * float(np.sum(shifted**2)) + self.beta_x
+            res_bound = r_x * shifted + np.abs(targs)
+            c_xy = (2.0 / n) * float(np.sum(shifted * r_x + res_bound))
+            c_yy = self.beta_y
+            top = 0.5 * (c_xx + c_yy + math.hypot(c_xx - c_yy, 2.0 * c_xy))
+            smoothness = max(smoothness, top)
+        strong = min(self.beta_x, self.beta_y - 2.0 * r_x**2)
+        return smoothness, strong
 
 
 @dataclass(frozen=True)
@@ -225,14 +273,15 @@ class SaddleProblem:
 
     smoothness is a Lipschitz constant of the stacked local gradient pair
     and strong_convexity a strong convexity/concavity modulus (zero for
-    merely convex-concave instances).  Both come from
-    :func:`estimate_constants` at assembly time.
+    merely convex-concave instances).  Both are derived from the spec and
+    the domain by :func:`estimate_constants` when the problem is built,
+    which refuses a domain on which they would not hold.
     """
 
-    spec: object
+    spec: QuadraticSaddleSpec | RobustRegressionSpec
     domain: BallDomain
-    smoothness: float
-    strong_convexity: float
+    smoothness: float = field(init=False)
+    strong_convexity: float = field(init=False)
 
     def __post_init__(self):
         if self.domain.n_x != self.spec.n_x or self.domain.n_y != self.spec.n_y:
@@ -240,29 +289,14 @@ class SaddleProblem:
                 f"domain dims ({self.domain.n_x}, {self.domain.n_y}) do not match "
                 f"problem dims ({self.spec.n_x}, {self.spec.n_y})"
             )
+        smoothness, strong_convexity = estimate_constants(self.spec, self.domain)
+        object.__setattr__(self, "smoothness", smoothness)
+        object.__setattr__(self, "strong_convexity", strong_convexity)
 
     @classmethod
     def from_spec(cls, spec, domain: BallDomain) -> "SaddleProblem":
-        """Assemble a problem, deriving its curvature constants.
-
-        For robust regression the domain must be bounded with zero
-        centers, and beta_y must clear the concavity requirement
-        2 * radius_x^2 by at least 0.1; the remaining slack shows up as
-        the y part of the strong_convexity constant.
-        """
-        if isinstance(spec, RobustRegressionSpec):
-            if not domain.is_bounded:
-                raise InvalidValueError("robust regression requires a bounded domain")
-            if np.any(domain.center_x != 0.0) or np.any(domain.center_y != 0.0):
-                raise InvalidValueError("robust regression requires zero-centered balls")
-            margin = spec.beta_y - 2.0 * domain.radius_x**2
-            if margin < 0.1:
-                raise InvalidValueError(
-                    f"beta_y={spec.beta_y} too small for radius_x={domain.radius_x}: "
-                    f"need beta_y >= 2*radius_x^2 + 0.1 (margin {margin:.3g})"
-                )
-        smoothness, strong_convexity = estimate_constants(spec, domain)
-        return cls(spec, domain, smoothness, strong_convexity)
+        """Assemble a problem, deriving its curvature constants."""
+        return cls(spec, domain)
 
     @property
     def num_nodes(self) -> int:
@@ -286,15 +320,11 @@ class SaddleProblem:
         z = [x | y], unchecked: one batch, ticked on `counters` when given."""
         if counters is not None:
             counters.add_grad()
-        if isinstance(self.spec, QuadraticSaddleSpec):
-            return (self.spec._k @ z[:, :, None])[:, :, 0] + self.spec._c
-        return _robust_operator(self.spec, z)
+        return self.spec.operator(z)
 
     def value_f(self, p: StackedPoint) -> float:
         """Sum of the local objective values."""
-        if isinstance(self.spec, QuadraticSaddleSpec):
-            return _quadratic_value(self.spec, p)
-        return _robust_value(self.spec, p)
+        return self.spec.value(p.x, p.y)
 
 
 def grad_full(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
@@ -307,50 +337,17 @@ def grad_full(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     return problem.grad_f(p) + penalty_grad(gossip, lam, p)
 
 
-def _quadratic_constants(spec: QuadraticSaddleSpec) -> tuple[float, float]:
-    p, q, a = spec.p, spec.q, spec.coupling
-    a_t = a.transpose(0, 2, 1)
-    # both sign variants of the Hessian block matrix, each one call over all nodes
-    spectra = (np.abs(np.linalg.eigvalsh(np.block([[p, a], [a_t, s]]))) for s in (q, -q))
-    smoothness = max(float(e.max(initial=0.0)) for e in spectra)
-    strong = min(float(np.linalg.eigvalsh(s)[:, 0].min(initial=math.inf)) for s in (p, q))
-    return smoothness, max(strong, 0.0)
-
-
-def _robust_constants(spec: RobustRegressionSpec, domain: BallDomain) -> tuple[float, float]:
-    r_x, r_y = domain.radius_x, domain.radius_y
-    smoothness = 0.0
-    for m in range(spec.num_nodes):
-        feats, targs = spec.features[m], spec.targets[m]
-        n = feats.shape[0]
-        anorms = np.linalg.norm(feats, axis=1)
-        shifted = anorms + r_y
-        c_xx = (2.0 / n) * float(np.sum(shifted**2)) + spec.beta_x
-        res_bound = r_x * shifted + np.abs(targs)
-        c_xy = (2.0 / n) * float(np.sum(shifted * r_x + res_bound))
-        c_yy = spec.beta_y
-        top = 0.5 * (c_xx + c_yy + math.hypot(c_xx - c_yy, 2.0 * c_xy))
-        smoothness = max(smoothness, top)
-    strong = min(spec.beta_x, spec.beta_y - 2.0 * r_x**2)
-    return smoothness, strong
-
-
 def estimate_constants(spec, domain: BallDomain | None = None) -> tuple[float, float]:
     """Smoothness and strong-convexity constants of the stacked local term.
 
-    Quadratic: per-node spectral norm of the Hessian block matrix
-    [[P, A], [A', +/-Q]] (both sign variants, so the result bounds the
-    Lipschitz constant of the gradient pair), and min eigenvalue of P, Q
-    over nodes.  Robust regression: interval-arithmetic bounds on the
-    Hessian blocks over the given bounded domain.
+    Each family derives its own: see `QuadraticSaddleSpec.constants`, which
+    holds on any domain, and `RobustRegressionSpec.constants`, which raises
+    InvalidValueError unless the domain is bounded, zero-centered and small
+    enough for beta_y.
     """
-    if isinstance(spec, QuadraticSaddleSpec):
-        return _quadratic_constants(spec)
-    if isinstance(spec, RobustRegressionSpec):
-        if domain is None:
-            raise InvalidValueError("robust regression constants need the domain")
-        return _robust_constants(spec, domain)
-    raise TypeError(f"unsupported spec type {type(spec).__name__}")
+    if not isinstance(spec, (QuadraticSaddleSpec, RobustRegressionSpec)):
+        raise TypeError(f"unsupported spec type {type(spec).__name__}")
+    return spec.constants(domain)
 
 
 # --------------------------------------------------------------------------

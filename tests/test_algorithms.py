@@ -993,6 +993,26 @@ def test_params_rles_needs_positive_penalty_spectrum():
         params_rles(0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"inner_t": 2.5}, {"inner_t": 2.0}, {"inner_t": True}, {"max_outer": 2.5},
+    {"gap_check_every": 2.5}, {"seed": 1.5}, {"seed": False},
+    {"target_kind": "iterations", "target_value": 3.7},
+    {"target_kind": "iterations", "target_value": True},
+    {"target_kind": "iterations", "target_value": math.inf},
+], ids=["inner_t-2.5", "inner_t-2.0", "inner_t-bool", "max_outer", "gap_check_every",
+        "seed-1.5", "seed-bool", "iterations-3.7", "iterations-bool", "iterations-inf"])
+def test_algorithm_config_rejects_non_integral_counts(fields):
+    with pytest.raises(ConfigError):
+        AlgorithmConfig(gamma=0.1, **fields)
+
+
+def test_algorithm_config_accepts_numpy_integers_and_an_integral_float_target():
+    config = AlgorithmConfig(gamma=0.1, inner_t=np.int64(3), max_outer=np.int32(9),
+                             gap_check_every=np.uint8(2), seed=np.int64(4),
+                             target_kind="iterations", target_value=3.0)
+    assert (config.inner_t, config.max_outer, config.gap_check_every) == (3, 9, 2)
+
+
 def test_algorithm_config_validation():
     with pytest.raises(ConfigError):
         AlgorithmConfig(gamma=0.0)

@@ -213,6 +213,13 @@ def test_gossip_matrix_rejects_a_w_with_no_lambda_max(shape):
         GossipMatrix(np.zeros(shape), frozenset())
 
 
+def test_gossip_matrix_constructor_rejects_a_non_symmetric_w():
+    # eigvalsh would read only the lower triangle (lambda_max 1.0) while the
+    # penalty multiplies by all of w (spectral norm 1.618)
+    with pytest.raises(InvalidValueError):
+        GossipMatrix(np.array([[1.0, -1.0], [0.0, 1.0]]), frozenset({(0, 1)}))
+
+
 def test_scale_rejects_nonpositive():
     g = laplacian(Topology("path", 3))
     with pytest.raises(InvalidValueError):

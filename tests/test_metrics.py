@@ -18,9 +18,11 @@ from pfsaddle.metrics import (
 from pfsaddle.problems import (
     QuadraticSaddleSpec,
     SaddleProblem,
+    random_bilinear,
     random_quadratic,
     reference_solution,
 )
+from pfsaddle.rng import Xoshiro256StarStar
 from pfsaddle.stacked import BallDomain, StackedPoint, _join
 
 
@@ -215,6 +217,21 @@ def test_restricted_gap_monotone_in_distance_from_saddle():
         p = StackedPoint(np.array([[scale]]), np.array([[scale]]))
         gaps.append(restricted_gap(problem, gossip, 0.0, p, inner_tol=1e-10))
     assert gaps[0] < gaps[1] < gaps[2]
+
+
+def test_restricted_gap_measures_the_projection_of_an_infeasible_point():
+    # both inner solves start from the projection, and so do both totals
+    spec = random_bilinear(4, 2, seed=3)
+    problem = SaddleProblem.from_spec(spec, BallDomain(1.0, 1.0, n_x=2, n_y=2))
+    gossip = laplacian(Topology("ring", 4))
+    gen = Xoshiro256StarStar(8)
+    x = gen.normals((4, 2))
+    x *= 3.0 / np.linalg.norm(x, axis=1, keepdims=True)
+    p = StackedPoint(x, 0.5 * problem.domain.project(StackedPoint(x, x)).y)
+    projected = problem.domain.project(p)
+    assert not np.array_equal(projected.x, p.x)
+    assert (restricted_gap(problem, gossip, 0.5, p, inner_tol=1e-6)
+            == restricted_gap(problem, gossip, 0.5, projected, inner_tol=1e-6))
 
 
 def test_restricted_gap_rejects_an_unbounded_domain():

@@ -357,6 +357,32 @@ def test_robust_concavity_margin_enforced():
         SaddleProblem.from_spec(spec, BallDomain(1.0, 1.0, n_x=2, n_y=2))
 
 
+@pytest.mark.parametrize("beta_y, domain", [
+    (3.0, BallDomain.unbounded(2, 2)),
+    (3.0, BallDomain(1.0, 1.0, np.array([0.5, 0.0]), np.zeros(2))),
+    (2.05, BallDomain(1.0, 1.0, n_x=2, n_y=2)),  # margin 0.05 < 0.1
+], ids=["unbounded", "off-centre", "margin"])
+def test_robust_constants_refuse_a_domain_where_they_fail(beta_y, domain):
+    spec = random_robust_regression(3, 2, 6, beta_x=1.0, beta_y=beta_y, seed=4)
+    with pytest.raises(InvalidValueError):
+        estimate_constants(spec, domain)
+
+
+def test_saddle_problem_derives_its_constants():
+    spec = random_robust_regression(3, 2, 6, beta_x=1.0, beta_y=3.0, seed=4)
+    dom = BallDomain(1.0, 1.0, n_x=2, n_y=2)
+    with pytest.raises(TypeError):
+        SaddleProblem(spec, dom, 1.0, 0.5)
+    prob = SaddleProblem(spec, dom)
+    want = estimate_constants(spec, dom)
+    assert (prob.smoothness, prob.strong_convexity) == want
+    built = SaddleProblem.from_spec(spec, dom)
+    assert (built.smoothness, built.strong_convexity) == want
+    # the pickle round trip that `run --jobs` makes
+    copied = pickle.loads(pickle.dumps(prob))
+    assert (copied.smoothness, copied.strong_convexity) == want
+
+
 def test_monotonicity_with_penalty():
     spec = random_quadratic(4, 2, 2, mu=0.9, smoothness=6.0, seed=3)
     prob = SaddleProblem.from_spec(spec, BallDomain.unbounded(2, 2))
