@@ -59,6 +59,8 @@ __all__ = [
 
 SCHEDULES = ("randomized", "deterministic")
 TARGET_KINDS = ("iterations", "distance", "gap")
+# below this floor a fixed-point residual (eps * scale) spins to the caps
+TOL_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,17 @@ class AlgorithmConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < 1 and name != "seed":
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        for name in ("gamma", "lam", "delta_rel", "p_comm", "target_value", "gap_inner_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                                 np.floating)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not (self.averaged_output is None or isinstance(self.averaged_output, bool)):
+            raise ConfigError(f"averaged_output must be a boolean or None, "
+                              f"got {self.averaged_output!r}")
+        if not self.gap_inner_tol >= TOL_FLOOR:  # False for NaN
+            raise ConfigError(f"gap_inner_tol must be >= {TOL_FLOOR:g}, "
+                              f"got {self.gap_inner_tol!r}")
         if not (float(self.gamma) > 0.0 and math.isfinite(self.gamma)):
             raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
         if not (float(self.lam) >= 0.0 and math.isfinite(self.lam)):

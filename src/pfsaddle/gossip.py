@@ -145,6 +145,8 @@ class GossipMatrix(_ReadOnlyArrays):
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or not w.size:
             raise ShapeError(f"gossip matrix must be square and non-empty, got {w.shape}")
+        if not np.isfinite(w).all():  # NaN passes the symmetry test and poisons lambda_max
+            raise InvalidValueError("gossip matrix must be finite")
         _check_symmetric(w)  # eigvalsh reads one triangle, penalty all of w
         # before the copy, so the solver's work array and the copy never coexist
         object.__setattr__(self, "lambda_max", float(np.linalg.eigvalsh(w)[-1]))

@@ -17,6 +17,7 @@ makes byte-identical reproduction possible.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -24,6 +25,7 @@ import re
 import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -32,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .algorithms import (
+    TOL_FLOOR,
     AlgorithmConfig,
     baseline_run,
     params_rles,
@@ -313,9 +316,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _as_bool(metrics["final_gap"], "metrics.final_gap")
     for key in ("gap_inner_tol", "reference_tol"):
         metrics[key] = _as_float(metrics[key], f"metrics.{key}")
-        # below this floor a fixed-point residual (eps * scale) spins to the caps
-        if not metrics[key] >= 1e-14:
-            raise ConfigError(f"metrics.{key} must be >= 1e-14, got {metrics[key]!r}")
+        if not metrics[key] >= TOL_FLOOR:
+            raise ConfigError(f"metrics.{key} must be >= {TOL_FLOOR:g}, got {metrics[key]!r}")
     if (gap_every := _as_int(metrics["gap_every"], "metrics.gap_every")) < 0:
         raise ConfigError(f"metrics.gap_every must be >= 0 (0 is off), got {gap_every}")
     if not isinstance(output_dir := top["output_dir"], str) or not output_dir:
@@ -514,12 +516,17 @@ def _lam_token(index: int, lam: float) -> str:
     return f"lam{index}-{text}"
 
 
-def _write_rows_csv(path: Path, columns, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _csv_bytes(columns, rows) -> bytes:
+    # a BytesIO hands over its buffer uncopied; a StringIO copies its text
+    # when read, which held the longest paper-m8 trace twice
+    buffer = io.BytesIO()
+    text = io.TextIOWrapper(buffer, encoding="utf-8", newline="")
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    text.flush()
+    return buffer.getvalue()
 
 
 def _reference_needed(config: ExperimentConfig, problem: SaddleProblem) -> bool:
@@ -576,12 +583,15 @@ def _run_key(cell: tuple) -> tuple:
 
 
 def _execute_cell(problem: SaddleProblem, gossip: GossipMatrix,
-                  config: ExperimentConfig, references: list, out: Path,
-                  cell: tuple) -> dict:
-    """Run one prepared grid cell; meant to be callable in a worker process."""
+                  config: ExperimentConfig, references: list, cell: tuple) -> dict:
+    """Run one prepared grid cell and write nothing; callable in a worker process.
+
+    Returns its summary and resolved parameters (both without the seed), its
+    error (None if it ran) and its trace as UTF-8 CSV bytes (None if the
+    solver raised).
+    """
     entry, lam_index, alg_config = cell
-    lam, seed = alg_config.lam, alg_config.seed
-    cell_id = _cell_id(*cell)
+    lam = alg_config.lam
     reference = references[lam_index]
     recorder = RunRecorder(
         problem, gossip, lam, reference=reference,
@@ -589,22 +599,13 @@ def _execute_cell(problem: SaddleProblem, gossip: GossipMatrix,
     )
     runner = {"extragradient": baseline_run, "sliding": sliding_run,
               "rles": rles_run}[entry["name"]]
-    status = "ok"
-    error = None
-    summary: dict = {
-        "algorithm": entry["label"], "lambda": lam, "seed": seed,
-        "iterations": None, "stop_reason": None, "comm_rounds": None,
-        "local_grad_batches": None, "final_dist_sq": None, "final_gap": None,
-        "final_penalty": None, "final_consensus_x": None,
-        "final_consensus_y": None,
-    }
-    csv_file = None
+    summary: dict = {"algorithm": entry["label"], "lambda": lam}
+    error = trace = None
     try:
         result = runner(problem, gossip, alg_config,
                         reference=reference, recorder=recorder)
         record = result.record
-        csv_file = f"runs/{cell_id}.csv"
-        _write_rows_csv(out / csv_file, CSV_COLUMNS, record.rows())
+        trace = _csv_bytes(CSV_COLUMNS, record.rows())
         summary.update({
             "iterations": result.iterations,
             "stop_reason": result.stop_reason,
@@ -619,38 +620,18 @@ def _execute_cell(problem: SaddleProblem, gossip: GossipMatrix,
             summary["final_gap"] = record.gap[-1] if record.gap[-1] is not None else (
                 restricted_gap(problem, gossip, lam, result.output,
                                inner_tol=config.gap_inner_tol))
-    except OSError:  # writing the cell's files failed: the run's I/O error
-        raise
-    except Exception as exc:  # any other failure inside a cell is recorded, not raised
-        status = "failed"
+    except Exception as exc:  # any failure inside a cell is recorded, not raised
         error = f"{type(exc).__name__}: {exc}"
         summary["stop_reason"] = "error"
     resolved = {
         "gamma": alg_config.gamma, "lambda": lam,
         "inner_t": alg_config.inner_t, "delta_rel": alg_config.delta_rel,
         "p_comm": alg_config.p_comm, "schedule": alg_config.schedule,
-        "seed": seed, "max_outer": alg_config.max_outer,
+        "max_outer": alg_config.max_outer,
         "target_kind": alg_config.target_kind,
         "target_value": alg_config.target_value,
     }
-    return {
-        "cell_id": cell_id, "status": status, "error": error,
-        "summary": summary, "resolved": resolved, "csv": csv_file,
-    }
-
-
-def _as_cell(outcome: dict, cell: tuple, out: Path) -> dict:
-    """`outcome` of a cell of `cell`'s key, filed under `cell`'s seed."""
-    cell_id = _cell_id(*cell)
-    if cell_id == outcome["cell_id"]:
-        return outcome
-    seed = cell[2].seed
-    csv_file = outcome["csv"] and f"runs/{cell_id}.csv"
-    if csv_file:
-        shutil.copyfile(out / outcome["csv"], out / csv_file)
-    return {**outcome, "cell_id": cell_id, "csv": csv_file,
-            "summary": {**outcome["summary"], "seed": seed},
-            "resolved": {**outcome["resolved"], "seed": seed}}
+    return {"error": error, "summary": summary, "resolved": resolved, "trace": trace}
 
 
 def resolve_output_dir(config: ExperimentConfig, override: str | None = None) -> Path:
@@ -681,7 +662,8 @@ def run(config: ExperimentConfig, jobs: int = 1,
     disk and are shared with every cell, so a config error or a reference
     that fails its certificate leaves no output behind.  An exception inside
     a cell is recorded in the manifest as that cell's failure, with its type
-    and message, and does not abort the other cells; an OSError aborts the run.
+    and message, and does not abort the other cells.  Cells write nothing;
+    an OSError while writing the bundle aborts the run.
 
     A method that reads no seed (`reads_seed`) runs once per (algorithm,
     lambda); its outcome is filed under every seed of the grid.  The
@@ -724,36 +706,35 @@ def _write_bundle(config: ExperimentConfig, problem: SaddleProblem,
                   gossip: GossipMatrix, references: list, cells: list,
                   jobs: int, out: Path) -> tuple[dict, list]:
     """Run one cell per `_run_key` and write the grid's bundle under `out`;
-    returns the manifest and the failed cell ids."""
-    firsts: dict = {}
-    for cell in cells:
-        firsts.setdefault(_run_key(cell), cell)
-    execute = partial(_execute_cell, problem, gossip, config, references, out)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            ran = list(pool.map(execute, firsts.values()))
-    else:
-        ran = [execute(cell) for cell in firsts.values()]
-    by_key = dict(zip(firsts, ran))
-    outcomes = [_as_cell(by_key[_run_key(cell)], cell, out) for cell in cells]
+    returns the manifest and the failed cell ids.
 
-    summary_rows = [
-        [outcome["summary"][col] for col in SUMMARY_COLUMNS]
-        for outcome in outcomes
-    ]
-    _write_rows_csv(out / "summary.csv", SUMMARY_COLUMNS, summary_rows)
-
-    manifest_cells = {}
-    failures = []
-    for outcome in outcomes:
-        manifest_cells[outcome["cell_id"]] = {
-            "status": outcome["status"],
-            "error": outcome["error"],
-            "csv": outcome["csv"],
-            "resolved": outcome["resolved"],
-        }
-        if outcome["status"] != "ok":
-            failures.append(outcome["cell_id"])
+    Each outcome's trace is written under every cell of its key as the
+    outcome arrives; summary.csv and manifest.json follow in grid order.
+    """
+    groups: dict = {}
+    for index, cell in enumerate(cells):
+        groups.setdefault(_run_key(cell), []).append(index)
+    execute = partial(_execute_cell, problem, gossip, config, references)
+    firsts = [cells[group[0]] for group in groups.values()]
+    filed = [None] * len(cells)  # (cell id, summary row, manifest entry)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for group, outcome in zip(groups.values(),
+                                  (pool.map if pool else map)(execute, firsts)):
+            for index in group:
+                cell_id, seed = _cell_id(*cells[index]), cells[index][2].seed
+                csv_file = None
+                if outcome["trace"] is not None:
+                    csv_file = f"runs/{cell_id}.csv"
+                    (out / csv_file).write_bytes(outcome["trace"])
+                summary = {**outcome["summary"], "seed": seed}
+                filed[index] = (cell_id, [summary.get(col) for col in SUMMARY_COLUMNS], {
+                    "status": "ok" if outcome["error"] is None else "failed",
+                    "error": outcome["error"],
+                    "csv": csv_file,
+                    "resolved": {**outcome["resolved"], "seed": seed},
+                })
+    (out / "summary.csv").write_bytes(
+        _csv_bytes(SUMMARY_COLUMNS, [row for _, row, _ in filed]))
     manifest = {
         "version": __version__,
         "config": config_to_dict(config),
@@ -762,12 +743,11 @@ def _write_bundle(config: ExperimentConfig, problem: SaddleProblem,
             "strong_convexity": problem.strong_convexity,
             "lambda_max": gossip.lambda_max,
         },
-        "cells": manifest_cells,
+        "cells": {cell_id: entry for cell_id, _, entry in filed},
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest, failures
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                       encoding="utf-8")
+    return manifest, [cell_id for cell_id, _, entry in filed if entry["error"] is not None]
 
 
 # --------------------------------------------------------------------------

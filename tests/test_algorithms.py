@@ -8,6 +8,7 @@ import pytest
 
 from pfsaddle import algorithms
 from pfsaddle.algorithms import (
+    TOL_FLOOR,
     AlgorithmConfig,
     _check_divergence,
     baseline_run,
@@ -1034,3 +1035,10 @@ def test_algorithm_config_validation():
         AlgorithmConfig(gamma=0.1, delta_rel=1.5)
     with pytest.raises(ConfigError):
         AlgorithmConfig(gamma=0.1, target_value=1, gap_check_every=0)
+    # a gap solve with a negative or NaN tolerance never stops
+    for bad in ({"gap_inner_tol": -1.0}, {"gap_inner_tol": math.nan},
+                {"gap_inner_tol": TOL_FLOOR / 2}, {"gamma": True}, {"lam": True},
+                {"averaged_output": "yes"}, {"delta_rel": "0.1"}, {"p_comm": "0.5"}):
+        with pytest.raises(ConfigError):
+            AlgorithmConfig(**{"gamma": 0.1, **bad})
+    AlgorithmConfig(gamma=0.1, gap_inner_tol=TOL_FLOOR, averaged_output=False)

@@ -213,6 +213,13 @@ def test_gossip_matrix_rejects_a_w_with_no_lambda_max(shape):
         GossipMatrix(np.zeros(shape), frozenset())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_gossip_matrix_rejects_a_non_finite_w(bad):
+    # NaN built with lambda_max -0.0 and inf with lambda_max NaN
+    with pytest.raises(InvalidValueError):
+        GossipMatrix(np.array([[bad, 0.0], [0.0, 1.0]]), frozenset())
+
+
 def test_gossip_matrix_constructor_rejects_a_non_symmetric_w():
     # eigvalsh would read only the lower triangle (lambda_max 1.0) while the
     # penalty multiplies by all of w (spectral norm 1.618)

@@ -3,7 +3,10 @@
 import errno
 import json
 import math
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +18,14 @@ import pfsaddle.harness
 import pfsaddle.metrics
 from pfsaddle.algorithms import baseline_run
 from pfsaddle.cli import main
-from pfsaddle.errors import ConfigError
+from pfsaddle.errors import ConfigError, ConvergenceError
 from pfsaddle.harness import (
     SUMMARY_COLUMNS,
+    _cell_id,
+    _csv_bytes,
     _execute_cell,
     _lam_token,
     _reference_needed,
-    _write_rows_csv,
     build_problem,
     config_to_dict,
     emit_plot_data,
@@ -32,7 +36,7 @@ from pfsaddle.harness import (
     run,
     serialize_config,
 )
-from pfsaddle.metrics import RunRecorder
+from pfsaddle.metrics import CSV_COLUMNS, RunRecorder
 from pfsaddle.problems import reference_solution
 
 
@@ -263,13 +267,20 @@ def cell_by_cell(config, out: Path) -> tuple[dict, dict]:
                   if _reference_needed(config, problem) else None
                   for lam in config.lambda_grid]
     (out / "runs").mkdir(parents=True)
-    outcomes = [_execute_cell(problem, gossip, config, references, out, cell)
-                for cell in cells]
-    _write_rows_csv(out / "summary.csv", SUMMARY_COLUMNS,
-                    [[o["summary"][col] for col in SUMMARY_COLUMNS] for o in outcomes])
-    return read_bytes_map(out), {
-        o["cell_id"]: {key: o[key] for key in ("status", "error", "csv", "resolved")}
-        for o in outcomes}
+    rows, manifest_cells = [], {}
+    for cell in cells:
+        o = _execute_cell(problem, gossip, config, references, cell)
+        cell_id, seed = _cell_id(*cell), cell[2].seed
+        csv_file = None if o["trace"] is None else f"runs/{cell_id}.csv"
+        if csv_file:
+            (out / csv_file).write_bytes(o["trace"])
+        rows.append([seed if col == "seed" else o["summary"].get(col)
+                     for col in SUMMARY_COLUMNS])
+        manifest_cells[cell_id] = {
+            "status": "ok" if o["error"] is None else "failed", "error": o["error"],
+            "csv": csv_file, "resolved": {**o["resolved"], "seed": seed}}
+    (out / "summary.csv").write_bytes(_csv_bytes(SUMMARY_COLUMNS, rows))
+    return read_bytes_map(out), manifest_cells
 
 
 @pytest.mark.parametrize("extra, jobs", [
@@ -539,6 +550,40 @@ def test_any_exception_in_a_cell_is_recorded_not_raised(tmp_path, monkeypatch):
             assert cell["status"] == "ok" and cell["error"] is None
 
 
+def test_a_final_gap_that_raises_is_filed_under_every_seed(tmp_path, monkeypatch):
+    def unsolved(*args, **kwargs):
+        raise ConvergenceError("inner solve did not converge")
+
+    monkeypatch.setattr(pfsaddle.harness, "restricted_gap", unsolved)
+    # forked workers run the patched module; spawned ones would import it anew
+    monkeypatch.setattr(pfsaddle.harness, "ProcessPoolExecutor", partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    # sliding reads no seed: one run, filed under seeds 0, 1 and 2
+    config = parse_config(minimal_raw(algorithms=[{"name": "sliding"}], seeds=[0, 1, 2],
+                                      metrics={"final_gap": True}))
+    serial = run(config, jobs=1, output_dir=str(tmp_path / "serial"))
+    parallel = run(config, jobs=2, output_dir=str(tmp_path / "parallel"))
+    files = read_bytes_map(serial.output_dir)
+    assert files == read_bytes_map(parallel.output_dir)
+    cells = serial.manifest["cells"]
+    assert serial.failures == list(cells) == [
+        f"00-sliding__lam0-0p5__seed{seed}" for seed in (0, 1, 2)]
+    traces = set()
+    for cell_id, cell in cells.items():
+        assert cell["status"] == "failed"
+        assert cell["error"] == "ConvergenceError: inner solve did not converge"
+        assert cell["csv"] == f"runs/{cell_id}.csv"
+        traces.add(files[cell["csv"]])
+    (trace,) = traces
+    assert trace.decode().splitlines()[0].split(",") == list(CSV_COLUMNS)
+    rows = [dict(zip(SUMMARY_COLUMNS, line.split(",")))
+            for line in files["summary.csv"].decode().splitlines()[1:]]
+    assert [row["seed"] for row in rows] == ["0", "1", "2"]
+    for row in rows:
+        assert (row["iterations"], row["stop_reason"], row["final_gap"]) == (
+            "40", "error", "")
+
+
 def test_manual_gamma_override_wins_over_auto(tmp_path):
     out = tmp_path / "out"
     config = parse_config(minimal_raw(
@@ -647,15 +692,15 @@ def test_gap_stop_reads_the_gap_the_recorder_measured(tmp_path, monkeypatch, gap
 
 
 def test_a_cell_write_error_exits_3_and_leaves_nothing(tmp_path, monkeypatch, capsys):
-    write = pfsaddle.harness._write_rows_csv
+    write = Path.write_bytes  # what writes the traces
 
-    def disk_full(path, columns, rows):
+    def disk_full(path, data):
         if path.name.startswith("01-sliding"):
             path.write_text("k,comm_rou")
             raise OSError(errno.ENOSPC, "No space left on device")
-        write(path, columns, rows)
+        return write(path, data)
 
-    monkeypatch.setattr(pfsaddle.harness, "_write_rows_csv", disk_full)
+    monkeypatch.setattr(Path, "write_bytes", disk_full)
     path = write_config(tmp_path, small_grid_raw(tmp_path / "out"))
     assert main(["run", path]) == 3
     assert "i/o error:" in capsys.readouterr().err
