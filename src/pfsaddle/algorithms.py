@@ -276,7 +276,8 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
     residual stop.  Then come the divergence guard, the recorder (given the
     reported array) and the target of `config`, else a `limit` on steps.  A
     distance or gap target reads the value `observe` has just recorded if
-    the recorder measured it with the target's arguments, else measures."""
+    the recorder measured it with the target's arguments, else measures.
+    The result carries the recorder's `record`, read after the last step."""
     if reference is not None and (reference := _join(reference)).shape != z0.shape:
         raise ShapeError(f"reference shape {reference.shape} is not the iterate's {z0.shape}")
     if config is not None:
@@ -284,7 +285,7 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
             raise ConfigError("distance target needs a reference solution")
         limit = config.max_outer
     omega, n_x = problem.domain.diameter, problem.n_x
-    record = recorder and recorder.record
+    record = recorder and recorder.record  # whose dist_sq and gap grow at each observe
     same_distance = recorder is not None and np.array_equal(recorder._reference, reference)
     same_gap = recorder is not None and config is not None and (
         recorder.problem, recorder.gossip, recorder.lam, recorder.gap_tol) == (
@@ -324,7 +325,7 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
             break
     last = _split(z, n_x)
     return RunResult(last, last if rep is z else _split(rep, n_x), counters,
-                     record, reason, k)
+                     recorder and recorder.record, reason, k)
 
 
 # --------------------------------------------------------------------------

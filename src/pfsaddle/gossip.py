@@ -22,7 +22,7 @@ from .errors import (
     TopologyError,
 )
 from .rng import Xoshiro256StarStar, derive_seed
-from .stacked import StackedPoint, _ReadOnlyArrays, _join
+from .stacked import StackedPoint, _ReadOnlyArrays, _join, _point_sums
 
 TOPOLOGY_KINDS = ("complete", "ring", "star", "path", "grid2d", "erdos_renyi")
 
@@ -285,18 +285,19 @@ def _check_penalty_args(g: GossipMatrix, lam: float, p: StackedPoint):
         )
 
 
-def _penalty_value(w: np.ndarray, lam: float, x: np.ndarray, y: np.ndarray) -> float:
-    """`penalty_value` on the blocks (or column views) x and y, unchecked."""
+def _penalty_value(w: np.ndarray, lam: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`penalty_value` of every point of the stacks x and y, shaped (..., M, n)
+    (blocks or column views), unchecked: one value per point.  The product
+    `w @ x` broadcasts over the leading axes, which keeps each point's bits."""
     if lam == 0.0:
-        return 0.0
-    return float(0.5 * lam * (np.add.reduce(x * (w @ x), axis=None)
-                              - np.add.reduce(y * (w @ y), axis=None)))
+        return np.zeros(x.shape[:-2])
+    return 0.5 * lam * (_point_sums(x * (w @ x)) - _point_sums(y * (w @ y)))
 
 
 def penalty_value(g: GossipMatrix, lam: float, p: StackedPoint) -> float:
     """Consensus penalty (lam/2) tr(X^T W X) - (lam/2) tr(Y^T W Y)."""
     _check_penalty_args(g, lam, p)
-    return _penalty_value(g.w, lam, p.x, p.y)
+    return float(_penalty_value(g.w, lam, p.x, p.y))
 
 
 def penalty_grad(g: GossipMatrix, lam: float, p: StackedPoint) -> StackedPoint:

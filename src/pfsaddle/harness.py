@@ -24,10 +24,10 @@ import os
 import re
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -702,6 +702,26 @@ def run(config: ExperimentConfig, jobs: int = 1,
     return ResultBundle(output_dir=out, manifest=manifest, failures=failures)
 
 
+def _outcomes(execute, work: list, jobs: int):
+    """(key, execute(cell)) for each (key, cell) of `work`, as each finishes:
+    serially when `jobs` or the work is one, else on a pool of at most that
+    many workers.  The next cell is submitted only once the caller has taken
+    an outcome, so a caller that stops (a failed write) starts no more cells.
+    """
+    workers = min(jobs, len(work))
+    if workers <= 1:
+        yield from ((key, execute(cell)) for key, cell in work)
+        return
+    rest = iter(work)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        running = {pool.submit(execute, cell): key for key, cell in islice(rest, workers)}
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                yield running.pop(future), future.result()
+                running.update((pool.submit(execute, cell), key) for key, cell in islice(rest, 1))
+
+
 def _write_bundle(config: ExperimentConfig, problem: SaddleProblem,
                   gossip: GossipMatrix, references: list, cells: list,
                   jobs: int, out: Path) -> tuple[dict, list]:
@@ -715,24 +735,22 @@ def _write_bundle(config: ExperimentConfig, problem: SaddleProblem,
     for index, cell in enumerate(cells):
         groups.setdefault(_run_key(cell), []).append(index)
     execute = partial(_execute_cell, problem, gossip, config, references)
-    firsts = [cells[group[0]] for group in groups.values()]
+    work = [(group, cells[group[0]]) for group in groups.values()]
     filed = [None] * len(cells)  # (cell id, summary row, manifest entry)
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for group, outcome in zip(groups.values(),
-                                  (pool.map if pool else map)(execute, firsts)):
-            for index in group:
-                cell_id, seed = _cell_id(*cells[index]), cells[index][2].seed
-                csv_file = None
-                if outcome["trace"] is not None:
-                    csv_file = f"runs/{cell_id}.csv"
-                    (out / csv_file).write_bytes(outcome["trace"])
-                summary = {**outcome["summary"], "seed": seed}
-                filed[index] = (cell_id, [summary.get(col) for col in SUMMARY_COLUMNS], {
-                    "status": "ok" if outcome["error"] is None else "failed",
-                    "error": outcome["error"],
-                    "csv": csv_file,
-                    "resolved": {**outcome["resolved"], "seed": seed},
-                })
+    for group, outcome in _outcomes(execute, work, jobs):
+        for index in group:
+            cell_id, seed = _cell_id(*cells[index]), cells[index][2].seed
+            csv_file = None
+            if outcome["trace"] is not None:
+                csv_file = f"runs/{cell_id}.csv"
+                (out / csv_file).write_bytes(outcome["trace"])
+            summary = {**outcome["summary"], "seed": seed}
+            filed[index] = (cell_id, [summary.get(col) for col in SUMMARY_COLUMNS], {
+                "status": "ok" if outcome["error"] is None else "failed",
+                "error": outcome["error"],
+                "csv": csv_file,
+                "resolved": {**outcome["resolved"], "seed": seed},
+            })
     (out / "summary.csv").write_bytes(
         _csv_bytes(SUMMARY_COLUMNS, [row for _, row, _ in filed]))
     manifest = {

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import ConvergenceError, InvalidValueError, ShapeError
 from .gossip import GossipMatrix, _penalty_value, penalty_value
 from .problems import SaddleProblem
-from .stacked import StackedPoint, _check_like, _join, _project_rows, _split, _sum_sq
+from .stacked import (StackedPoint, _check_like, _join, _point_sums, _project_rows, _split,
+                      _sum_sq)
 
 CSV_COLUMNS = (
     "k",
@@ -69,10 +70,13 @@ def distance_sq(p: StackedPoint, reference: StackedPoint) -> float:
     return _distance_sq(_join(p), _join(reference), p.x.shape[1])
 
 
-def _consensus_residual(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """`consensus_residual` on the blocks x and y, unchecked."""
-    m = len(x)
-    return _sum_sq(x - np.add.reduce(x, axis=0) / m), _sum_sq(y - np.add.reduce(y, axis=0) / m)
+def _consensus_residual(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`consensus_residual` of every point of the stacks x and y, shaped
+    (..., M, n) (blocks or column views), unchecked: one value per point."""
+    def spread(b: np.ndarray) -> np.ndarray:
+        d = b - np.add.reduce(b, axis=-2, keepdims=True) / b.shape[-2]
+        return _point_sums(d * d)
+    return spread(x), spread(y)
 
 
 def consensus_residual(p: StackedPoint) -> tuple[float, float]:
@@ -81,7 +85,8 @@ def consensus_residual(p: StackedPoint) -> tuple[float, float]:
     Returns (sum_m |x_m - xbar|^2, sum_m |y_m - ybar|^2); both are zero
     exactly when every node holds the same local model.
     """
-    return _consensus_residual(p.x, p.y)
+    cx, cy = _consensus_residual(p.x, p.y)
+    return float(cx), float(cy)
 
 
 @dataclass
@@ -105,13 +110,22 @@ class RunRecord:
         return zip(*(getattr(self, name) for name in CSV_COLUMNS))
 
 
+# the pending iterates take at most this many bytes (one iterate at least):
+# 1,024 iterates at M * n = 32, 16 at M * n = 2,048, 4 at M = 1024 with n = 8
+_CHUNK_BYTES = 256 * 1024
+
+
 class RunRecorder:
     """Collects one RunRecord while a solver runs.
 
     `observe` reads the joined iterate z = [x | y] the solver reports, as
-    checked by its divergence guard, through the column views of z.  The
-    restricted gap is only evaluated every `gap_every` iterations when that
-    is positive, since it needs two inner solves.
+    checked by its divergence guard, and records at once what a stop reads:
+    k, the counters, `dist_sq` and `gap` (the restricted gap only every
+    `gap_every` iterations when that is positive, since it needs two inner
+    solves).  It copies z into a pending buffer of at most `_CHUNK_BYTES`;
+    `penalty_value`, `consensus_x` and `consensus_y` are computed for every
+    pending iterate at once, bit-equal to the per-point measures, when the
+    buffer is full and when `record` is read.
     """
 
     def __init__(self, problem: SaddleProblem, gossip: GossipMatrix, lam: float,
@@ -126,11 +140,19 @@ class RunRecorder:
         self._reference = None if reference is None else _join(reference)
         self.gap_every = int(gap_every)
         self.gap_tol = float(gap_tol)
-        self.record = RunRecord()
+        self._record = RunRecord()
+        shape = (problem.num_nodes, problem.n_x + problem.n_y)
+        self._pending = np.empty((max(1, _CHUNK_BYTES // (8 * shape[0] * shape[1])), *shape))
+        self._filled = 0
+
+    @property
+    def record(self) -> RunRecord:
+        """The trajectory so far, every column complete."""
+        self._flush()
+        return self._record
 
     def observe(self, k: int, z: np.ndarray, counters: Counters):
-        rec, n_x = self.record, self.problem.n_x
-        x, y = z[:, :n_x], z[:, n_x:]
+        rec, n_x = self._record, self.problem.n_x
         rec.k.append(int(k))
         rec.comm_rounds.append(counters.comm_rounds)
         rec.local_grad_batches.append(counters.local_grad_batches)
@@ -141,10 +163,23 @@ class RunRecorder:
                            inner_tol=self.gap_tol)
             if self.gap_every > 0 and k % self.gap_every == 0 else None
         )
-        rec.penalty_value.append(_penalty_value(self.gossip.w, self.lam, x, y))
+        self._pending[self._filled] = z
+        self._filled += 1
+        if self._filled == len(self._pending):
+            self._flush()
+
+    def _flush(self):
+        """The per-chunk columns of the pending iterates."""
+        if not self._filled:
+            return
+        rec, n_x = self._record, self.problem.n_x
+        stack = self._pending[:self._filled]
+        x, y = stack[:, :, :n_x], stack[:, :, n_x:]
+        rec.penalty_value.extend(_penalty_value(self.gossip.w, self.lam, x, y).tolist())
         cx, cy = _consensus_residual(x, y)
-        rec.consensus_x.append(cx)
-        rec.consensus_y.append(cy)
+        rec.consensus_x.extend(cx.tolist())
+        rec.consensus_y.extend(cy.tolist())
+        self._filled = 0
 
 
 def _inner_ball_opt(problem: SaddleProblem, gossip: GossipMatrix, lam: float,

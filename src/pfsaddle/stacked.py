@@ -126,6 +126,13 @@ def _sum_sq(a: np.ndarray) -> float:
     return float(np.add.reduce(a * a, axis=None))
 
 
+def _point_sums(a: np.ndarray) -> np.ndarray:
+    """The sum of each trailing (M, n) matrix of a C-contiguous stack
+    (..., M, n), reduced flat over (M, n) as `_sum_sq` reduces one point,
+    so each sum is bit-equal to that point's alone."""
+    return np.add.reduce(a.reshape(*a.shape[:-2], -1), axis=-1)
+
+
 def frobenius_sq(a: np.ndarray) -> float:
     """Squared Frobenius norm of a matrix, as a Python float."""
     return _sum_sq(np.asarray(a, dtype=float))

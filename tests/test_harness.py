@@ -5,7 +5,7 @@ import json
 import math
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -16,7 +16,7 @@ import pfsaddle.algorithms
 import pfsaddle.gossip
 import pfsaddle.harness
 import pfsaddle.metrics
-from pfsaddle.algorithms import baseline_run
+from pfsaddle.algorithms import baseline_run, rles_run
 from pfsaddle.cli import main
 from pfsaddle.errors import ConfigError, ConvergenceError
 from pfsaddle.harness import (
@@ -705,6 +705,66 @@ def test_a_cell_write_error_exits_3_and_leaves_nothing(tmp_path, monkeypatch, ca
     assert main(["run", path]) == 3
     assert "i/o error:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_a_failed_write_starts_no_further_cell(tmp_path, monkeypatch, capsys):
+    ran = tmp_path / "ran"  # one line per executed cell, from any process
+
+    def counted_rles(*args, **kwargs):
+        with open(ran, "a") as fh:
+            fh.write("cell\n")
+        return rles_run(*args, **kwargs)
+
+    def disk_full(path, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pfsaddle.harness, "rles_run", counted_rles)
+    monkeypatch.setattr(Path, "write_bytes", disk_full)
+    # forked workers run the patched module; spawned ones would import it anew
+    monkeypatch.setattr(pfsaddle.harness, "ProcessPoolExecutor", partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    # randomized rles reads its seed: six cells to execute
+    raw = minimal_raw(algorithms=[{"name": "rles"}], seeds=list(range(6)),
+                      topology={"kind": "ring", "num_nodes": 8},
+                      output_dir=str(tmp_path / "out"))
+    path = write_config(tmp_path, raw)
+    assert main(["run", path, "--jobs", "2"]) == 3
+    assert "i/o error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "ran"]
+    # the first write fails with one cell per worker submitted; no other starts
+    assert len(ran.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("jobs, seeds, started", [
+    (64, [0, 1, 2], [3]), (2, [0, 1, 2], [2]), (64, [0], []), (1, [0, 1, 2], [])])
+def test_the_pool_starts_no_more_workers_than_cells_to_run(tmp_path, monkeypatch,
+                                                           jobs, seeds, started):
+    workers = []
+
+    class InlinePool:
+        """Records the worker count it is asked for and runs each cell inline."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(pfsaddle.harness, "ProcessPoolExecutor", InlinePool)
+    # randomized rles reads its seed: one cell per seed executes
+    config = parse_config(minimal_raw(algorithms=[{"name": "rles"}], seeds=seeds))
+    bundle = run(config, jobs=jobs, output_dir=str(tmp_path / "out"))
+    assert workers == started
+    assert read_bytes_map(bundle.output_dir) == read_bytes_map(
+        run(config, output_dir=str(tmp_path / "serial")).output_dir)
 
 
 def test_run_leaves_the_work_directories_of_a_killed_run_alone(tmp_path):

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import pfsaddle.metrics
+from pfsaddle.algorithms import AlgorithmConfig, baseline_run
 from pfsaddle.errors import InvalidValueError
-from pfsaddle.gossip import GossipMatrix, Topology, laplacian
+from pfsaddle.gossip import GossipMatrix, Topology, laplacian, penalty_value
 from pfsaddle.metrics import (
     CSV_COLUMNS,
     Counters,
@@ -164,6 +166,72 @@ def test_recorder_tracks_penalty_and_consensus_columns():
     cx, cy = consensus_residual(p)
     assert rec.record.consensus_x[0] == cx
     assert rec.record.consensus_y[0] == cy
+
+
+def chunk_of(monkeypatch, problem, iterates):
+    """Patch the recorder's byte budget down to `iterates` iterates."""
+    monkeypatch.setattr(pfsaddle.metrics, "_CHUNK_BYTES",
+                        iterates * 8 * problem.num_nodes * (problem.n_x + problem.n_y))
+
+
+class KeepingRecorder(RunRecorder):
+    """A recorder that also keeps a copy of every iterate it observes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = []
+
+    def observe(self, k, z, counters):
+        self.seen.append(StackedPoint(z[:, :self.problem.n_x], z[:, self.problem.n_x:]))
+        super().observe(k, z, counters)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+def test_chunked_columns_equal_the_per_point_measures(monkeypatch, lam):
+    problem, gossip = recorder_fixture()
+    chunk_of(monkeypatch, problem, 3)
+    rec = KeepingRecorder(problem, gossip, lam)
+    start = StackedPoint(np.arange(6.0).reshape(3, 2), -np.arange(6.0).reshape(3, 2) / 4)
+    baseline_run(problem, gossip, AlgorithmConfig(gamma=0.05, lam=lam, target_value=10),
+                 start=start, recorder=rec)
+    record = rec.record
+    assert len(record) == len(rec.seen) == 11  # three full chunks and a partial one
+    assert record.penalty_value == [penalty_value(gossip, lam, p) for p in rec.seen]
+    assert list(zip(record.consensus_x, record.consensus_y)) == [
+        consensus_residual(p) for p in rec.seen]
+    assert all(type(v) is float for v in record.penalty_value + record.consensus_x)
+    if lam == 0.0:
+        assert record.penalty_value == [0.0] * 11
+    else:
+        assert len(set(record.penalty_value)) == 11
+
+
+def test_reading_the_record_mid_run_keeps_the_columns_aligned(monkeypatch):
+    problem, gossip = recorder_fixture()
+    chunk_of(monkeypatch, problem, 4)
+    rec = RunRecorder(problem, gossip, 2.0, reference=StackedPoint.zeros(3, 2, 2))
+    rng = np.random.default_rng(3)
+    points = [StackedPoint(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
+              for _ in range(11)]
+    for stop in (5, 6, 11):  # a partial chunk, one more iterate, past a full one
+        for k in range(len(rec.record), stop):
+            rec.observe(k, _join(points[k]), Counters())
+        assert {len(getattr(rec.record, name)) for name in CSV_COLUMNS} == {stop}
+    assert rec.record.penalty_value == [penalty_value(gossip, 2.0, p) for p in points]
+    assert rec.record.consensus_x == [consensus_residual(p)[0] for p in points]
+
+
+def test_the_record_keeps_an_iterate_mutated_after_observe(monkeypatch):
+    problem, gossip = recorder_fixture()
+    chunk_of(monkeypatch, problem, 2)
+    p = StackedPoint(np.array([[1.0, 0.0], [0.0, 2.0], [0.5, 0.0]]), np.ones((3, 2)))
+    rec = RunRecorder(problem, gossip, 2.0)
+    z = _join(p)
+    rec.observe(0, z, Counters())
+    z[:] = 99.0  # the solver's array is the recorder's no longer
+    assert rec.record.penalty_value == [penalty_value(gossip, 2.0, p)]
+    assert rec.record.consensus_x == [consensus_residual(p)[0]]
+    assert rec.record.consensus_y == [0.0]
 
 
 # --------------------------------------------------------------------------

@@ -239,7 +239,7 @@ def wrapped_sum_sq(a):
        st.sampled_from([0.0, 0.1, 1.0, 16.0]), st.integers(0, 2**16))
 def test_wrapper_free_measures_match_the_numpy_wrappers(m, dims, lam, seed):
     # the measure bodies on column views of a joined array, bit for bit
-    # against np.sum, .mean(axis=0) and trace_inner
+    # against np.sum, .mean(axis=0) and trace_inner, alone and in a stack
     n_x, n_y = dims
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(m, n_x + n_y)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
@@ -256,7 +256,15 @@ def test_wrapper_free_measures_match_the_numpy_wrappers(m, dims, lam, seed):
                                          wrapped_sum_sq(y - y.mean(axis=0)))
     want = 0.0 if lam == 0.0 else 0.5 * lam * (trace_inner(x, w @ x) - trace_inner(y, w @ y))
     got = _penalty_value(w, lam, x, y)
-    assert type(got) is float and got == want
+    assert got.shape == () and got == want
+    stack = np.stack((ref, z))  # one value per point, each the point's own
+    xs, ys = stack[..., :n_x], stack[..., n_x:]
+    assert _penalty_value(w, lam, xs, ys).tolist() == [
+        float(_penalty_value(w, lam, ref[:, :n_x], ref[:, n_x:])), want]
+    assert [c.tolist() for c in _consensus_residual(xs, ys)] == [
+        [float(a), float(b)]
+        for a, b in zip(_consensus_residual(ref[:, :n_x], ref[:, n_x:]),
+                        _consensus_residual(x, y))]
 
 
 @PROPERTY
