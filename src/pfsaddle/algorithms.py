@@ -30,7 +30,9 @@ zero, and every operator evaluation is one local gradient batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +65,54 @@ TARGET_KINDS = ("iterations", "distance", "gap")
 TOL_FLOOR = 1e-14
 
 
+class _Key(NamedTuple):
+    """One config value: its type, its default and its bound.
+
+    `kind` is int, float, bool, str or object (any value).  An int or float
+    lies in [at_least, inf) and in (above, below), and a float is finite; a
+    str is non-empty, and one of `choices` where they are given.  A row of
+    kind list is a non-empty list of `item` rows, one of kind dict an object
+    of some of the rows in the dict `item`, with no default filled in.  A
+    MISSING default makes the key required.
+    """
+
+    kind: type
+    default: object = MISSING
+    at_least: float = -math.inf
+    above: float = -math.inf
+    below: float = math.inf
+    choices: tuple = ()
+    item: object = None
+
+    def check(self, value, where: str):
+        """`value` as this row's type, or a ConfigError that names `where`."""
+        if self.kind in (int, float):
+            types = (int, np.integer) if self.kind is int else (int, float, np.integer,
+                                                                np.floating)
+            if isinstance(value, bool) or not isinstance(value, types) or (
+                    self.kind is float and not abs(value) <= sys.float_info.max):  # NaN
+                what = "an integer" if self.kind is int else "a finite number"
+                raise ConfigError(f"{where} must be {what}, got {value!r}")
+            if not (value >= self.at_least and self.above < value < self.below):
+                bound = " and ".join(text for text, on in (
+                    (f">= {self.at_least:g}", self.at_least > -math.inf),
+                    (f"> {self.above:g}", self.above > -math.inf),
+                    (f"< {self.below:g}", self.below < math.inf)) if on)
+                raise ConfigError(f"{where} must be {bound}, got {value!r}")
+            return self.kind(value)
+        if self.choices and value not in self.choices:
+            raise ConfigError(f"{where} must be one of {self.choices}, got {value!r}")
+        if not isinstance(value, self.kind) or (self.kind is str and not value):
+            what = "non-empty str" if self.kind is str else self.kind.__name__
+            raise ConfigError(f"{where} must be a {what}, got {value!r}")
+        return value
+
+
+def _field(kind: type, default=MISSING, **bound):
+    """A dataclass field that carries its config row."""
+    return field(default=default, metadata={"key": _Key(kind, default, **bound)})
+
+
 @dataclass(frozen=True)
 class AlgorithmConfig:
     """Solver settings shared by all three methods.
@@ -72,61 +122,39 @@ class AlgorithmConfig:
     delta_rel is informational, recorded for provenance); rles uses
     p_comm, schedule and seed.  target_value is the iteration count K for
     target_kind="iterations", otherwise the tolerance compared against
-    the squared distance or the restricted gap.
+    the squared distance or the restricted gap.  Each field is checked
+    against its row (`_SOLVER_KEYS`), which the experiment config shares;
+    averaged_output=None leaves the choice to the method.
     """
 
-    gamma: float
-    lam: float = 0.0
-    inner_t: int = 1
-    delta_rel: float = 0.25
-    p_comm: float = 0.5
-    schedule: str = "randomized"
-    seed: int = 0
-    max_outer: int = 1_000_000
-    target_kind: str = "iterations"
-    target_value: float = 1.0
-    gap_check_every: int = 50
-    gap_inner_tol: float = 1e-8
-    averaged_output: bool | None = None
+    gamma: float = _field(float, above=0.0)
+    lam: float = _field(float, 0.0, at_least=0.0)
+    inner_t: int = _field(int, 1, at_least=1)
+    delta_rel: float = _field(float, 0.25, above=0.0, below=1.0)
+    p_comm: float = _field(float, 0.5, above=0.0, below=1.0)
+    schedule: str = _field(str, "randomized", choices=SCHEDULES)
+    seed: int = _field(int, 0)
+    max_outer: int = _field(int, 1_000_000, at_least=1)
+    target_kind: str = _field(str, "iterations", choices=TARGET_KINDS)
+    target_value: float = _field(float, 1.0, above=0.0)
+    gap_check_every: int = _field(int, 50, at_least=1)
+    gap_inner_tol: float = _field(float, 1e-8, at_least=TOL_FLOOR)
+    averaged_output: bool | None = _field(bool, None)
 
     def __post_init__(self):
-        for name in ("inner_t", "max_outer", "gap_check_every", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < 1 and name != "seed":
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        for name in ("gamma", "lam", "delta_rel", "p_comm", "target_value", "gap_inner_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
-                                                                 np.floating)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-        if not (self.averaged_output is None or isinstance(self.averaged_output, bool)):
-            raise ConfigError(f"averaged_output must be a boolean or None, "
-                              f"got {self.averaged_output!r}")
-        if not self.gap_inner_tol >= TOL_FLOOR:  # False for NaN
-            raise ConfigError(f"gap_inner_tol must be >= {TOL_FLOOR:g}, "
-                              f"got {self.gap_inner_tol!r}")
-        if not (float(self.gamma) > 0.0 and math.isfinite(self.gamma)):
-            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
-        if not (float(self.lam) >= 0.0 and math.isfinite(self.lam)):
-            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not (0.0 < float(self.delta_rel) < 1.0):
-            raise ConfigError(f"delta_rel must lie in (0, 1), got {self.delta_rel}")
-        if not (0.0 < float(self.p_comm) < 1.0):
-            raise ConfigError(f"p_comm must lie in (0, 1), got {self.p_comm}")
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
-        if self.target_kind not in TARGET_KINDS:
-            raise ConfigError(
-                f"target_kind must be one of {TARGET_KINDS}, got {self.target_kind!r}"
-            )
-        if self.target_kind == "iterations":
-            value = self.target_value
-            if isinstance(value, bool) or not (float(value).is_integer() and value >= 1):
-                raise ConfigError(f"iterations target needs an integral value >= 1, got {value!r}")
-        elif not (float(self.target_value) > 0.0):
-            raise ConfigError(f"{self.target_kind} target needs target_value > 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                f.metadata["key"].check(value, f.name)
+        if self.target_kind == "iterations" and not float(self.target_value).is_integer():
+            raise ConfigError(f"an iterations target must be integral, got {self.target_value!r}")
+
+
+# the row of each AlgorithmConfig field, and those an algorithm entry's
+# `overrides` may pin
+_SOLVER_KEYS = {f.name: f.metadata["key"] for f in fields(AlgorithmConfig)}
+_OVERRIDE_KEYS = {name: _SOLVER_KEYS[name] for name in (
+    "gamma", "inner_t", "delta_rel", "p_comm", "gap_check_every", "averaged_output")}
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,12 @@ writes one trajectory CSV per cell plus a summary CSV, and a manifest
 that embeds the normalized config so any run can be replayed bit-exactly
 (pass the manifest itself back to `run`).
 
-Only `topology.kind` and `problem.family` are mandatory; every other key
-has a default.  Unknown keys are rejected so typos fail loudly.  Nothing
+Every config key's type, default and bound is declared once, in one
+table: the fields of `ExperimentConfig`, `_PROBLEM_KEYS` and
+`_ENTRY_KEYS`, whose solver settings are the rows on `AlgorithmConfig`'s
+fields.  `parse_config` reads the table and `config_to_dict` writes it;
+only `topology.kind`, `problem.family` and each algorithm's `name` are
+required.  Unknown keys are rejected so typos fail loudly.  Nothing
 written to disk contains timestamps or absolute paths, which is what
 makes byte-identical reproduction possible.
 """
@@ -23,9 +27,8 @@ import math
 import os
 import re
 import shutil
-import sys
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -34,8 +37,11 @@ import numpy as np
 
 from . import __version__
 from .algorithms import (
+    _OVERRIDE_KEYS,
+    _SOLVER_KEYS,
     TOL_FLOOR,
     AlgorithmConfig,
+    _Key,
     baseline_run,
     params_rles,
     params_sliding,
@@ -58,7 +64,6 @@ from .stacked import BallDomain
 OUTPUT_DIR_ENV = "PFSADDLE_OUTPUT_DIR"
 
 ALGORITHM_NAMES = ("extragradient", "sliding", "rles")
-FAMILIES = ("quadratic", "bilinear", "robust_regression")
 
 SUMMARY_COLUMNS = (
     "algorithm",
@@ -92,63 +97,77 @@ __all__ = [
 # config parsing
 # --------------------------------------------------------------------------
 
+_PROBLEM_KEYS = {  # the rows of a problem section besides its family, by family
+    "quadratic": {
+        "n_x": _Key(int, 2, at_least=1), "n_y": _Key(int, 2, at_least=1),
+        "mu": _Key(float, 1.0), "smoothness": _Key(float, 10.0),
+        "heterogeneity": _Key(float, 1.0), "data_seed": _Key(int, 0),
+        "radius_x": _Key(float, 10.0), "radius_y": _Key(float, 10.0),
+    },
+    "bilinear": {
+        "dim": _Key(int, 2, at_least=1), "coupling_scale": _Key(float, 1.0),
+        "heterogeneity": _Key(float, 1.0), "data_seed": _Key(int, 0),
+        "radius_x": _Key(float, 5.0), "radius_y": _Key(float, 5.0),
+    },
+    "robust_regression": {
+        "dim": _Key(int, 2, at_least=1), "num_samples": _Key(int, 25, at_least=1),
+        "beta_x": _Key(float, 1.0), "beta_y": _Key(float, 3.0),
+        "heterogeneity": _Key(float, 1.0), "data_seed": _Key(int, 0),
+        "radius_x": _Key(float, 1.0), "radius_y": _Key(float, 1.0),
+    },
+}
+FAMILIES = tuple(_PROBLEM_KEYS)
 
-def _take(section: dict, known: dict, where: str) -> dict:
-    """Merge a raw section over defaults, rejecting unknown keys."""
-    out = dict(known)
-    for key, value in section.items():
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-        out[key] = value
-    return out
+_ENTRY_KEYS = {  # one algorithm entry; parse_config checks the label
+    "name": _Key(str, choices=ALGORITHM_NAMES),
+    "label": _Key(object, None),
+    "params": _Key(str, "auto", choices=("auto", "manual")),
+    "case": _Key(str, "auto", choices=("auto", "scsc", "cc")),
+    "variant": _Key(str, "appendix", choices=("appendix", "table")),
+    "schedule": _SOLVER_KEYS["schedule"],
+    "epsilon_for_params": _Key(float, 1e-6),
+    "overrides": _Key(dict, {}, item=_OVERRIDE_KEYS),
+}
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, float) and value.is_integer():  # False for inf and NaN
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _as_float(value, where: str, *, allow_none_as_inf: bool = False) -> float:
-    """A finite number; with allow_none_as_inf, None or +inf also, as inf."""
-    if allow_none_as_inf and (value is None or value == math.inf):
-        return math.inf
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):  # False for NaN
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _as_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be a boolean, got {value!r}")
-    return value
+def _at(path: str, row: _Key):
+    """A field that holds the value at a dotted config path, read by `row`."""
+    return field(metadata={"path": path, "key": row})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully normalized experiment description."""
+    """A fully normalized experiment description.
 
-    topology_kind: str
-    num_nodes: int
-    topology_seed: int
-    edge_prob: float
-    family: str
-    problem: tuple  # sorted (key, value) pairs of family parameters
-    lambda_grid: tuple
-    algorithms: tuple  # normalized algorithm entries, as sorted item tuples
-    seeds: tuple
-    target_kind: str
-    target_value: float
-    max_outer: int
-    record_dist: str
-    gap_every: int
-    final_gap: bool
-    gap_inner_tol: float
-    reference_tol: float
-    output_dir: str
+    Each field but `problem` holds one config path and declares its row:
+    type, default and bound.  These rows, `_PROBLEM_KEYS` and `_ENTRY_KEYS`
+    are the table that `parse_config` reads and `config_to_dict` writes;
+    a solver setting's row is AlgorithmConfig's.
+    """
+
+    topology_kind: str = _at("topology.kind", _Key(str))
+    num_nodes: int = _at("topology.num_nodes", _Key(int, 4))
+    topology_seed: int = _at("topology.seed", _Key(int, 0))
+    edge_prob: float = _at("topology.edge_prob", _Key(float, 0.5))
+    family: str = _at("problem.family", _Key(str, choices=FAMILIES))
+    problem: tuple  # sorted (key, value) pairs of the family's rows
+    lambda_grid: tuple = _at("lambda_grid", _Key(list, [1.0], item=_SOLVER_KEYS["lam"]))
+    # normalized algorithm entries, as sorted item tuples
+    algorithms: tuple = _at("algorithms", _Key(list, [{"name": "extragradient"}],
+                                               item=_ENTRY_KEYS))
+    seeds: tuple = _at("seeds", _Key(list, [0], item=_SOLVER_KEYS["seed"]))
+    target_kind: str = _at("target.kind", _SOLVER_KEYS["target_kind"])
+    target_value: float = _at("target.value", _SOLVER_KEYS["target_value"]._replace(
+        default=200.0))
+    max_outer: int = _at("max_outer", _SOLVER_KEYS["max_outer"]._replace(default=100_000))
+    record_dist: str = _at("metrics.record_dist",
+                           _Key(str, "auto", choices=("auto", "on", "off")))
+    gap_every: int = _at("metrics.gap_every", _Key(int, 0, at_least=0))
+    final_gap: bool = _at("metrics.final_gap", _Key(bool, False))
+    gap_inner_tol: float = _at("metrics.gap_inner_tol", _SOLVER_KEYS["gap_inner_tol"])
+    reference_tol: float = _at("metrics.reference_tol",
+                               _Key(float, 1e-12, at_least=TOL_FLOOR))
+    output_dir: str = _at("output_dir", _Key(str, "pfsaddle-out"))
 
     def problem_params(self) -> dict:
         return dict(self.problem)
@@ -157,103 +176,97 @@ class ExperimentConfig:
         return [dict(items) for items in self.algorithms]
 
 
-_PROBLEM_DEFAULTS = {
-    "quadratic": {
-        "n_x": 2, "n_y": 2, "mu": 1.0, "smoothness": 10.0,
-        "heterogeneity": 1.0, "data_seed": 0,
-        "radius_x": 10.0, "radius_y": 10.0,
-    },
-    "bilinear": {
-        "dim": 2, "coupling_scale": 1.0, "heterogeneity": 1.0,
-        "data_seed": 0, "radius_x": 5.0, "radius_y": 5.0,
-    },
-    "robust_regression": {
-        "dim": 2, "num_samples": 25, "beta_x": 1.0, "beta_y": 3.0,
-        "heterogeneity": 1.0, "data_seed": 0,
-        "radius_x": 1.0, "radius_y": 1.0,
-    },
-}
+# (attribute, section, key, row) of each field that holds one path; the
+# section of a top-level key is ""
+_PATHS = [(f.name, *f.metadata["path"].rpartition(".")[::2], f.metadata["key"])
+          for f in fields(ExperimentConfig) if f.metadata]
 
-_ALGORITHM_DEFAULTS = {
-    "name": None,
-    "label": None,
-    "params": "auto",
-    "case": "auto",
-    "variant": "appendix",
-    "schedule": "randomized",
-    "epsilon_for_params": 1e-6,
-    "overrides": {},
-}
 
-_OVERRIDE_KEYS = {
-    "gamma": _as_float, "inner_t": _as_int, "delta_rel": _as_float,
-    "p_comm": _as_float, "gap_check_every": _as_int, "averaged_output": _as_bool,
-}
+def _sections() -> dict:
+    """The table's top level, each section a dict of rows."""
+    table: dict = {}
+    for _, section, key, row in _PATHS:
+        (table.setdefault(section, {}) if section else table)[key] = row
+    return table
+
+
+_CONFIG_KEYS = _sections()
+
+
+def _read(node, value, where: str):
+    """`value` read by a node of the table; a ConfigError names the path.
+
+    A dict of rows is a section: an object whose absent keys take their
+    row's default (a section's default is empty).  A row of kind dict or
+    list is read item by item; any other row checks one value.
+    """
+    if isinstance(node, dict) or node.kind is dict:
+        rows = node if isinstance(node, dict) else node.item
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where or 'config'} must be an object, got {value!r}")
+        out = {}
+        for key, row in rows.items():
+            path = f"{where}.{key}" if where else key
+            if key in value:
+                out[key] = _read(row, value[key], path)
+            elif node is rows:  # a row of kind dict fills in no default
+                default = {} if isinstance(row, dict) else row.default
+                if default is MISSING:
+                    raise ConfigError(f"config needs {path}")
+                out[key] = _read(row, default, path)
+        for key in value:
+            if key not in rows:
+                raise ConfigError(f"unknown key {key!r} in {where or 'config'}")
+        return out
+    if node.kind is list:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
+        return [_read(node.item, item, f"{where}[{i}]") for i, item in enumerate(value)]
+    if node.kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)  # JSON may write an integer as 2.0
+    return node.check(value, where)
+
+
+def _freeze(value):
+    """A read value made hashable: lists as tuples, objects as sorted pairs."""
+    if isinstance(value, dict):
+        return tuple(sorted((key, _freeze(item)) for key, item in value.items()))
+    if isinstance(value, list):
+        return tuple(_freeze(item) for item in value)
+    return value
+
+
+def _thaw(node, value):
+    """A frozen value back in the form its node of the table reads."""
+    if isinstance(node, dict) or node.kind is dict:
+        rows = node if isinstance(node, dict) else node.item
+        return {key: _thaw(rows[key], item) for key, item in value}
+    if node.kind is list:
+        return [_thaw(node.item, item) for item in value]
+    return value
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate and normalize a raw config dict (or a manifest dict)."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    if "config" in raw and "version" in raw:  # a manifest: replay its config
+    if isinstance(raw, dict) and "config" in raw and "version" in raw:  # a manifest
         raw = raw["config"]
-    known_top = {
-        "topology": None, "problem": None, "lambda_grid": [1.0],
-        "algorithms": [{"name": "extragradient"}], "seeds": [0],
-        "target": {}, "max_outer": 100_000, "metrics": {},
-        "output_dir": "pfsaddle-out",
-    }
-    top = _take(raw, known_top, "config")
+    problem = raw.get("problem") if isinstance(raw, dict) else None
+    family = problem.get("family") if isinstance(problem, dict) else None
+    # a quadratic radius of null (or +inf) is an unbounded domain
+    unbounded = [key for key in ("radius_x", "radius_y") if family == "quadratic"
+                 and key in problem and (problem[key] is None or problem[key] == math.inf)]
+    if unbounded:
+        raw = {**raw, "problem": {k: v for k, v in problem.items() if k not in unbounded}}
+    # the problem section's rows are its family's
+    rows = {**_CONFIG_KEYS["problem"], **(_PROBLEM_KEYS[family] if family in FAMILIES else {})}
+    top = _read({**_CONFIG_KEYS, "problem": rows}, raw, "")
+    top["problem"].update(dict.fromkeys(unbounded, math.inf))
 
-    topo_raw = top["topology"]
-    if not isinstance(topo_raw, dict) or "kind" not in topo_raw:
-        raise ConfigError("config needs topology.kind")
-    topo = _take(topo_raw, {"kind": None, "num_nodes": 4, "seed": 0,
-                            "edge_prob": 0.5}, "topology")
-    kind = topo["kind"]
-    num_nodes = _as_int(topo["num_nodes"], "topology.num_nodes")
-    # constructing the topology validates kind / num_nodes / edge_prob
-    Topology(kind, num_nodes, _as_int(topo["seed"], "topology.seed"),
-             _as_float(topo["edge_prob"], "topology.edge_prob"))
-
-    prob_raw = top["problem"]
-    if not isinstance(prob_raw, dict) or "family" not in prob_raw:
-        raise ConfigError("config needs problem.family")
-    family = prob_raw["family"]
-    if family not in FAMILIES:
-        raise ConfigError(f"problem.family must be one of {FAMILIES}, got {family!r}")
-    defaults = dict(_PROBLEM_DEFAULTS[family])
-    params = _take({k: v for k, v in prob_raw.items() if k != "family"},
-                   defaults, f"problem ({family})")
-    for key in params:
-        if key == "data_seed" or key in ("n_x", "n_y", "dim", "num_samples"):
-            params[key] = _as_int(params[key], f"problem.{key}")
-        elif key in ("radius_x", "radius_y"):
-            params[key] = _as_float(params[key], f"problem.{key}",
-                                    allow_none_as_inf=(family == "quadratic"))
-        else:
-            params[key] = _as_float(params[key], f"problem.{key}")
-
-    grid = top["lambda_grid"]
-    if not isinstance(grid, (list, tuple)) or not grid:
-        raise ConfigError("lambda_grid must be a non-empty list")
-    lambda_grid = tuple(_as_float(v, "lambda_grid entry") for v in grid)
-    if any(v < 0 for v in lambda_grid) or len(set(lambda_grid)) != len(lambda_grid):
-        raise ConfigError(f"lambda_grid entries must be >= 0 and distinct, got {list(lambda_grid)}")
-
-    algs_raw = top["algorithms"]
-    if not isinstance(algs_raw, (list, tuple)) or not algs_raw:
-        raise ConfigError("algorithms must be a non-empty list")
-    entries, labels = [], set()
-    for i, entry_raw in enumerate(algs_raw):
-        if not isinstance(entry_raw, dict) or "name" not in entry_raw:
-            raise ConfigError(f"algorithms[{i}] needs a name")
-        entry = _take(entry_raw, _ALGORITHM_DEFAULTS, f"algorithms[{i}]")
-        if entry["name"] not in ALGORITHM_NAMES:
-            raise ConfigError(
-                f"algorithms[{i}].name must be one of {ALGORITHM_NAMES}, "
-                f"got {entry['name']!r}"
-            )
+    for key in ("lambda_grid", "seeds"):
+        if len(set(top[key])) != len(top[key]):
+            raise ConfigError(f"{key} entries must be distinct, got {top[key]}")
+    labels = set()
+    for i, entry in enumerate(top["algorithms"]):
         if entry["label"] is None:
             entry["label"] = f"{i:02d}-{entry['name']}"
         label = entry["label"]  # names the cell's files under runs/
@@ -263,86 +276,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if label in labels:
             raise ConfigError(f"algorithms[{i}].label {label!r} is used twice")
         labels.add(label)
-        if entry["params"] not in ("auto", "manual"):
-            raise ConfigError(f"algorithms[{i}].params must be 'auto' or 'manual'")
-        if entry["case"] not in ("auto", "scsc", "cc"):
-            raise ConfigError(f"algorithms[{i}].case must be auto/scsc/cc")
-        if entry["variant"] not in ("appendix", "table"):
-            raise ConfigError(f"algorithms[{i}].variant must be appendix/table")
-        if entry["schedule"] not in ("randomized", "deterministic"):
-            raise ConfigError(
-                f"algorithms[{i}].schedule must be randomized/deterministic"
-            )
-        entry["epsilon_for_params"] = _as_float(
-            entry["epsilon_for_params"], f"algorithms[{i}].epsilon_for_params"
-        )
-        overrides = entry["overrides"]
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"algorithms[{i}].overrides must be an object")
-        for key in overrides:
-            if key not in _OVERRIDE_KEYS:
-                raise ConfigError(
-                    f"unknown key {key!r} in algorithms[{i}].overrides"
-                )
-        overrides = {key: _OVERRIDE_KEYS[key](value, f"algorithms[{i}].overrides.{key}")
-                     for key, value in overrides.items()}
-        if entry["params"] == "manual" and "gamma" not in overrides:
-            raise ConfigError(
-                f"algorithms[{i}]: params='manual' requires overrides.gamma"
-            )
-        entry["overrides"] = tuple(sorted(overrides.items()))
-        entries.append(tuple(sorted(entry.items())))
+        if entry["params"] == "manual" and "gamma" not in entry["overrides"]:
+            raise ConfigError(f"algorithms[{i}]: params='manual' requires overrides.gamma")
+    target = top["target"]
+    if target["kind"] == "iterations" and not target["value"].is_integer():
+        raise ConfigError(f"an iterations target.value must be integral, got {target['value']}")
 
-    seeds_raw = top["seeds"]
-    if not isinstance(seeds_raw, (list, tuple)) or not seeds_raw:
-        raise ConfigError("seeds must be a non-empty list")
-    seeds = tuple(_as_int(s, "seeds entry") for s in seeds_raw)
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"seeds must not repeat, got {list(seeds)}")
-
-    target = _take(top["target"], {"kind": "iterations", "value": 200}, "target")
-    if target["kind"] not in ("iterations", "distance", "gap"):
-        raise ConfigError("target.kind must be iterations/distance/gap")
-    target_value = _as_float(target["value"], "target.value")
-    if target["kind"] == "iterations":
-        target_value = float(_as_int(target["value"], "target.value"))
-
-    metrics = _take(top["metrics"], {
-        "record_dist": "auto", "gap_every": 0, "final_gap": False,
-        "gap_inner_tol": 1e-8, "reference_tol": 1e-12,
-    }, "metrics")
-    if metrics["record_dist"] not in ("auto", "on", "off"):
-        raise ConfigError("metrics.record_dist must be auto/on/off")
-    _as_bool(metrics["final_gap"], "metrics.final_gap")
-    for key in ("gap_inner_tol", "reference_tol"):
-        metrics[key] = _as_float(metrics[key], f"metrics.{key}")
-        if not metrics[key] >= TOL_FLOOR:
-            raise ConfigError(f"metrics.{key} must be >= {TOL_FLOOR:g}, got {metrics[key]!r}")
-    if (gap_every := _as_int(metrics["gap_every"], "metrics.gap_every")) < 0:
-        raise ConfigError(f"metrics.gap_every must be >= 0 (0 is off), got {gap_every}")
-    if not isinstance(output_dir := top["output_dir"], str) or not output_dir:
-        raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
-
-    return ExperimentConfig(
-        topology_kind=kind,
-        num_nodes=num_nodes,
-        topology_seed=_as_int(topo["seed"], "topology.seed"),
-        edge_prob=_as_float(topo["edge_prob"], "topology.edge_prob"),
-        family=family,
-        problem=tuple(sorted(params.items())),
-        lambda_grid=lambda_grid,
-        algorithms=tuple(entries),
-        seeds=seeds,
-        target_kind=target["kind"],
-        target_value=target_value,
-        max_outer=_as_int(top["max_outer"], "max_outer"),
-        record_dist=metrics["record_dist"],
-        gap_every=gap_every,
-        final_gap=metrics["final_gap"],
-        gap_inner_tol=metrics["gap_inner_tol"],
-        reference_tol=metrics["reference_tol"],
-        output_dir=output_dir,
-    )
+    values = {name: _freeze(top[section][key] if section else top[key])
+              for name, section, key, _ in _PATHS}
+    params = tuple(sorted((k, v) for k, v in top["problem"].items() if k != "family"))
+    config = ExperimentConfig(problem=params, **values)
+    build_topology(config)  # constructing the topology checks it
+    return config
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -351,41 +296,14 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    problem = {"family": config.family}
-    problem.update({
-        k: (None if isinstance(v, float) and math.isinf(v) else v)
-        for k, v in config.problem
-    })
-    algorithms = []
-    for items in config.algorithms:
-        entry = dict(items)
-        entry["overrides"] = dict(entry["overrides"])
-        algorithms.append(entry)
-    return {
-        "topology": {
-            "kind": config.topology_kind,
-            "num_nodes": config.num_nodes,
-            "seed": config.topology_seed,
-            "edge_prob": config.edge_prob,
-        },
-        "problem": problem,
-        "lambda_grid": list(config.lambda_grid),
-        "algorithms": algorithms,
-        "seeds": list(config.seeds),
-        "target": {"kind": config.target_kind,
-                   "value": (int(config.target_value)
-                             if config.target_kind == "iterations"
-                             else config.target_value)},
-        "max_outer": config.max_outer,
-        "metrics": {
-            "record_dist": config.record_dist,
-            "gap_every": config.gap_every,
-            "final_gap": config.final_gap,
-            "gap_inner_tol": config.gap_inner_tol,
-            "reference_tol": config.reference_tol,
-        },
-        "output_dir": config.output_dir,
-    }
+    """The config as the dict `parse_config` reads back to it."""
+    out: dict = {}
+    for name, section, key, row in _PATHS:
+        (out.setdefault(section, {}) if section else out)[key] = _thaw(row, getattr(config, name))
+    out["problem"].update((k, None if v == math.inf else v) for k, v in config.problem)
+    if config.target_kind == "iterations":
+        out["target"]["value"] = int(config.target_value)
+    return out
 
 
 def load_config(path) -> ExperimentConfig:

@@ -428,6 +428,12 @@ def _eigs_between(rng: Xoshiro256StarStar, dim: int, lo: float, hi: float,
     return eigs
 
 
+def _check_dims(**dims):
+    for name, value in dims.items():
+        if value < 1:
+            raise ShapeError(f"{name} must be >= 1, got {value}")
+
+
 def random_quadratic(num_nodes: int, n_x: int, n_y: int, *, mu: float,
                      smoothness: float, heterogeneity: float = 0.0,
                      seed: int = 0) -> QuadraticSaddleSpec:
@@ -442,6 +448,7 @@ def random_quadratic(num_nodes: int, n_x: int, n_y: int, *, mu: float,
 
     Requires 0 < mu < smoothness.
     """
+    _check_dims(n_x=n_x, n_y=n_y)
     if not (0.0 < mu < smoothness):
         raise InvalidValueError(f"need 0 < mu < smoothness, got mu={mu}, L={smoothness}")
     rng = Xoshiro256StarStar(derive_seed(seed, "quadratic", num_nodes, n_x, n_y))
@@ -499,6 +506,7 @@ def random_bilinear(num_nodes: int, dim: int, *, coupling_scale: float = 1.0,
     other nodes' couplings are scaled strictly below it.  All couplings
     are square and nonsingular.
     """
+    _check_dims(dim=dim)
     if coupling_scale <= 0.0:
         raise InvalidValueError("coupling_scale must be positive")
     rng = Xoshiro256StarStar(derive_seed(seed, "bilinear", num_nodes, dim))
@@ -523,6 +531,7 @@ def random_robust_regression(num_nodes: int, dim: int, num_samples: int, *,
                              heterogeneity: float = 1.0,
                              seed: int = 0) -> RobustRegressionSpec:
     """Synthetic per-node regression data with planted node-wise models."""
+    _check_dims(dim=dim)
     rng = Xoshiro256StarStar(derive_seed(seed, "robust-regression", num_nodes, dim))
     shared_model = rng.normals((dim,))
     features = []

@@ -16,7 +16,7 @@ import pfsaddle.algorithms
 import pfsaddle.gossip
 import pfsaddle.harness
 import pfsaddle.metrics
-from pfsaddle.algorithms import baseline_run, rles_run
+from pfsaddle.algorithms import _OVERRIDE_KEYS, AlgorithmConfig, baseline_run, rles_run
 from pfsaddle.cli import main
 from pfsaddle.errors import ConfigError, ConvergenceError
 from pfsaddle.harness import (
@@ -446,6 +446,16 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
     {"output_dir": None},
     {"output_dir": 5},
     {"output_dir": ""},
+    # a section that is not an object
+    {"target": []},
+    {"target": "x"},
+    {"metrics": [1]},
+    {"metrics": None},
+    # an empty dimension
+    {"problem": {"family": "quadratic", "mu": 1.0, "smoothness": 4.0, "n_x": 0, "n_y": 1}},
+    {"problem": {"family": "quadratic", "mu": 1.0, "smoothness": 4.0, "n_x": 1, "n_y": 0}},
+    {"problem": {"family": "bilinear", "dim": 0}},
+    {"problem": {"family": "robust_regression", "dim": 0}},
 ], ids=["gap-target", "final-gap", "gap-every", "gap-every-negative",
         "rles-at-lambda-0", "reference-tol-0", "reference-tol-nan",
         "gap-inner-tol-negative", "gap-inner-tol-nan", "reference-tol-1e-30",
@@ -454,7 +464,9 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
         "label-not-a-string", "override-inner-t-float", "override-p-comm-string",
         "override-averaged-output-string", "override-gamma-bool",
         "override-delta-rel-string", "override-gap-check-every-float",
-        "output-dir-null", "output-dir-number", "output-dir-empty"])
+        "output-dir-null", "output-dir-number", "output-dir-empty", "target-list",
+        "target-string", "metrics-list", "metrics-null", "quadratic-n-x-0",
+        "quadratic-n-y-0", "bilinear-dim-0", "robust-dim-0"])
 def test_validate_rejects_what_run_rejects_at_setup(tmp_path, capsys, monkeypatch, extra):
     monkeypatch.chdir(tmp_path)  # where a relative output_dir would land
     out = tmp_path / "out"
@@ -463,6 +475,20 @@ def test_validate_rejects_what_run_rejects_at_setup(tmp_path, capsys, monkeypatc
     assert main(["run", path]) == 1
     assert "error:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+# for each row `overrides` may pin, a value just outside its bound or type
+OUTSIDE = {"gamma": 0, "inner_t": 0, "delta_rel": 1.0, "p_comm": 0.0,
+           "gap_check_every": 0, "averaged_output": "no"}
+
+
+@pytest.mark.parametrize("key", sorted(_OVERRIDE_KEYS))
+def test_parse_config_and_algorithm_config_reject_the_same_override(key):
+    with pytest.raises(ConfigError):
+        parse_config(minimal_raw(algorithms=[
+            {"name": "sliding", "overrides": {"gamma": 0.1, key: OUTSIDE[key]}}]))
+    with pytest.raises(ConfigError):
+        AlgorithmConfig(**{"gamma": 0.1, key: OUTSIDE[key]})
 
 
 def test_uncertified_reference_leaves_no_bundle(tmp_path, capsys):

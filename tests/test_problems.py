@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from pfsaddle.errors import ConvergenceError, InvalidValueError
+from pfsaddle.errors import ConvergenceError, InvalidValueError, ShapeError
 from pfsaddle.gossip import Topology, laplacian
 from pfsaddle.problems import (
     QuadraticSaddleSpec,
@@ -315,6 +315,17 @@ def test_generator_scalar_dims():
 def test_generator_rejects_bad_constants():
     with pytest.raises(InvalidValueError):
         random_quadratic(3, 2, 2, mu=5.0, smoothness=1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_quadratic(3, 0, 2, mu=1.0, smoothness=10.0),
+    lambda: random_quadratic(3, 2, 0, mu=1.0, smoothness=10.0),
+    lambda: random_bilinear(3, 0),
+    lambda: random_robust_regression(3, 0, 5, beta_x=1.0, beta_y=3.0),
+], ids=["quadratic-n_x", "quadratic-n_y", "bilinear-dim", "robust-dim"])
+def test_generators_reject_an_empty_dimension(make):
+    with pytest.raises(ShapeError):
+        make()
 
 
 def test_bilinear_generator_coupling_norm():

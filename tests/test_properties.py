@@ -2,12 +2,14 @@
 identities of the cost model, the invariants of the ball projection, the
 unbiased rles estimator, the batched oracles and projection against the
 per-node, per-block and multi-pass rules they replace, the wrapper-free
-measure bodies against the numpy wrappers they replace, and configs that
-round-trip through their dict form."""
+measure bodies against the numpy wrappers they replace, and configs drawn
+from the config table that round-trip through their dict form or, holding
+one number outside its row, are rejected."""
 
 import itertools
 import json
 import math
+from dataclasses import MISSING
 
 import numpy as np
 import pytest
@@ -26,8 +28,9 @@ from pfsaddle.algorithms import (  # noqa: E402
 )
 from pfsaddle.gossip import TOPOLOGY_KINDS, Topology, laplacian, penalty_grad  # noqa: E402
 from pfsaddle.harness import (  # noqa: E402
-    _PROBLEM_DEFAULTS,
-    ALGORITHM_NAMES,
+    _CONFIG_KEYS,
+    _PROBLEM_KEYS,
+    FAMILIES,
     config_to_dict,
     parse_config,
     serialize_config,
@@ -288,75 +291,111 @@ def test_rles_estimator_is_unbiased(case, p_comm, seed):
     assert np.max(np.abs(mix.y - full.y)) <= 1e-12 * scale
 
 
-NUMBERS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6)
-OVERRIDES = {
-    "gamma": st.floats(1e-6, 1.0), "inner_t": st.integers(1, 100),
-    "delta_rel": st.floats(0.01, 0.99), "p_comm": st.floats(0.01, 0.99),
-    "gap_check_every": st.integers(1, 100), "averaged_output": st.booleans(),
-}
+def values(node):
+    """A strategy for what a node of the config table accepts."""
+    if isinstance(node, dict):  # a section: its required keys and some others
+        return sections(node, [key for key, row in node.items()
+                               if not isinstance(row, dict) and row.default is MISSING])
+    if node.kind is dict:
+        return sections(node.item, [])
+    if node.kind is list:
+        return st.lists(values(node.item), min_size=1, max_size=3)
+    if node.choices:
+        return st.sampled_from(node.choices)
+    if node.kind is bool:
+        return st.booleans()
+    if node.kind is str:
+        return st.text(min_size=1, max_size=8)
+    low = max(node.at_least, node.above)
+    if node.kind is int:
+        return st.integers(low if low > -math.inf else -2**32, 2**32)
+    floats = st.floats(low if low > -math.inf else None,
+                       node.below if node.below < math.inf else None,
+                       exclude_min=node.above > -math.inf, exclude_max=node.below < math.inf,
+                       allow_nan=False, allow_infinity=False)
+    return floats | st.integers(-10**6, 10**6) if low == -math.inf else floats
+
+
+@st.composite
+def sections(draw, rows, required):
+    """The required keys of a section and some others, each with a value its
+    row accepts; a key any value may take (a label) is left out."""
+    optional = sorted(key for key, row in rows.items()
+                      if key not in required and getattr(row, "kind", dict) is not object)
+    return {key: draw(values(rows[key]))
+            for key in [*required, *sorted(draw(st.sets(st.sampled_from(optional))))]}
+
+
+def outside(row):
+    """Numbers a numeric row rejects: past its bound, or not finite."""
+    past = [value for value, bounded in ((row.at_least - 1, row.at_least > -math.inf),
+                                         (row.above, row.above > -math.inf),
+                                         (row.below, row.below < math.inf)) if bounded]
+    return past + ([math.inf, -math.inf, math.nan] if row.kind is float else [])
+
+
+def numbers(node, value):
+    """(container, key, row) of each number in a drawn value that `node` reads."""
+    if isinstance(node, dict) or node.kind is dict:
+        rows = node if isinstance(node, dict) else node.item
+        items = [(key, rows[key]) for key in value if key in rows]
+    else:
+        items = [(i, node.item) for i in range(len(value))]
+    for key, row in items:
+        if isinstance(row, dict) or row.kind in (dict, list):
+            yield from numbers(row, value[key])
+        elif row.kind in (int, float):
+            yield value, key, row
 
 
 @st.composite
 def raw_configs(draw):
-    """Raw config dicts over every section, most of which parse."""
-    family = draw(st.sampled_from(sorted(_PROBLEM_DEFAULTS)))
-    problem = {"family": family}
-    for key in draw(st.sets(st.sampled_from(sorted(_PROBLEM_DEFAULTS[family])))):
-        if key in ("n_x", "n_y", "dim", "num_samples", "data_seed"):
-            problem[key] = draw(st.integers(1, 50))
-        elif key.startswith("radius") and family == "quadratic":
-            problem[key] = draw(st.none() | NUMBERS)  # None: unbounded
-        else:
-            problem[key] = draw(NUMBERS)
-    algorithms = []
-    for name in draw(st.lists(st.sampled_from(ALGORITHM_NAMES), min_size=1, max_size=3)):
-        overrides = {key: draw(OVERRIDES[key])
-                     for key in draw(st.sets(st.sampled_from(sorted(OVERRIDES))))}
-        params = "manual" if "gamma" in overrides and draw(st.booleans()) else "auto"
-        algorithms.append({
-            "name": name, "params": params, "overrides": overrides,
-            "case": draw(st.sampled_from(["auto", "scsc", "cc"])),
-            "variant": draw(st.sampled_from(["appendix", "table"])),
-            "schedule": draw(st.sampled_from(["randomized", "deterministic"])),
-            "epsilon_for_params": draw(st.floats(1e-12, 1.0)),
-        })
-    kind = draw(st.sampled_from(["iterations", "distance", "gap"]))
-    target = {"kind": kind,
-              "value": draw(st.integers(1, 10**6) if kind == "iterations" else NUMBERS)}
-    # at most one non-finite number where a finite one is expected
-    numeric = [(problem, key) for key, value in problem.items()
-               if key != "family" and not isinstance(value, int)]
-    numeric += [(target, "value")] if kind != "iterations" else []
-    if numeric and draw(st.booleans()):
-        section, key = draw(st.sampled_from(numeric))
-        section[key] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
-    return {
-        "topology": {"kind": draw(st.sampled_from(TOPOLOGY_KINDS)),
-                     "num_nodes": draw(st.integers(2, 9)),
-                     "seed": draw(st.integers(0, 2**32)),
-                     "edge_prob": draw(st.floats(0.01, 1.0))},
-        "problem": problem,
-        "lambda_grid": draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3)),
-        "algorithms": algorithms,
-        "seeds": draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3)),
-        "target": target,
-        "max_outer": draw(st.integers(1, 10**6)),
-        "metrics": {"record_dist": draw(st.sampled_from(["auto", "on", "off"])),
-                    "gap_every": draw(st.integers(0, 100)),
-                    "final_gap": draw(st.booleans()),
-                    "gap_inner_tol": draw(st.floats(1e-14, 1.0)),
-                    "reference_tol": draw(st.floats(1e-14, 1.0))},
-        "output_dir": draw(st.text(min_size=1, max_size=8)),
-    }
+    """Raw config dicts over every section, drawn from the config table: most
+    parse, and some hold one number outside its row."""
+    family = draw(st.sampled_from(FAMILIES))
+    problem = draw(values(_PROBLEM_KEYS[family]))
+    top = {key: node for key, node in _CONFIG_KEYS.items() if key not in ("topology", "problem")}
+    raw = {"topology": {"kind": draw(st.sampled_from(TOPOLOGY_KINDS)),
+                        "num_nodes": draw(st.integers(2, 9)),
+                        "seed": draw(st.integers(0, 2**32)),
+                        "edge_prob": draw(st.floats(0.01, 1.0))},
+           "problem": problem, **draw(values(top))}
+    # the rules that relate two keys: an iterations target is integral, and
+    # manual parameters need a gamma
+    target = raw.get("target", {})
+    if target.get("kind", "iterations") == "iterations" and "value" in target:
+        target["value"] = draw(st.integers(1, 10**6))
+    for entry in raw.get("algorithms", []):
+        if entry.get("params") == "manual" and "gamma" not in entry.get("overrides", {}):
+            entry["params"] = "auto"
+    # at most one number outside its row (a quadratic radius may be infinite)
+    candidates = [(container, key, row) for container, key, row in
+                  numbers({**top, "problem": _PROBLEM_KEYS[family]}, raw)
+                  if outside(row) and not (family == "quadratic" and container is problem
+                                           and key.startswith("radius"))]
+    invalid = bool(candidates) and draw(st.booleans())
+    if invalid:
+        container, key, row = draw(st.sampled_from(candidates))
+        container[key] = draw(st.sampled_from(outside(row)))
+    for key in ("radius_x", "radius_y"):
+        if family == "quadratic" and key in problem and draw(st.booleans()):
+            problem[key] = None  # unbounded
+    problem["family"] = family
+    return raw, invalid
 
 
 @settings(PROPERTY, max_examples=100)
 @given(raw_configs())
-def test_every_parsed_config_round_trips_through_its_dict(raw):
+def test_every_parsed_config_round_trips_through_its_dict(case):
     # the manifest stores config_to_dict as JSON, and a replay parses it again
+    raw, invalid = case
+    if invalid:
+        with pytest.raises(ValueError):
+            parse_config(raw)
+        return
     try:
         config = parse_config(raw)
-    except ValueError:
+    except ValueError:  # a repeated lambda, seed or label, or a bad topology
         reject()
     assert parse_config(config_to_dict(config)) == config
     assert parse_config(json.loads(serialize_config(config))) == config
