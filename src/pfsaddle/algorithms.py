@@ -191,46 +191,52 @@ def params_sliding(case: str, smoothness: float, mu: float, lam: float,
     smoothness = float(smoothness)
     if t < 0.0 or smoothness < 0.0:
         raise ConfigError("constants must be nonnegative")
-    if case == "scsc":
-        if not (mu > 0.0):
-            raise ConfigError("scsc parameters need mu > 0")
-        if variant == "appendix":
-            gamma = 1.0 / (12.0 * mu) if t == 0.0 else min(
-                1.0 / (12.0 * mu), 1.0 / (4.0 * t)
-            )
-            delta = 1.0 / (2.0 * (
-                2.0 + 4.0 * gamma * t / mu + 4.0 / (gamma * mu) + 4.0 * gamma**2 * t
-            ))
-        elif variant == "table":
-            gamma = 1.0 / (6.0 * mu) if t == 0.0 else min(
-                1.0 / (2.0 * t), 1.0 / (6.0 * mu)
-            )
-            delta = min(
+    try:
+        if case == "scsc":
+            if not (mu > 0.0):
+                raise ConfigError("scsc parameters need mu > 0")
+            if variant == "appendix":
+                gamma = 1.0 / (12.0 * mu) if t == 0.0 else min(
+                    1.0 / (12.0 * mu), 1.0 / (4.0 * t)
+                )
+                delta = 1.0 / (2.0 * (
+                    2.0 + 4.0 * gamma * t / mu + 4.0 / (gamma * mu) + 4.0 * gamma**2 * t
+                ))
+            elif variant == "table":
+                gamma = 1.0 / (6.0 * mu) if t == 0.0 else min(
+                    1.0 / (2.0 * t), 1.0 / (6.0 * mu)
+                )
+                delta = min(
+                    0.25,
+                    1.0 / (64.0 / (gamma * mu) + 64.0 * gamma * smoothness**2 / mu),
+                )
+            else:
+                raise ConfigError(f"unknown scsc variant {variant!r}")
+        elif case == "cc":
+            if t <= 0.0:
+                raise ConfigError(
+                    "cc parameters need lam * lambda_max > 0; with a zero penalty "
+                    "use the extragradient baseline instead"
+                )
+            if epsilon is None or not (epsilon > 0.0):
+                raise ConfigError("cc parameters need a positive target epsilon")
+            if omega is None or not (0.0 < omega < math.inf):
+                raise ConfigError("cc parameters need a finite positive diameter omega")
+            gamma = 1.0 / (2.0 * t)
+            delta_abs = min(
                 0.25,
-                1.0 / (64.0 / (gamma * mu) + 64.0 * gamma * smoothness**2 / mu),
+                1.0 / (16.0 * (1.0 + gamma**2 * smoothness**2)),
+                epsilon**2 * gamma**2 / ((1.0 + gamma * smoothness) ** 2 * omega**2),
             )
+            delta = min(0.25, delta_abs / omega**2)
         else:
-            raise ConfigError(f"unknown scsc variant {variant!r}")
-    elif case == "cc":
-        if t <= 0.0:
-            raise ConfigError(
-                "cc parameters need lam * lambda_max > 0; with a zero penalty "
-                "use the extragradient baseline instead"
-            )
-        if epsilon is None or not (epsilon > 0.0):
-            raise ConfigError("cc parameters need a positive target epsilon")
-        if omega is None or not (0.0 < omega < math.inf):
-            raise ConfigError("cc parameters need a finite positive diameter omega")
-        gamma = 1.0 / (2.0 * t)
-        delta_abs = min(
-            0.25,
-            1.0 / (16.0 * (1.0 + gamma**2 * smoothness**2)),
-            epsilon**2 * gamma**2 / ((1.0 + gamma * smoothness) ** 2 * omega**2),
-        )
-        delta = min(0.25, delta_abs / omega**2)
-    else:
-        raise ConfigError(f"unknown case {case!r}; expected 'scsc' or 'cc'")
-    inner_t = max(1, math.ceil((1.0 + gamma * smoothness) * math.log(1.0 / delta)))
+            raise ConfigError(f"unknown case {case!r}; expected 'scsc' or 'cc'")
+        inner_t = max(1, math.ceil((1.0 + gamma * smoothness) * math.log(1.0 / delta)))
+    except (OverflowError, ZeroDivisionError):  # gamma or 1/delta out of float range
+        raise ConfigError(
+            f"{case} sliding parameters leave the float range at lam * lambda_max = {t:.3g}, "
+            f"L = {smoothness:.3g}, mu = {mu:.3g}, epsilon = {epsilon}, omega = {omega}"
+        ) from None
     return SlidingParams(gamma=gamma, delta_rel=delta, inner_t=inner_t)
 
 

@@ -186,20 +186,33 @@ def _inner_ball_opt(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
                     z: np.ndarray, which: str, step: float,
                     inner_tol: float, max_iter: int) -> np.ndarray:
     """The free block that maximizes (over y) or minimizes (over x) the full
-    objective with the other block frozen, by projected steps z - step * F(z)
-    on the free columns of a copy of the projected joined iterate z; the
-    frozen block is already projected, so only the free one is."""
+    objective with the other block frozen, on the free columns of a copy of
+    the projected joined iterate z; the frozen block is already projected,
+    so only the free one is.  Accelerated projected gradient (FISTA) steps
+    x+ = proj(w - step * F(w)) from the extrapolated point w, with t reset
+    to 1 when <w - x+, x+ - x> > 0 (the gradient restart of O'Donoghue &
+    Candes, which needs no strong-convexity constant), until the gradient
+    mapping |x+ - w| / step at w is at most inner_tol; returns that x+."""
     domain, z = problem.domain, z.copy()
     free, center, radius = ((slice(problem.n_x, None), domain.center_y, domain.radius_y)
                             if which == "y" else
                             (slice(0, problem.n_x), domain.center_x, domain.radius_x))
+    last, t = z[:, free].copy(), 1.0
     for _ in range(max_iter):
         full = problem.operator(z) + gossip.penalty(lam, z)
-        block = _project_rows(z[:, free] - step * full[:, free], center, radius)
-        moved = _sum_sq(block - z[:, free])
-        z[:, free] = block
-        if math.sqrt(moved) / step <= inner_tol:
-            return z[:, free]
+        w = z[:, free]
+        block = _project_rows(w - step * full[:, free], center, radius)
+        mapped = w - block
+        if math.sqrt(_sum_sq(mapped)) / step <= inner_tol:
+            return block
+        moved = block - last
+        if np.vdot(mapped, moved) > 0.0:
+            t, z[:, free] = 1.0, block
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            z[:, free] = block + ((t - 1.0) / t_next) * moved
+            t = t_next
+        last = block
     raise ConvergenceError(
         f"restricted-gap inner solve over {which} did not reach tolerance "
         f"{inner_tol} within {max_iter} iterations"
@@ -216,10 +229,10 @@ def restricted_gap(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     plus penalty) and the primed blocks range over the domain balls.  A
     feasible point is its own projection.
 
-    The inner problems are solved by projected gradient with step
-    1/(L + lam*lambda_max) down to gradient-mapping norm inner_tol, so the
-    result may be negative by O(inner_tol * diameter) at a near-saddle
-    point, never by more.
+    The inner problems are solved by accelerated projected gradient with
+    adaptive restart, step 1/(L + lam*lambda_max), down to gradient-mapping
+    norm inner_tol, so the result may be negative by O(inner_tol * diameter)
+    at a near-saddle point, never by more.
     """
     if not problem.domain.is_bounded:
         raise InvalidValueError("restricted gap requires a bounded domain")

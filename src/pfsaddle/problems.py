@@ -147,7 +147,9 @@ class RobustRegressionSpec(_ReadOnlyArrays):
     features[m] has shape (N_m, n) and targets[m] has shape (N_m,); the
     sample counts N_m may differ across nodes.  The same dimension n is
     used for x and for the shift y.  Nodes sharing a sample count are also
-    stacked into one group each, (nodes, features, transposed view, targets).
+    stacked into one group each, (nodes, features, transposed view, targets);
+    a group holding every node indexes them by `slice(None)`, so the operator
+    reads and writes views.
     """
 
     features: tuple
@@ -193,6 +195,8 @@ class RobustRegressionSpec(_ReadOnlyArrays):
             feats, targs = (np.stack([a[m] for m in nodes]) for a in (self.features, self.targets))
             for arr in (nodes, feats, targs):
                 arr.setflags(write=False)
+            if nodes.size == counts.size:  # always arange(M): same values, no gather
+                nodes = slice(None)
             groups.append((nodes, feats, feats.transpose(0, 2, 1), targs))
         object.__setattr__(self, "_groups", tuple(groups))
 
@@ -210,7 +214,8 @@ class RobustRegressionSpec(_ReadOnlyArrays):
 
     def operator(self, z: np.ndarray) -> np.ndarray:
         """The saddle operator (d f/d x, -d f/d y) on a joined iterate z = [x | y]."""
-        # one pass per sample-count group, with the per-node products' last bits
+        # one pass per sample-count group, with the per-node products' last
+        # bits; a one-group spec's slice(None) takes views, with the same bits
         out, d = np.empty_like(z), self.n_x
         for nodes, feats, feats_t, targs in self._groups:
             x, y = z[nodes, :d], z[nodes, d:]

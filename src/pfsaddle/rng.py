@@ -99,12 +99,15 @@ class Xoshiro256StarStar:
         return radius * math.cos(angle)
 
     def normals(self, shape) -> np.ndarray:
-        """Array of standard normals with the given shape."""
-        count = int(np.prod(shape)) if shape else 1
-        flat = np.array([self.normal() for _ in range(count)], dtype=float)
-        return flat.reshape(shape)
+        """Array of standard normals with the given shape, drawn in C order.
+        The array is allocated before the first draw, so a shape numpy
+        refuses raises at once."""
+        out = np.empty(shape)
+        out.reshape(-1)[:] = [self.normal() for _ in range(out.size)]
+        return out
 
     def uniforms(self, shape) -> np.ndarray:
-        count = int(np.prod(shape)) if shape else 1
-        flat = np.array([self.uniform() for _ in range(count)], dtype=float)
-        return flat.reshape(shape)
+        """Array of uniforms in [0, 1), allocated and drawn as `normals`."""
+        out = np.empty(shape)
+        out.reshape(-1)[:] = [self.uniform() for _ in range(out.size)]
+        return out

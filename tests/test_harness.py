@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -456,6 +457,14 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
     {"problem": {"family": "quadratic", "mu": 1.0, "smoothness": 4.0, "n_x": 1, "n_y": 0}},
     {"problem": {"family": "bilinear", "dim": 0}},
     {"problem": {"family": "robust_regression", "dim": 0}},
+    # sliding step sizes out of float range: lam * lambda_max subnormal (the
+    # cc step 1/(2 lam lambda_max) is inf), and a domain whose squared
+    # diameter underflows to 0
+    {"problem": {"family": "bilinear"}, "lambda_grid": [5e-324],
+     "algorithms": [{"name": "sliding"}]},
+    {"lambda_grid": [1e-200], "algorithms": [{"name": "sliding", "case": "cc"}]},
+    {"problem": {"family": "quadratic", "radius_x": 1e-170, "radius_y": 1e-170},
+     "algorithms": [{"name": "sliding", "case": "cc"}]},
 ], ids=["gap-target", "final-gap", "gap-every", "gap-every-negative",
         "rles-at-lambda-0", "reference-tol-0", "reference-tol-nan",
         "gap-inner-tol-negative", "gap-inner-tol-nan", "reference-tol-1e-30",
@@ -466,7 +475,8 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
         "override-delta-rel-string", "override-gap-check-every-float",
         "output-dir-null", "output-dir-number", "output-dir-empty", "target-list",
         "target-string", "metrics-list", "metrics-null", "quadratic-n-x-0",
-        "quadratic-n-y-0", "bilinear-dim-0", "robust-dim-0"])
+        "quadratic-n-y-0", "bilinear-dim-0", "robust-dim-0", "sliding-lambda-subnormal",
+        "sliding-cc-gamma-squared-overflows", "sliding-cc-tiny-domain"])
 def test_validate_rejects_what_run_rejects_at_setup(tmp_path, capsys, monkeypatch, extra):
     monkeypatch.chdir(tmp_path)  # where a relative output_dir would land
     out = tmp_path / "out"
@@ -475,6 +485,17 @@ def test_validate_rejects_what_run_rejects_at_setup(tmp_path, capsys, monkeypatc
     assert main(["run", path]) == 1
     assert "error:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("key", ["dim", "num_samples"])
+def test_validate_refuses_a_robust_size_numpy_cannot_allocate_at_once(tmp_path, capsys, key):
+    # the generator allocates before it draws, so no draw list grows first
+    path = write_config(tmp_path, minimal_raw(
+        problem={"family": "robust_regression", key: 10**400}))
+    start = time.perf_counter()
+    assert main(["validate", path]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "error:" in capsys.readouterr().err
 
 
 # for each row `overrides` may pin, a value just outside its bound or type

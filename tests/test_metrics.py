@@ -1,6 +1,8 @@
 """Tests for counters, trajectory records, and the quality measures."""
 
+import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pfsaddle.metrics
 from pfsaddle.algorithms import AlgorithmConfig, baseline_run
 from pfsaddle.errors import InvalidValueError
 from pfsaddle.gossip import GossipMatrix, Topology, laplacian, penalty_value
+from pfsaddle.harness import parse_config, run
 from pfsaddle.metrics import (
     CSV_COLUMNS,
     Counters,
@@ -22,10 +25,11 @@ from pfsaddle.problems import (
     SaddleProblem,
     random_bilinear,
     random_quadratic,
+    random_robust_regression,
     reference_solution,
 )
 from pfsaddle.rng import Xoshiro256StarStar
-from pfsaddle.stacked import BallDomain, StackedPoint, _join
+from pfsaddle.stacked import BallDomain, StackedPoint, _join, _project_rows, _sum_sq
 
 
 def single_node_gossip():
@@ -300,6 +304,63 @@ def test_restricted_gap_measures_the_projection_of_an_infeasible_point():
     assert not np.array_equal(projected.x, p.x)
     assert (restricted_gap(problem, gossip, 0.5, p, inner_tol=1e-6)
             == restricted_gap(problem, gossip, 0.5, projected, inner_tol=1e-6))
+
+
+def _projected_gradient_inner_opt(problem, gossip, lam, z, which, step, inner_tol, max_iter):
+    """The inner solve before acceleration: plain projected gradient with the
+    same step and the same gradient-mapping stop."""
+    domain, z = problem.domain, z.copy()
+    free, center, radius = ((slice(problem.n_x, None), domain.center_y, domain.radius_y)
+                            if which == "y" else
+                            (slice(0, problem.n_x), domain.center_x, domain.radius_x))
+    for _ in range(max_iter):
+        full = problem.operator(z) + gossip.penalty(lam, z)
+        block = _project_rows(z[:, free] - step * full[:, free], center, radius)
+        moved = _sum_sq(block - z[:, free])
+        z[:, free] = block
+        if math.sqrt(moved) / step <= inner_tol:
+            return z[:, free]
+    raise AssertionError("projected gradient did not converge")
+
+
+@pytest.mark.parametrize("family", ["bilinear", "robust"])
+def test_accelerated_inner_solve_agrees_with_projected_gradient(monkeypatch, family):
+    # mu = 0 (bilinear) and mu > 0 (robust regression), at a point inside the balls
+    m = 5
+    if family == "bilinear":
+        spec, domain = random_bilinear(m, 2, seed=4), BallDomain(2.0, 2.0, n_x=2, n_y=2)
+    else:
+        spec = random_robust_regression(m, 2, 20, beta_x=1.0, beta_y=3.0, seed=4)
+        domain = BallDomain(1.0, 1.0, n_x=2, n_y=2)
+    problem = SaddleProblem.from_spec(spec, domain)
+    assert (problem.strong_convexity > 0.0) == (family == "robust")
+    gossip = laplacian(Topology("ring", m))
+    gen = Xoshiro256StarStar(6)
+    p = StackedPoint(0.3 * gen.normals((m, 2)), 0.3 * gen.normals((m, 2)))
+    tol = 1e-8
+    fast = restricted_gap(problem, gossip, 0.5, p, inner_tol=tol)
+    monkeypatch.setattr(pfsaddle.metrics, "_inner_ball_opt", _projected_gradient_inner_opt)
+    plain = restricted_gap(problem, gossip, 0.5, p, inner_tol=tol, max_iter=1_000_000)
+    assert fast > 1e-3
+    assert abs(fast - plain) <= tol * domain.diameter
+
+
+def test_final_gap_of_a_flat_bilinear_cell_finishes(tmp_path):
+    # the x-solve of this cell has no curvature along the consensus
+    # direction: plain projected gradient did not reach 1e-8 in 1,000,000
+    # iterations, the accelerated solve takes seconds
+    config = parse_config({
+        "topology": {"kind": "ring", "num_nodes": 4}, "problem": {"family": "bilinear"},
+        "lambda_grid": [0.1], "algorithms": [{"name": "extragradient"}], "seeds": [0],
+        "target": {"kind": "iterations", "value": 200}, "metrics": {"final_gap": True},
+    })
+    start = time.perf_counter()
+    bundle = run(config, output_dir=str(tmp_path / "out"))
+    assert time.perf_counter() - start < 60.0
+    assert not bundle.failed
+    with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert math.isfinite(float(row["final_gap"]))
 
 
 def test_restricted_gap_rejects_an_unbounded_domain():

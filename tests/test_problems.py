@@ -584,5 +584,22 @@ def test_robust_spec_groups_nodes_by_sample_count():
               for nodes, feats, _, targs in spec._groups]
     assert groups == [([0, 2], (2, 4, 2), (2, 4)), ([1], (1, 7, 2), (1, 7))]
     for restored in (spec, pickle.loads(pickle.dumps(spec))):
-        for _, feats, feats_t, _ in restored._groups:
+        for nodes, feats, feats_t, _ in restored._groups:
+            assert isinstance(nodes, np.ndarray) and not nodes.flags.writeable
             assert feats_t.base is feats and not feats_t.flags.writeable
+
+
+@pytest.mark.parametrize("m,dim,samples", [(16, 2, 100), (5, 3, 7), (1, 1, 4)])
+def test_one_group_robust_operator_on_slices_is_bit_equal_to_gathers(m, dim, samples):
+    spec = random_robust_regression(m, dim, samples, beta_x=1.0, beta_y=3.0, seed=2)
+    for restored in (spec, pickle.loads(pickle.dumps(spec))):
+        (group,) = restored._groups
+        assert group[0] == slice(None)
+    # the same spec indexing every node by an index array
+    gathered = pickle.loads(pickle.dumps(spec))
+    object.__setattr__(gathered, "_groups", ((np.arange(m),) + spec._groups[0][1:],))
+    gen = Xoshiro256StarStar(3)
+    for _ in range(5):
+        z = 2.0 * gen.normals((m, 2 * dim))
+        assert np.array_equal(spec.operator(z).view(np.uint64),
+                              gathered.operator(z).view(np.uint64))

@@ -190,3 +190,21 @@ def test_normal_finite_everywhere():
     for _ in range(10_000):
         value = gen.normal()
         assert math.isfinite(value)
+
+
+def test_bulk_draws_fill_c_order_like_scalar_draws():
+    for shape in [(2, 3), (5,), ()]:
+        gen, again = Xoshiro256StarStar(11), Xoshiro256StarStar(11)
+        n, u = gen.normals(shape), gen.uniforms(shape)
+        size = int(np.prod(shape))
+        assert n.shape == u.shape == shape
+        assert np.array_equal(n.reshape(-1), [again.normal() for _ in range(size)])
+        assert np.array_equal(u.reshape(-1), [again.uniform() for _ in range(size)])
+
+
+def test_bulk_draws_refuse_a_huge_shape_before_drawing():
+    gen = Xoshiro256StarStar(4)
+    for draw in (gen.normals, gen.uniforms):
+        with pytest.raises(ValueError):
+            draw((10**400, 2))
+    assert gen.next_u64() == Xoshiro256StarStar(4).next_u64()
