@@ -291,12 +291,34 @@ def _resolve_start(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     return start
 
 
+def _band(n: int) -> float:
+    """Twice the worst-case relative error of a sum of n squares in float64,
+    in any order, with or without FMA (Higham 2002, section 3.1)."""
+    return 4.0 * n * 2.0**-53
+
+
 def _check_divergence(z: np.ndarray, threshold: float, k: int):
-    if not _sum_sq(z) <= threshold:  # a NaN norm fails the comparison too
+    # np.vdot sums in BLAS's order: a value a band below the threshold puts
+    # the exact sum below it too, and anything else (NaN included) goes to
+    # the exact sum, as a filter with an exact fallback (Shewchuk 1997)
+    if not (np.vdot(z, z) <= threshold * (1.0 - _band(z.size)) - 1e-300
+            or _sum_sq(z) <= threshold):
         raise DivergenceError(
             f"iterate norm exceeded the safeguard or is not finite at outer "
             f"iteration {k}; the step size is likely too large"
         )
+
+
+def _distance_reached(z: np.ndarray, reference: np.ndarray, n_x: int,
+                      target: float) -> bool:
+    """`_distance_sq(z, reference, n_x) <= target`, screened first by one
+    dot product: a value a band above the target (plus 1e-300 for squares
+    that underflow) puts the exact sum above it too; otherwise, NaN and
+    inf included, the exact sum decides."""
+    d = z - reference
+    if np.vdot(d, d) > target * (1.0 + _band(d.size)) + 1e-300:
+        return False
+    return _distance_sq(z, reference, n_x) <= target
 
 
 def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
@@ -309,9 +331,13 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
     (the iterate, or sliding's running mean), or None for extragradient's
     residual stop.  Then come the divergence guard, the recorder (given the
     reported array) and the target of `config`, else a `limit` on steps.  A
-    distance or gap target reads the value `observe` has just recorded if
-    the recorder measured it with the target's arguments, else measures.
-    The result carries the recorder's `record`, read after the last step."""
+    distance target is decided by `_distance_reached`, which computes the
+    exact distance only when one dot product cannot rule the target out; a
+    gap target reads the gap `observe` has just recorded if the recorder
+    measured it with the target's arguments, else measures.  Both decide
+    as `_distance_sq` and `restricted_gap` do, so a run stops at the first
+    iterate whose recorded value is at or below its target.  The result
+    carries the recorder's `record`, read after the last step."""
     if reference is not None and (reference := _join(reference)).shape != z0.shape:
         raise ShapeError(f"reference shape {reference.shape} is not the iterate's {z0.shape}")
     if config is not None:
@@ -319,25 +345,23 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
             raise ConfigError("distance target needs a reference solution")
         limit = config.max_outer
     omega, n_x = problem.domain.diameter, problem.n_x
-    record = recorder and recorder.record  # whose dist_sq and gap grow at each observe
-    same_distance = recorder is not None and np.array_equal(recorder._reference, reference)
+    record = recorder and recorder.record  # whose gap grows at each observe
     same_gap = recorder is not None and config is not None and (
         recorder.problem, recorder.gossip, recorder.lam, recorder.gap_tol) == (
         problem, gossip, config.lam, config.gap_inner_tol)
 
     def reached(rep: np.ndarray, k: int) -> bool:
+        target = float(config.target_value)
         if config.target_kind == "iterations":
-            return k >= int(config.target_value)
+            return k >= int(target)
         if config.target_kind == "distance":
-            measured = record.dist_sq[-1] if same_distance else _distance_sq(rep, reference, n_x)
-        elif k % config.gap_check_every != 0:
+            return _distance_reached(rep, reference, n_x, target)
+        if k % config.gap_check_every != 0:
             return False
-        elif same_gap and record.gap[-1] is not None:
-            measured = record.gap[-1]
-        else:
-            measured = restricted_gap(problem, gossip, config.lam, _split(rep, n_x),
-                                      inner_tol=config.gap_inner_tol)
-        return measured <= float(config.target_value)
+        if same_gap and record.gap[-1] is not None:
+            return record.gap[-1] <= target
+        return restricted_gap(problem, gossip, config.lam, _split(rep, n_x),
+                              inner_tol=config.gap_inner_tol) <= target
 
     threshold = 1e12 * (omega**2 if math.isfinite(omega) else max(1.0, _sum_sq(z0)))
     if recorder is not None:
@@ -503,16 +527,17 @@ def sliding_run(problem: SaddleProblem, gossip: GossipMatrix,
 
 def _rles_direction(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
                     p_comm: float, point: np.ndarray, anchor_grad: np.ndarray,
-                    anchor_penalty: np.ndarray, comm_branch: bool,
+                    anchor_penalty: np.ndarray, anchor_sum: np.ndarray, comm_branch: bool,
                     counters: Counters | None = None) -> np.ndarray:
-    """Array form of `rles_direction` on joined iterates, in operator sign;
-    the oracle of the branch taken ticks `counters` if given."""
+    """Array form of `rles_direction` on joined iterates, in operator sign,
+    given anchor_sum = anchor_grad + anchor_penalty; the oracle of the
+    branch taken ticks `counters` if given."""
     if comm_branch:
         fresh, base, scale = gossip.penalty(lam, point, counters), anchor_penalty, 1.0 / p_comm
     else:
         fresh = problem.operator(point, counters)
         base, scale = anchor_grad, 1.0 / (1.0 - p_comm)
-    return (fresh - base) * scale + (anchor_grad + anchor_penalty)
+    return (fresh - base) * scale + anchor_sum
 
 
 def rles_direction(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
@@ -528,10 +553,19 @@ def rles_direction(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     exactly.  Callers tick the matching counter.
     """
     _check_penalty_args(gossip, lam, point)
-    d = _rles_direction(problem, gossip, lam, p_comm, _join(point),
-                        np.hstack((anchor_grad.x, -anchor_grad.y)),
-                        np.hstack((anchor_penalty.x, -anchor_penalty.y)), comm_branch)
+    grad = np.hstack((anchor_grad.x, -anchor_grad.y))
+    penalty = np.hstack((anchor_penalty.x, -anchor_penalty.y))
+    d = _rles_direction(problem, gossip, lam, p_comm, _join(point), grad, penalty,
+                        grad + penalty, comm_branch)
     return StackedPoint(d[:, :problem.n_x], -d[:, problem.n_x:])
+
+
+def _rles_anchor(u: np.ndarray, grad_u: np.ndarray, pg_u: np.ndarray,
+                 gamma: float) -> tuple:
+    """The anchor (u, local operator at u, penalty products at u, their sum,
+    gamma times the sum): the last two change only when the anchor moves."""
+    total = grad_u + pg_u
+    return u, grad_u, pg_u, total, gamma * total
 
 
 def rles_outer_step(problem: SaddleProblem, gossip: GossipMatrix, config: AlgorithmConfig,
@@ -539,11 +573,14 @@ def rles_outer_step(problem: SaddleProblem, gossip: GossipMatrix, config: Algori
                     counters: Counters) -> tuple[np.ndarray, tuple]:
     """One rles iteration: mix, extrapolate from the anchor, corrected step.
 
-    anchor is the triple (u, local operator at u, penalty products at u).
+    anchor is the tuple of `_rles_anchor`, or its first three entries (u,
+    local operator at u, penalty products at u), which the step completes.
     Of two coins (or schedule checks), the first picks the estimator
     branch and the second moves the anchor to the new iterate.
     """
-    u, grad_u, pg_u = anchor
+    if len(anchor) == 3:
+        anchor = _rles_anchor(*anchor, config.gamma)
+    u, grad_u, pg_u, total, shift = anchor
     p, project = config.p_comm, problem.domain.project_z
 
     def coin() -> bool:  # True selects the communication branch / moves the anchor
@@ -552,13 +589,14 @@ def rles_outer_step(problem: SaddleProblem, gossip: GossipMatrix, config: Algori
         return rng.uniform() < p
 
     xbar = z * float(1.0 - p) + u * float(p)
-    z_half = project(xbar - config.gamma * (grad_u + pg_u))
+    z_half = project(xbar - shift)
     comm_branch = coin()
-    d = _rles_direction(problem, gossip, config.lam, p, z_half, grad_u, pg_u,
+    d = _rles_direction(problem, gossip, config.lam, p, z_half, grad_u, pg_u, total,
                         comm_branch, counters)
     z = project(xbar - config.gamma * d)
     if coin():
-        anchor = (z, problem.operator(z, counters), gossip.penalty(config.lam, z, counters))
+        anchor = _rles_anchor(z, problem.operator(z, counters),
+                              gossip.penalty(config.lam, z, counters), config.gamma)
     return z, anchor
 
 
@@ -568,7 +606,8 @@ def rles_run(problem: SaddleProblem, gossip: GossipMatrix,
              start: StackedPoint | None = None) -> RunResult:
     """Run rles until its stop target or max_outer; reports the last iterate."""
     z0, counters = _join(_resolve_start(problem, gossip, config.lam, start)), Counters()
-    anchor = (z0, problem.operator(z0, counters), gossip.penalty(config.lam, z0, counters))
+    anchor = _rles_anchor(z0, problem.operator(z0, counters),
+                          gossip.penalty(config.lam, z0, counters), config.gamma)
     rng = Xoshiro256StarStar(derive_seed(config.seed, "rles-coins"))
 
     def step(z: np.ndarray, k: int):

@@ -447,6 +447,27 @@ def _csv_bytes(columns, rows) -> bytes:
     return buffer.getvalue()
 
 
+# trace rows formatted at a time, so that the longest trace is never held
+# whole as str objects
+_TRACE_ROWS = 256
+_INT_COLUMNS = ("k", "comm_rounds", "local_grad_batches")
+
+
+def _trace_bytes(record) -> bytes:
+    """`_csv_bytes(CSV_COLUMNS, record.rows())`, formatted a column at a
+    time: k and the counters are ints, every other column floats or None."""
+    buffer = io.BytesIO()
+    buffer.write((",".join(CSV_COLUMNS) + "\r\n").encode())
+    for start in range(0, len(record), _TRACE_ROWS):
+        cells = []
+        for name in CSV_COLUMNS:
+            values = getattr(record, name)[start:start + _TRACE_ROWS]
+            cells.append(list(map(str, values)) if name in _INT_COLUMNS else
+                         ["" if v is None else "%.17g" % v for v in values])
+        buffer.write(("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode())
+    return buffer.getvalue()
+
+
 def _reference_needed(config: ExperimentConfig, problem: SaddleProblem) -> bool:
     if config.target_kind == "distance":
         return True
@@ -523,7 +544,7 @@ def _execute_cell(problem: SaddleProblem, gossip: GossipMatrix,
         result = runner(problem, gossip, alg_config,
                         reference=reference, recorder=recorder)
         record = result.record
-        trace = _csv_bytes(CSV_COLUMNS, record.rows())
+        trace = _trace_bytes(record)
         summary.update({
             "iterations": result.iterations,
             "stop_reason": result.stop_reason,

@@ -6,7 +6,8 @@ of every node's local gradient pair.  The oracles `GossipMatrix.penalty` and
 `SaddleProblem.operator` tick the Counters a solver hands them; the measures
 below (distance, restricted gap, consensus residuals, penalty value) hand
 none and cost nothing.  Each has one array body, shared by the recorder, the
-distance stop and the public edge.
+distance stop and the public edge; the recorder's stacked forms are
+bit-equal to it per point.
 """
 
 from __future__ import annotations
@@ -64,6 +65,16 @@ def _distance_sq(z: np.ndarray, reference: np.ndarray, n_x: int) -> float:
     return _sum_sq(d[:, :n_x]) + _sum_sq(d[:, n_x:])
 
 
+def _distances_sq(stack: np.ndarray, reference: np.ndarray, n_x: int) -> np.ndarray:
+    """`_distance_sq` of every point of a stack (..., M, n), bit-equal to it
+    per point; one column block's differences are held at a time, squared
+    in place."""
+    def block(cols: slice) -> np.ndarray:
+        d = stack[..., cols] - reference[:, cols]
+        return _point_sums(np.multiply(d, d, out=d))
+    return block(slice(None, n_x)) + block(slice(n_x, None))
+
+
 def distance_sq(p: StackedPoint, reference: StackedPoint) -> float:
     """Squared Frobenius distance, summed block by block."""
     _check_like(p, reference)
@@ -119,13 +130,13 @@ class RunRecorder:
     """Collects one RunRecord while a solver runs.
 
     `observe` reads the joined iterate z = [x | y] the solver reports, as
-    checked by its divergence guard, and records at once what a stop reads:
-    k, the counters, `dist_sq` and `gap` (the restricted gap only every
-    `gap_every` iterations when that is positive, since it needs two inner
-    solves).  It copies z into a pending buffer of at most `_CHUNK_BYTES`;
-    `penalty_value`, `consensus_x` and `consensus_y` are computed for every
-    pending iterate at once, bit-equal to the per-point measures, when the
-    buffer is full and when `record` is read.
+    checked by its divergence guard, and records at once k, the counters
+    and `gap` (the restricted gap only every `gap_every` iterations when
+    that is positive, since it needs two inner solves), which a gap stop
+    reads.  It copies z into a pending buffer of at most `_CHUNK_BYTES`;
+    `dist_sq`, `penalty_value`, `consensus_x` and `consensus_y` are
+    computed for every pending iterate at once, bit-equal to the per-point
+    measures, when the buffer is full and when `record` is read.
     """
 
     def __init__(self, problem: SaddleProblem, gossip: GossipMatrix, lam: float,
@@ -156,8 +167,6 @@ class RunRecorder:
         rec.k.append(int(k))
         rec.comm_rounds.append(counters.comm_rounds)
         rec.local_grad_batches.append(counters.local_grad_batches)
-        rec.dist_sq.append(None if self._reference is None
-                           else _distance_sq(z, self._reference, n_x))
         rec.gap.append(
             restricted_gap(self.problem, self.gossip, self.lam, _split(z, n_x),
                            inner_tol=self.gap_tol)
@@ -175,6 +184,8 @@ class RunRecorder:
         rec, n_x = self._record, self.problem.n_x
         stack = self._pending[:self._filled]
         x, y = stack[:, :, :n_x], stack[:, :, n_x:]
+        rec.dist_sq.extend([None] * self._filled if self._reference is None
+                           else _distances_sq(stack, self._reference, n_x).tolist())
         rec.penalty_value.extend(_penalty_value(self.gossip.w, self.lam, x, y).tolist())
         cx, cy = _consensus_residual(x, y)
         rec.consensus_x.extend(cx.tolist())

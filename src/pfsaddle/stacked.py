@@ -146,6 +146,19 @@ def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
+def _far_norms(delta: np.ndarray) -> np.ndarray:
+    """The row norms of delta, those whose squares overflow (inf norm,
+    finite entries) computed on the row divided by its largest magnitude."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(delta * delta, axis=1))
+    far = (np.isinf(norms) & np.isfinite(delta).all(axis=1)).nonzero()[0]
+    if far.size:
+        peak = np.abs(delta[far]).max(axis=1)
+        unit = delta[far] / peak[:, None]
+        norms[far] = peak * np.sqrt(np.add.reduce(unit * unit, axis=1))
+    return norms
+
+
 def _project_rows(rows: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Project each row of `rows` onto the ball B(center, radius).
 
@@ -153,17 +166,27 @@ def _project_rows(rows: np.ndarray, center: np.ndarray, radius: float) -> np.nda
     outside are rescaled toward the center until they lie inside, so
     projecting twice gives byte-identical output.  As rounding can hold a
     row just outside a ball centered far from the origin, pass k >= 8 aims
-    2**(k-60) further in, reaching the center itself by pass 60.
+    2**(k-60) further in, reaching the center itself by pass 60.  A row
+    farther out than the square root of the float range is measured by
+    `_far_norms`, so it too lands on the sphere.
     """
     if math.isinf(radius):
         return rows
     out, live = rows, None  # live: the rows rescaled by the previous pass
     for k in itertools.count():
         delta = (out if live is None else out[live]) - center
-        norms = np.sqrt(np.add.reduce(delta * delta, axis=1))
+        # a square overflows only if their total does: one dot product
+        # sends those passes (and NaN and inf entries) to `_far_norms`
+        if np.vdot(delta, delta) <= 1e300:
+            norms = np.sqrt(np.add.reduce(delta * delta, axis=1))
+        else:
+            norms = _far_norms(delta)
         hit = (norms > radius).nonzero()[0]
+        if not hit.size:
+            return out
         scale = radius / norms[hit]
-        hit, scale = hit[scale < 1.0], scale[scale < 1.0]
+        inward = scale < 1.0
+        hit, scale = hit[inward], scale[inward]
         if not hit.size:
             return out
         out, live = (np.array(rows, dtype=float), hit) if live is None else (out, live[hit])

@@ -25,7 +25,7 @@ from pfsaddle.algorithms import (
 )
 from pfsaddle.errors import ConfigError, ConvergenceError, DivergenceError
 from pfsaddle.gossip import GossipMatrix, Topology, laplacian, penalty_grad
-from pfsaddle.metrics import Counters, RunRecorder, _distance_sq, distance_sq
+from pfsaddle.metrics import Counters, RunRecorder, _distance_sq, _distances_sq, distance_sq
 from pfsaddle.problems import (
     QuadraticSaddleSpec,
     SaddleProblem,
@@ -859,21 +859,46 @@ def distance_target_case(method):
 
 @pytest.mark.parametrize("method", ["extragradient", "sliding", "rles"])
 def test_distance_target_computes_one_distance_per_iteration(method, monkeypatch):
-    # the stop reads the dist_sq the recorder has just written: one
-    # evaluation per observed iterate, where the stop used to add a second
+    # the recorder computes each iterate's dist_sq once, per chunk, bit-equal
+    # to the per-point body; the stop screens with a dot product, so it
+    # needs the exact distance only near its target, and it stops at the
+    # first iterate whose recorded dist_sq is at or below the target
+    stacked, points = [], []
+
+    def counted(stack, *args):
+        stacked.append(len(stack))
+        points.extend(stack.copy())
+        return _distances_sq(stack, *args)
+
+    monkeypatch.setattr("pfsaddle.metrics._distances_sq", counted)
+    problem, gossip, config, ref, runner = distance_target_case(method)
+    result = runner(problem, gossip, config, reference=ref,
+                    recorder=RunRecorder(problem, gossip, config.lam, reference=ref))
+    dist = result.record.dist_sq
+    assert result.stop_reason == "target" and result.iterations >= 10
+    assert sum(stacked) == len(dist) == result.iterations + 1
+    ref_z = _join(ref)
+    assert [_distance_sq(z, ref_z, problem.n_x) for z in points] == dist
+    first = next(k for k, d in enumerate(dist) if k > 0 and d <= config.target_value)
+    assert result.iterations == first
+
+
+@pytest.mark.parametrize("method", ["extragradient", "sliding", "rles"])
+def test_distance_stop_computes_the_exact_distance_only_near_its_target(method, monkeypatch):
+    # one dot product rules the target out at every iterate but those whose
+    # distance is within a rounding band of it: here only the last one
     calls = []
 
     def counted(*args):
         calls.append(args)
         return _distance_sq(*args)
 
-    monkeypatch.setattr("pfsaddle.metrics._distance_sq", counted)
     monkeypatch.setattr("pfsaddle.algorithms._distance_sq", counted)
     problem, gossip, config, ref, runner = distance_target_case(method)
-    result = runner(problem, gossip, config, reference=ref,
-                    recorder=RunRecorder(problem, gossip, config.lam, reference=ref))
+    result = runner(problem, gossip, config, reference=ref)
     assert result.stop_reason == "target" and result.iterations >= 10
-    assert len(calls) == len(result.record) == result.iterations + 1
+    assert len(calls) == 1
+    assert distance_sq(result.output, ref) <= config.target_value
 
 
 @pytest.mark.parametrize("method", ["extragradient", "sliding", "rles"])

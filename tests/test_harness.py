@@ -27,6 +27,7 @@ from pfsaddle.harness import (
     _execute_cell,
     _lam_token,
     _reference_needed,
+    _trace_bytes,
     build_problem,
     config_to_dict,
     emit_plot_data,
@@ -37,7 +38,7 @@ from pfsaddle.harness import (
     run,
     serialize_config,
 )
-from pfsaddle.metrics import CSV_COLUMNS, RunRecorder
+from pfsaddle.metrics import CSV_COLUMNS, RunRecord, RunRecorder
 from pfsaddle.problems import reference_solution
 
 
@@ -254,6 +255,30 @@ def test_rerun_is_byte_identical(tmp_path):
     b = read_bytes_map(tmp_path / "b")
     assert a == b
     assert len(a) >= 14
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 2 * pfsaddle.harness._TRACE_ROWS + 3])
+def test_trace_bytes_equal_the_row_writer(rows):
+    # the per-column formatter writes what csv.writer writes row by row with
+    # `_fmt`: absent values, signed zeros, non-finite and extreme floats
+    special = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               1.7976931348623157e308, 2.2250738585072014e-308, 1e-8, 0.1, -3.0]
+    rng = np.random.default_rng(rows)
+
+    def floats(absent: float) -> list:
+        return [None if rng.uniform() < absent else
+                (special[rng.integers(len(special))] if rng.uniform() < 0.5
+                 else float(rng.normal() * 10.0 ** rng.integers(-300, 300)))
+                for _ in range(rows)]
+
+    record = RunRecord(
+        k=list(range(rows)), comm_rounds=[int(c) for c in rng.integers(0, 10**12, rows)],
+        local_grad_batches=[3 * k for k in range(rows)],
+        dist_sq=[None] * rows, gap=floats(0.9), penalty_value=floats(0.0),
+        consensus_x=floats(0.0), consensus_y=floats(0.5))
+    assert _trace_bytes(record) == _csv_bytes(CSV_COLUMNS, record.rows())
+    record.dist_sq = floats(0.0)
+    assert _trace_bytes(record) == _csv_bytes(CSV_COLUMNS, record.rows())
 
 
 ROBUST_ON_BALLS = {"family": "robust_regression", "dim": 2, "num_samples": 10,

@@ -2,7 +2,9 @@
 identities of the cost model, the invariants of the ball projection, the
 unbiased rles estimator, the batched oracles and projection against the
 per-node, per-block and multi-pass rules they replace, the wrapper-free
-measure bodies against the numpy wrappers they replace, and configs drawn
+measure bodies against the numpy wrappers they replace, the stacked
+distance and the screened distance stop and divergence guard against the
+exact per-point sums, and configs drawn
 from the config table that round-trip through their dict form or, holding
 one number outside its row, are rejected."""
 
@@ -21,6 +23,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from pfsaddle.algorithms import (  # noqa: E402
     AlgorithmConfig,
+    _check_divergence,
+    _distance_reached,
     baseline_run,
     rles_direction,
     rles_run,
@@ -36,7 +40,13 @@ from pfsaddle.harness import (  # noqa: E402
     serialize_config,
 )
 from pfsaddle.gossip import _penalty_value  # noqa: E402
-from pfsaddle.metrics import _consensus_residual, _distance_sq, distance_sq  # noqa: E402
+from pfsaddle.errors import DivergenceError  # noqa: E402
+from pfsaddle.metrics import (  # noqa: E402
+    _consensus_residual,
+    _distance_sq,
+    _distances_sq,
+    distance_sq,
+)
 from pfsaddle.problems import (  # noqa: E402
     QuadraticSaddleSpec,
     RobustRegressionSpec,
@@ -268,6 +278,65 @@ def test_wrapper_free_measures_match_the_numpy_wrappers(m, dims, lam, seed):
         [float(a), float(b)]
         for a, b in zip(_consensus_residual(ref[:, :n_x], ref[:, n_x:]),
                         _consensus_residual(x, y))]
+
+
+@PROPERTY
+@given(st.sampled_from([1, 2, 8, 17, 64]),
+       st.sampled_from([(1, 1), (2, 7), (9, 3), (4, 12), (16, 16), (31, 2)]),
+       st.integers(1, 5), st.integers(0, 2**16))
+def test_stacked_distances_equal_the_per_point_distance(m, dims, count, seed):
+    # the recorder's chunked dist_sq column, bit for bit against the body
+    # the stop and the public distance_sq use, with n_x != n_y and n >= 9
+    n_x, n_y = dims
+    rng = np.random.default_rng(seed)
+    ref = rng.normal(size=(m, n_x + n_y))
+    stack = ref + rng.normal(size=(count, m, n_x + n_y)) * 10.0 ** rng.uniform(
+        -6, 3, size=(count, 1, 1))
+    assert _distances_sq(stack, ref, n_x).tolist() == [
+        _distance_sq(z, ref, n_x) for z in stack]
+
+
+@st.composite
+def screened_cases(draw):
+    """(z, reference, n_x, target, threshold) near the screens' edges: the
+    targets and thresholds sit at the exact sum or one ulp either side, or
+    are subnormal, over iterates of up to 8192 entries, some of them tiny
+    enough for their squares to underflow, some rows NaN or inf."""
+    m = draw(st.sampled_from([1, 2, 8, 64, 1024]))
+    n = draw(st.integers(2, min(12, 8192 // m)))
+    n_x = draw(st.integers(1, n - 1))
+    n_y = n - n_x
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = 10.0 ** draw(st.sampled_from([-170, -160, -20, 0, 20, 150]))
+    ref = rng.normal(size=(m, n_x + n_y))
+    z = ref + rng.normal(size=ref.shape) * scale * 10.0 ** rng.uniform(-1, 1, size=(m, 1))
+    poison = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    if poison is not None:
+        z[draw(st.integers(0, m - 1)), draw(st.integers(0, n_x + n_y - 1))] = poison
+    exact = _distance_sq(z, ref, n_x)
+    norm = _sum_sq(z)
+
+    def near(value):
+        return draw(st.sampled_from([value, np.nextafter(value, -math.inf),
+                                     np.nextafter(value, math.inf), 5e-324, 1e-310,
+                                     2.2250738585072014e-308]))
+    return z, ref, n_x, float(near(exact)), float(near(norm))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(screened_cases())
+def test_screened_stop_and_guard_decide_as_the_exact_sums(case):
+    # one dot product screens the distance stop and the divergence guard;
+    # whatever it lets through, the decisions are the exact sums' decisions
+    z, ref, n_x, target, threshold = case
+    assert _distance_reached(z, ref, n_x, target) == (_distance_sq(z, ref, n_x) <= target)
+    diverged = not _sum_sq(z) <= threshold
+    try:
+        _check_divergence(z, threshold, 1)
+    except DivergenceError:
+        assert diverged
+    else:
+        assert not diverged
 
 
 @PROPERTY

@@ -1,6 +1,7 @@
 """Tests for stacked-point arithmetic, norms, and ball projections."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pfsaddle.rng import Xoshiro256StarStar
 from pfsaddle.stacked import (
     BallDomain,
     StackedPoint,
+    _project_rows,
     frobenius_sq,
     trace_inner,
 )
@@ -214,6 +216,26 @@ def test_interior_rows_bitwise_unchanged():
     q = dom.project(p)
     assert np.array_equal(q.x, p.x)
     assert np.array_equal(q.y, p.y)
+
+
+def test_rows_whose_squares_overflow_land_on_the_sphere():
+    # |row| > 1.3e154 overflows delta * delta; such a row is measured on the
+    # row over its largest magnitude, not sent to the center
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _project_rows(np.array([[1e200, 1e200], [3.0, 4.0]]), np.zeros(2), 1.0)
+        assert np.allclose(out, [[math.sqrt(0.5), math.sqrt(0.5)], [0.6, 0.8]],
+                           rtol=1e-15, atol=0.0)
+        # a ball too large for the squares of its own radius
+        far = _project_rows(np.array([[4e300, -3e300], [1e-300, 4.0]]),
+                            np.zeros(2), 1e250)
+        assert np.allclose(far[0], [8e249, -6e249], rtol=1e-15, atol=0.0)
+        # rows inside, -0.0 included, come back bitwise unchanged beside them
+        inside = np.array([[-0.0, 0.5], [0.0, -0.0]])
+        rows = np.vstack((inside, [[-1e200, 1e160]]))
+        out = _project_rows(rows, np.zeros(2), 1.0)
+        assert out[:2].tobytes() == inside.tobytes()
+        assert np.allclose(out[2], [-1.0, 1e-40], rtol=1e-15, atol=0.0)
 
 
 def test_contains_tolerance():
