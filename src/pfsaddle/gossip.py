@@ -118,12 +118,13 @@ def _connected(m: int, pairs: set[tuple[int, int]]) -> bool:
 def _erdos_renyi_edges(m: int, edge_prob: float, seed: int) -> set[tuple[int, int]]:
     rng = Xoshiro256StarStar(derive_seed(seed, "erdos-renyi", m))
     for _ in range(100):
-        pairs = {
-            (i, j)
-            for i in range(m)
-            for j in range(i + 1, m)
-            if rng.uniform() < edge_prob
-        }
+        # one draw per pair i < j in (i, j) order, read a row at a time, so
+        # no index arrays of all the pairs are built
+        drawn, pairs, start = rng.uniforms((m * (m - 1) // 2,)) < edge_prob, set(), 0
+        for i in range(m - 1):
+            hits = drawn[start:start + m - 1 - i].nonzero()[0] + (i + 1)
+            pairs.update((i, j) for j in hits.tolist())
+            start += m - 1 - i
         if _connected(m, pairs):
             return pairs
     raise TopologyError(

@@ -408,29 +408,41 @@ def reference_solution(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
 # --------------------------------------------------------------------------
 
 
-def _random_orthogonal(rng: Xoshiro256StarStar, dim: int) -> np.ndarray:
-    if dim == 1:
-        return np.ones((1, 1))
-    gauss = rng.normals((dim, dim))
+_BLOCK = 32  # nodes whose matrices the generators factor and multiply at once
+
+
+def _basis_draw(rng: Xoshiro256StarStar, dim: int) -> tuple:
+    """The `_draw` plan entry of one orthogonal basis: a Gaussian matrix, or
+    for dimension 1, which draws nothing, the basis [[1]] itself."""
+    return (rng.normals if dim > 1 else np.ones), (dim, dim)
+
+
+def _draw(count: int, plan: list) -> list:
+    """`count` records drawn one after another, each one draw per (draw,
+    shape) entry of `plan` in order; one (count, *shape) array per entry."""
+    out = [np.empty((count, *shape)) for _, shape in plan]
+    for i in range(count):
+        for block, (draw, shape) in zip(out, plan):
+            block[i] = draw(shape)
+    return out
+
+
+def _bases(gauss: np.ndarray) -> np.ndarray:
+    """Haar-random orthogonal bases from a stack of square Gaussian matrices:
+    each Q factor with the signs that make R's diagonal nonnegative.  A
+    stack of 1 x 1 matrices is dimension 1's drawn [[1]] and stands."""
+    if gauss.shape[-1] == 1:
+        return gauss
     q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     signs[signs == 0.0] = 1.0
-    return q * signs
+    return q * signs[:, None, :]
 
 
-def _spd_from_eigs(rng: Xoshiro256StarStar, eigs: np.ndarray) -> np.ndarray:
-    basis = _random_orthogonal(rng, eigs.shape[0])
-    return (basis * eigs) @ basis.T
-
-
-def _eigs_between(rng: Xoshiro256StarStar, dim: int, lo: float, hi: float,
-                  pin_lo: bool = False, pin_hi: bool = False) -> np.ndarray:
-    eigs = lo + (hi - lo) * rng.uniforms((dim,))
-    if pin_lo:
-        eigs[0] = lo
-    if pin_hi:
-        eigs[-1] = hi
-    return eigs
+def _spd(eigs: np.ndarray, gauss: np.ndarray) -> np.ndarray:
+    """basis diag(eigs) basis' for each row of eigs, its basis from `_bases`."""
+    basis = _bases(gauss)
+    return (basis * eigs[:, None, :]) @ basis.transpose(0, 2, 1)
 
 
 def _check_dims(**dims):
@@ -464,37 +476,37 @@ def random_quadratic(num_nodes: int, n_x: int, n_y: int, *, mu: float,
     q_stack = np.zeros((num_nodes, n_y, n_y))
     coupling = np.zeros((num_nodes, n_x, n_y))
 
-    # node 0 pins both constants and has no coupling
-    if n_x == 1:
-        p_stack[0] = [[smoothness]]
-    else:
-        p_stack[0] = _spd_from_eigs(
-            rng, np.sort(_eigs_between(rng, n_x, mu, smoothness, pin_lo=True, pin_hi=True))
-        )
-    if n_y == 1:
-        q_stack[0] = [[mu]]
-    else:
-        q_stack[0] = _spd_from_eigs(
-            rng, np.sort(_eigs_between(rng, n_y, mu, mid, pin_lo=True, pin_hi=True))
-        )
+    # node 0 pins both constants and has no coupling: its sorted eigenvalues
+    # run from mu to top, a dimension of 1 holding the pinned constant alone
+    for stack, dim, top, single in ((p_stack, n_x, smoothness, smoothness),
+                                    (q_stack, n_y, mid, mu)):
+        if dim == 1:
+            stack[0] = single
+            continue
+        u, gauss = _draw(1, [(rng.uniforms, (dim,)), (rng.normals, (dim, dim))])
+        eigs = mu + (top - mu) * u
+        eigs[:, 0], eigs[:, -1] = mu, top
+        stack[0] = _spd(np.sort(eigs), gauss)[0]
 
-    # remaining nodes: eigenvalues in [mu + 0.05 span, mu + 0.45 span],
-    # coupling norm at most 0.3 span, so every block matrix stays strictly
-    # inside the [mu, smoothness] band regardless of the blend below
+    # the shared draw, then each other node's own, a block of nodes at a time:
+    # eigenvalues in [mu + 0.05 span, mu + 0.45 span], coupling norm at most
+    # 0.3 span, so every block matrix stays strictly inside the [mu,
+    # smoothness] band regardless of the blend below
     lo, hi = mu + 0.05 * span, mu + 0.45 * span
     blend = min(max(float(heterogeneity), 0.0), 1.0)
-    shared_p = _spd_from_eigs(rng, _eigs_between(rng, n_x, lo, hi))
-    shared_q = _spd_from_eigs(rng, _eigs_between(rng, n_y, lo, hi))
-    shared_c = rng.normals((n_x, n_y))
-    shared_c *= 0.3 * span / max(1e-12, float(np.linalg.norm(shared_c, 2)))
-    for m in range(1, num_nodes):
-        own_p = _spd_from_eigs(rng, _eigs_between(rng, n_x, lo, hi))
-        own_q = _spd_from_eigs(rng, _eigs_between(rng, n_y, lo, hi))
-        own_c = rng.normals((n_x, n_y))
-        own_c *= 0.3 * span / max(1e-12, float(np.linalg.norm(own_c, 2)))
-        p_stack[m] = (1.0 - blend) * shared_p + blend * own_p
-        q_stack[m] = (1.0 - blend) * shared_q + blend * own_q
-        coupling[m] = (1.0 - blend) * shared_c + blend * own_c
+    plan = [(rng.uniforms, (n_x,)), _basis_draw(rng, n_x), (rng.uniforms, (n_y,)),
+            _basis_draw(rng, n_y), (rng.normals, (n_x, n_y))]
+
+    def draws(count):
+        u_p, g_p, u_q, g_q, c = _draw(count, plan)
+        c *= (0.3 * span / np.maximum(1e-12, np.linalg.norm(c, 2, axis=(1, 2))))[:, None, None]
+        return _spd(lo + (hi - lo) * u_p, g_p), _spd(lo + (hi - lo) * u_q, g_q), c
+
+    shared = draws(1)
+    for start in range(1, num_nodes, _BLOCK):
+        stop = min(start + _BLOCK, num_nodes)
+        for stack, own, common in zip((p_stack, q_stack, coupling), draws(stop - start), shared):
+            stack[start:stop] = (1.0 - blend) * common + blend * own
 
     a_base = rng.normals((n_x,))
     b_base = rng.normals((n_y,))
@@ -515,13 +527,18 @@ def random_bilinear(num_nodes: int, dim: int, *, coupling_scale: float = 1.0,
     if coupling_scale <= 0.0:
         raise InvalidValueError("coupling_scale must be positive")
     rng = Xoshiro256StarStar(derive_seed(seed, "bilinear", num_nodes, dim))
-    coupling = np.zeros((num_nodes, dim, dim))
-    for m in range(num_nodes):
-        left = _random_orthogonal(rng, dim)
-        right = _random_orthogonal(rng, dim)
-        sigma = 0.3 + 0.7 * rng.uniforms((dim,))
-        sigma[-1] = 1.0 if m == 0 else 0.6 + 0.3 * rng.uniform()
-        coupling[m] = (left * (coupling_scale * sigma)) @ right.T
+    coupling = np.empty((num_nodes, dim, dim))
+    basis = _basis_draw(rng, dim)
+    # singular values in [0.3, 1): node 0's top one is 1, each other node's a
+    # uniform in [0.6, 0.9) drawn after the rest of its record; node 0 makes
+    # a block of its own
+    bounds = [0, *range(1, num_nodes, _BLOCK), num_nodes]
+    for start, stop in zip(bounds, bounds[1:]):
+        left, right, u = _draw(stop - start, [basis, basis, (rng.uniforms, (dim + (start > 0),))])
+        sigma = 0.3 + 0.7 * u[:, :dim]
+        sigma[:, -1] = 0.6 + 0.3 * u[:, dim] if start else 1.0
+        coupling[start:stop] = ((_bases(left) * (coupling_scale * sigma)[:, None, :])
+                                @ _bases(right).transpose(0, 2, 1))
     a_base = rng.normals((dim,))
     b_base = rng.normals((dim,))
     a_lin = np.tile(a_base, (num_nodes, 1)) + heterogeneity * rng.normals((num_nodes, dim))
@@ -538,13 +555,12 @@ def random_robust_regression(num_nodes: int, dim: int, num_samples: int, *,
     """Synthetic per-node regression data with planted node-wise models."""
     _check_dims(dim=dim)
     rng = Xoshiro256StarStar(derive_seed(seed, "robust-regression", num_nodes, dim))
-    shared_model = rng.normals((dim,))
-    features = []
-    targets = []
-    for m in range(num_nodes):
-        model = shared_model + heterogeneity * rng.normals((dim,))
-        feats = rng.normals((num_samples, dim))
-        noise = 0.05 * rng.normals((num_samples,))
-        features.append(feats)
-        targets.append(feats @ model + noise)
+    # the shared model, then per node its model offset, features and noise:
+    # successive normals, so one draw in that order, sliced
+    record = dim + num_samples * (dim + 1)
+    draws = rng.normals((dim + num_nodes * record,))
+    nodes = draws[dim:].reshape(num_nodes, record)
+    models = draws[:dim] + heterogeneity * nodes[:, :dim]
+    features = nodes[:, dim:record - num_samples].reshape(num_nodes, num_samples, dim)
+    targets = (features @ models[:, :, None])[:, :, 0] + 0.05 * nodes[:, record - num_samples:]
     return RobustRegressionSpec(tuple(features), tuple(targets), beta_x, beta_y)

@@ -4,7 +4,8 @@ Everything stochastic in this package (problem data, coin flips, random
 graph edges, power-iteration start vectors) draws from the xoshiro256**
 generator below, seeded through SplitMix64.  The implementation is pure
 Python on 64-bit integer words, so streams are reproducible bit-for-bit
-across platforms and numpy versions.
+across platforms and numpy versions; normals take their logarithms and
+trigonometry from `math`, as numpy's vectorized loops need not match libm.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_CHUNK = 1024  # values a bulk draw holds in a list before writing them to its array
 
 
 def _splitmix64_next(state: int) -> tuple[int, int]:
@@ -24,10 +26,6 @@ def _splitmix64_next(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return state, z ^ (z >> 31)
-
-
-def _rotl64(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -66,48 +64,89 @@ class Xoshiro256StarStar:
         self._gauss_cache: float | None = None
 
     def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl64((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl64(s[3], 45)
-        return result
+        # the bulk draws below repeat these lines on local copies of the words
+        s0, s1, s2, s3 = self._s
+        x = s1 * 5 & _MASK64
+        t = s1 << 17 & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self._s = [s0, s1, s2, (s3 << 45 | s3 >> 19) & _MASK64]
+        return (x << 7 | x >> 57) * 9 & _MASK64
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def _uniform_open(self) -> float:
-        """Uniform double in (0, 1]; safe as a log argument."""
-        return ((self.next_u64() >> 11) + 1) * 2.0**-53
-
     def normal(self) -> float:
         """Standard normal via Box-Muller (pairs generated, one cached)."""
-        if self._gauss_cache is not None:
-            value = self._gauss_cache
-            self._gauss_cache = None
-            return value
-        u1 = self._uniform_open()
-        u2 = self.uniform()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        angle = 2.0 * math.pi * u2
-        self._gauss_cache = radius * math.sin(angle)
-        return radius * math.cos(angle)
+        return float(self.normals(()))
 
     def normals(self, shape) -> np.ndarray:
         """Array of standard normals with the given shape, drawn in C order.
-        The array is allocated before the first draw, so a shape numpy
-        refuses raises at once."""
+        A Box-Muller pair takes u1 in (0, 1] and u2 in [0, 1) from two words
+        and gives r cos(2 pi u2), then r sin(2 pi u2), r = sqrt(-2 log u1); an
+        odd count caches the sine for the next draw.  The array is allocated
+        before the first draw, so a shape numpy refuses raises at once."""
         out = np.empty(shape)
-        out.reshape(-1)[:] = [self.normal() for _ in range(out.size)]
+        flat, size = out.reshape(-1), out.size
+        s0, s1, s2, s3 = self._s
+        cache, mask = self._gauss_cache, _MASK64
+        log, sqrt, cos, sin, two_pi = math.log, math.sqrt, math.cos, math.sin, 2.0 * math.pi
+        for start in range(0, size, _CHUNK):
+            count = min(_CHUNK, size - start)
+            values = [] if cache is None else [cache]
+            append = values.append
+            for _ in range((count - len(values) + 1) >> 1):
+                x = s1 * 5 & mask
+                t = s1 << 17 & mask
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = (s3 << 45 | s3 >> 19) & mask
+                u1 = ((((x << 7 | x >> 57) * 9 & mask) >> 11) + 1) * 2.0**-53
+                x = s1 * 5 & mask
+                t = s1 << 17 & mask
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = (s3 << 45 | s3 >> 19) & mask
+                u2 = (((x << 7 | x >> 57) * 9 & mask) >> 11) * 2.0**-53
+                radius, angle = sqrt(-2.0 * log(u1)), two_pi * u2
+                append(radius * cos(angle))
+                append(radius * sin(angle))
+            cache = values.pop() if len(values) > count else None
+            flat[start:start + count] = values
+        self._s = [s0, s1, s2, s3]
+        self._gauss_cache = cache
         return out
 
     def uniforms(self, shape) -> np.ndarray:
         """Array of uniforms in [0, 1), allocated and drawn as `normals`."""
         out = np.empty(shape)
-        out.reshape(-1)[:] = [self.uniform() for _ in range(out.size)]
+        flat, size = out.reshape(-1), out.size
+        s0, s1, s2, s3 = self._s
+        mask = _MASK64
+        for start in range(0, size, _CHUNK):
+            count = min(_CHUNK, size - start)
+            values = []
+            append = values.append
+            for _ in range(count):
+                x = s1 * 5 & mask
+                t = s1 << 17 & mask
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = (s3 << 45 | s3 >> 19) & mask
+                append((((x << 7 | x >> 57) * 9 & mask) >> 11) * 2.0**-53)
+            flat[start:start + count] = values
+        self._s = [s0, s1, s2, s3]
         return out

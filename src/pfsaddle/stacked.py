@@ -148,10 +148,13 @@ def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 def _far_norms(delta: np.ndarray) -> np.ndarray:
     """The row norms of delta, those whose squares overflow (inf norm,
-    finite entries) computed on the row divided by its largest magnitude."""
+    finite entries) computed on the row divided by its largest magnitude,
+    and NaN for a row with a non-finite entry."""
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.add.reduce(delta * delta, axis=1))
-    far = (np.isinf(norms) & np.isfinite(delta).all(axis=1)).nonzero()[0]
+    finite = np.isfinite(delta).all(axis=1)
+    norms[~finite] = np.nan
+    far = (np.isinf(norms) & finite).nonzero()[0]
     if far.size:
         peak = np.abs(delta[far]).max(axis=1)
         unit = delta[far] / peak[:, None]
@@ -168,7 +171,8 @@ def _project_rows(rows: np.ndarray, center: np.ndarray, radius: float) -> np.nda
     row just outside a ball centered far from the origin, pass k >= 8 aims
     2**(k-60) further in, reaching the center itself by pass 60.  A row
     farther out than the square root of the float range is measured by
-    `_far_norms`, so it too lands on the sphere.
+    `_far_norms`, so it too lands on the sphere; a row holding NaN or inf
+    has a NaN norm there and comes back unchanged, for the divergence guard.
     """
     if math.isinf(radius):
         return rows

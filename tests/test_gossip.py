@@ -17,8 +17,10 @@ from pfsaddle.gossip import (
     scale,
     validate,
 )
-from pfsaddle.rng import Xoshiro256StarStar
+from pfsaddle.gossip import _connected, _erdos_renyi_edges
+from pfsaddle.rng import Xoshiro256StarStar, derive_seed
 from pfsaddle.stacked import StackedPoint, frobenius_sq
+from test_rng import OracleXoshiro
 
 
 def ring_laplacian_eigs(m):
@@ -83,6 +85,28 @@ def test_erdos_renyi_connected_and_seeded():
         validate(g)  # includes the connectivity check
         again = Topology("erdos_renyi", 9, seed=seed, edge_prob=0.35)
         assert sorted(top.edges()) == sorted(again.edges())
+
+
+def oracle_erdos_renyi(m, edge_prob, seed):
+    """The edges drawn pair by pair, one uniform per pair i < j in (i, j)
+    order, until a draw is connected; and the number of draws taken."""
+    gen = OracleXoshiro(derive_seed(seed, "erdos-renyi", m))
+    for attempt in range(1, 101):
+        pairs = {(i, j) for i in range(m) for j in range(i + 1, m)
+                 if (gen.next_u64() >> 11) * 2.0**-53 < edge_prob}
+        if _connected(m, pairs):
+            return pairs, attempt
+    return None, attempt
+
+
+@pytest.mark.parametrize("m, edge_prob, seed", [
+    (2, 0.5, 3), (6, 0.3, 5), (8, 0.25, 8), (9, 0.35, 7), (16, 0.3, 0), (40, 0.1, 2),
+])
+def test_erdos_renyi_edges_equal_the_per_pair_draws(m, edge_prob, seed):
+    expected, attempts = oracle_erdos_renyi(m, edge_prob, seed)
+    assert _erdos_renyi_edges(m, edge_prob, seed) == expected
+    if (m, seed) in {(6, 5), (8, 8), (9, 7), (16, 0)}:
+        assert attempts > 1  # the first draws were not connected
 
 
 def test_erdos_renyi_impossible_prob():

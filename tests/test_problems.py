@@ -21,7 +21,7 @@ from pfsaddle.problems import (
     reference_solution,
 )
 from pfsaddle.gossip import penalty_value
-from pfsaddle.rng import Xoshiro256StarStar
+from pfsaddle.rng import Xoshiro256StarStar, derive_seed
 from pfsaddle.stacked import BallDomain, StackedPoint
 from test_acceptance import _dense_stationarity_solve
 
@@ -429,6 +429,154 @@ def test_generators_are_seed_deterministic():
     c = random_quadratic(3, 2, 2, mu=1.0, smoothness=4.0, seed=6)
     assert np.array_equal(a.p, b.p) and np.array_equal(a.coupling, b.coupling)
     assert not np.array_equal(a.p, c.p)
+
+
+# The generators as they were written node by node, kept as oracles: the
+# block generators must draw the same stream and return the same bits.
+
+
+def oracle_random_orthogonal(rng, dim):
+    if dim == 1:
+        return np.ones((1, 1))
+    q, r = np.linalg.qr(rng.normals((dim, dim)))
+    signs = np.sign(np.diag(r))
+    signs[signs == 0.0] = 1.0
+    return q * signs
+
+
+def oracle_spd_from_eigs(rng, eigs):
+    basis = oracle_random_orthogonal(rng, eigs.shape[0])
+    return (basis * eigs) @ basis.T
+
+
+def oracle_eigs_between(rng, dim, lo, hi, pin_lo=False, pin_hi=False):
+    eigs = lo + (hi - lo) * rng.uniforms((dim,))
+    if pin_lo:
+        eigs[0] = lo
+    if pin_hi:
+        eigs[-1] = hi
+    return eigs
+
+
+def oracle_random_quadratic(num_nodes, n_x, n_y, mu, smoothness, heterogeneity, seed):
+    rng = Xoshiro256StarStar(derive_seed(seed, "quadratic", num_nodes, n_x, n_y))
+    span = smoothness - mu
+    mid = mu + 0.5 * span
+    p_stack = np.zeros((num_nodes, n_x, n_x))
+    q_stack = np.zeros((num_nodes, n_y, n_y))
+    coupling = np.zeros((num_nodes, n_x, n_y))
+    if n_x == 1:
+        p_stack[0] = [[smoothness]]
+    else:
+        p_stack[0] = oracle_spd_from_eigs(rng, np.sort(oracle_eigs_between(
+            rng, n_x, mu, smoothness, pin_lo=True, pin_hi=True)))
+    if n_y == 1:
+        q_stack[0] = [[mu]]
+    else:
+        q_stack[0] = oracle_spd_from_eigs(rng, np.sort(oracle_eigs_between(
+            rng, n_y, mu, mid, pin_lo=True, pin_hi=True)))
+    lo, hi = mu + 0.05 * span, mu + 0.45 * span
+    blend = min(max(float(heterogeneity), 0.0), 1.0)
+    shared_p = oracle_spd_from_eigs(rng, oracle_eigs_between(rng, n_x, lo, hi))
+    shared_q = oracle_spd_from_eigs(rng, oracle_eigs_between(rng, n_y, lo, hi))
+    shared_c = rng.normals((n_x, n_y))
+    shared_c *= 0.3 * span / max(1e-12, float(np.linalg.norm(shared_c, 2)))
+    for m in range(1, num_nodes):
+        own_p = oracle_spd_from_eigs(rng, oracle_eigs_between(rng, n_x, lo, hi))
+        own_q = oracle_spd_from_eigs(rng, oracle_eigs_between(rng, n_y, lo, hi))
+        own_c = rng.normals((n_x, n_y))
+        own_c *= 0.3 * span / max(1e-12, float(np.linalg.norm(own_c, 2)))
+        p_stack[m] = (1.0 - blend) * shared_p + blend * own_p
+        q_stack[m] = (1.0 - blend) * shared_q + blend * own_q
+        coupling[m] = (1.0 - blend) * shared_c + blend * own_c
+    a_base = rng.normals((n_x,))
+    b_base = rng.normals((n_y,))
+    a_lin = np.tile(a_base, (num_nodes, 1)) + heterogeneity * rng.normals((num_nodes, n_x))
+    b_lin = np.tile(b_base, (num_nodes, 1)) + heterogeneity * rng.normals((num_nodes, n_y))
+    return QuadraticSaddleSpec(p_stack, q_stack, a_lin, b_lin, coupling)
+
+
+def oracle_random_bilinear(num_nodes, dim, coupling_scale, heterogeneity, seed):
+    rng = Xoshiro256StarStar(derive_seed(seed, "bilinear", num_nodes, dim))
+    coupling = np.zeros((num_nodes, dim, dim))
+    for m in range(num_nodes):
+        left = oracle_random_orthogonal(rng, dim)
+        right = oracle_random_orthogonal(rng, dim)
+        sigma = 0.3 + 0.7 * rng.uniforms((dim,))
+        sigma[-1] = 1.0 if m == 0 else 0.6 + 0.3 * rng.uniform()
+        coupling[m] = (left * (coupling_scale * sigma)) @ right.T
+    a_base = rng.normals((dim,))
+    b_base = rng.normals((dim,))
+    a_lin = np.tile(a_base, (num_nodes, 1)) + heterogeneity * rng.normals((num_nodes, dim))
+    b_lin = np.tile(b_base, (num_nodes, 1)) + heterogeneity * rng.normals((num_nodes, dim))
+    zeros = np.zeros((num_nodes, dim, dim))
+    return QuadraticSaddleSpec(zeros, zeros, a_lin, b_lin, coupling)
+
+
+def oracle_random_robust_regression(num_nodes, dim, num_samples, beta_x, beta_y,
+                                    heterogeneity, seed):
+    rng = Xoshiro256StarStar(derive_seed(seed, "robust-regression", num_nodes, dim))
+    shared_model = rng.normals((dim,))
+    features, targets = [], []
+    for m in range(num_nodes):
+        model = shared_model + heterogeneity * rng.normals((dim,))
+        feats = rng.normals((num_samples, dim))
+        noise = 0.05 * rng.normals((num_samples,))
+        features.append(feats)
+        targets.append(feats @ model + noise)
+    return RobustRegressionSpec(tuple(features), tuple(targets), beta_x, beta_y)
+
+
+def assert_same_bits(a, b, path="spec"):
+    """Every field of two specs, arrays to the byte, nested tuples included."""
+    if isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray), path
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), path
+    elif isinstance(a, tuple):
+        assert isinstance(b, tuple) and len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_bits(x, y, f"{path}[{i}]")
+    elif hasattr(a, "__dict__"):
+        assert type(a) is type(b) and vars(a).keys() == vars(b).keys(), path
+        for key in vars(a):
+            assert_same_bits(vars(a)[key], vars(b)[key], f"{path}.{key}")
+    else:
+        assert type(a) is type(b) and a == b, path
+
+
+DIMS = [(n_x, n_y) for n_x in range(1, 5) for n_y in range(1, 5)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 33, 64, 65, 256])
+@pytest.mark.parametrize("n_x, n_y", DIMS)
+def test_random_quadratic_equals_the_per_node_generator(m, n_x, n_y):
+    # every heterogeneity on the smaller stacks, one each in turn on the larger
+    hets = [0.0, 0.5, 1.0] if m < 64 else [[0.0, 0.5, 1.0][(m + n_x + n_y) % 3]]
+    for het in hets:
+        args = (m, n_x, n_y, 0.7, 9.0, het, m + 10 * n_x + n_y)
+        assert_same_bits(random_quadratic(*args[:3], mu=args[3], smoothness=args[4],
+                                          heterogeneity=het, seed=args[6]),
+                         oracle_random_quadratic(*args))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 33, 65])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_random_bilinear_equals_the_per_node_generator(m, dim):
+    for het, scale in ((0.0, 1.0), (1.0, 2.5)):
+        assert_same_bits(random_bilinear(m, dim, coupling_scale=scale, heterogeneity=het,
+                                         seed=m + dim),
+                         oracle_random_bilinear(m, dim, scale, het, m + dim))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 33])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("samples", [1, 7])
+def test_random_robust_regression_equals_the_per_node_generator(m, dim, samples):
+    for het in (0.0, 0.5, 1.0):
+        assert_same_bits(
+            random_robust_regression(m, dim, samples, beta_x=1.0, beta_y=3.0,
+                                     heterogeneity=het, seed=m + dim),
+            oracle_random_robust_regression(m, dim, samples, 1.0, 3.0, het, m + dim))
 
 
 # -- reference solutions ------------------------------------------------------

@@ -4,7 +4,8 @@ unbiased rles estimator, the batched oracles and projection against the
 per-node, per-block and multi-pass rules they replace, the wrapper-free
 measure bodies against the numpy wrappers they replace, the stacked
 distance and the screened distance stop and divergence guard against the
-exact per-point sums, and configs drawn
+exact per-point sums, interleaved scalar and bulk draws against a scalar
+Box-Muller oracle, and configs drawn
 from the config table that round-trip through their dict form or, holding
 one number outside its row, are rejected."""
 
@@ -55,6 +56,7 @@ from pfsaddle.problems import (  # noqa: E402
     random_quadratic,
     random_robust_regression,
 )
+from pfsaddle.rng import Xoshiro256StarStar  # noqa: E402
 from pfsaddle.stacked import (  # noqa: E402
     BallDomain,
     StackedPoint,
@@ -63,6 +65,7 @@ from pfsaddle.stacked import (  # noqa: E402
     _sum_sq,
     trace_inner,
 )
+from test_rng import OracleDraws  # noqa: E402
 
 # few, reproducible examples, and no example database written to disk
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -337,6 +340,30 @@ def test_screened_stop_and_guard_decide_as_the_exact_sums(case):
         assert diverged
     else:
         assert not diverged
+
+
+# shapes of every rank up to 2, empty and odd sizes included, and sizes
+# on either side of the bulk draws' list chunk
+DRAW_SHAPES = st.one_of(st.lists(st.integers(0, 5), max_size=2).map(tuple),
+                        st.sampled_from([(1023,), (1024,), (1025,), (2, 1025)]))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.integers(0, 2**64 - 1),
+       st.lists(st.tuples(st.sampled_from(["next_u64", "uniform", "normal",
+                                           "uniforms", "normals"]), DRAW_SHAPES),
+                max_size=10))
+def test_interleaved_draws_equal_the_scalar_box_muller_oracle(seed, calls):
+    gen, oracle = Xoshiro256StarStar(seed), OracleDraws(seed)
+    for name, shape in calls:
+        if name.endswith("s"):
+            got, draw = getattr(gen, name)(shape), getattr(oracle, name[:-1])
+            want = np.array([draw() for _ in range(math.prod(shape))], dtype=float)
+            assert got.shape == shape
+            assert got.tobytes() == want.tobytes()
+        else:
+            got, want = getattr(gen, name)(), getattr(oracle, name)()
+            assert type(got) is type(want) and repr(got) == repr(want)
 
 
 @PROPERTY

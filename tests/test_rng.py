@@ -77,6 +77,29 @@ class OracleXoshiro:
         return result
 
 
+class OracleDraws(OracleXoshiro):
+    """Scalar uniforms and Box-Muller normals on the oracle's words, one value
+    per call: u1 in (0, 1] from the first word of a pair, u2 in [0, 1) from
+    the second, cos first and sin cached."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.cache = None
+
+    def uniform(self):
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def normal(self):
+        if self.cache is not None:
+            value, self.cache = self.cache, None
+            return value
+        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
+        u2 = self.uniform()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        self.cache = radius * math.sin(2.0 * math.pi * u2)
+        return radius * math.cos(2.0 * math.pi * u2)
+
+
 def test_splitmix64_known_answer():
     state = 0
     for expected in SPLITMIX_FROM_ZERO:

@@ -238,6 +238,21 @@ def test_rows_whose_squares_overflow_land_on_the_sphere():
         assert np.allclose(out[2], [-1.0, 1e-40], rtol=1e-15, atol=0.0)
 
 
+def test_project_rows_passes_a_row_with_an_infinite_entry_through():
+    # its norm is NaN, as a NaN row's is, so the divergence guard names it;
+    # the finite row beside it keeps the bits it has when projected alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _project_rows(np.array([[3.0, math.inf], [3.0, 4.0]]), np.zeros(2), 1.0)
+        alone = _project_rows(np.array([[3.0, 4.0]]), np.zeros(2), 1.0)
+        assert out[0].tolist() == [3.0, math.inf]
+        assert out[1].tobytes() == alone[0].tobytes()
+        assert np.allclose(out[1], [0.6, 0.8], rtol=1e-15, atol=0.0)
+        mixed = np.array([[-math.inf, math.nan], [math.inf, -math.inf], [0.5, 0.0]])
+        out = _project_rows(mixed, np.zeros(2), 1.0)
+        assert out.tobytes() == mixed.tobytes()
+
+
 def test_contains_tolerance():
     dom = BallDomain(1.0, 1.0, n_x=1, n_y=1)
     on_edge = StackedPoint(np.array([[1.0]]), np.array([[0.0]]))
