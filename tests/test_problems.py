@@ -552,11 +552,11 @@ DIMS = [(n_x, n_y) for n_x in range(1, 5) for n_y in range(1, 5)]
 def test_random_quadratic_equals_the_per_node_generator(m, n_x, n_y):
     # every heterogeneity on the smaller stacks, one each in turn on the larger
     hets = [0.0, 0.5, 1.0] if m < 64 else [[0.0, 0.5, 1.0][(m + n_x + n_y) % 3]]
+    seed = m + 10 * n_x + n_y
     for het in hets:
-        args = (m, n_x, n_y, 0.7, 9.0, het, m + 10 * n_x + n_y)
-        assert_same_bits(random_quadratic(*args[:3], mu=args[3], smoothness=args[4],
-                                          heterogeneity=het, seed=args[6]),
-                         oracle_random_quadratic(*args))
+        assert_same_bits(random_quadratic(m, n_x, n_y, mu=0.7, smoothness=9.0,
+                                          heterogeneity=het, seed=seed),
+                         oracle_random_quadratic(m, n_x, n_y, 0.7, 9.0, het, seed))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 33, 65])
