@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, DivergenceError, ShapeError
 from .gossip import GossipMatrix, _check_penalty_args
 from .gossip import penalty_grad  # no caller here; bench/tracer.py wraps algorithms.penalty_grad
-from .metrics import Counters, RunRecorder, _distance_sq, restricted_gap
+from .metrics import Counters, RunRecorder, _distances_sq, restricted_gap
 from .problems import SaddleProblem
 from .rng import Xoshiro256StarStar, derive_seed
 from .stacked import StackedPoint, _join, _split, _sum_sq
@@ -254,9 +254,15 @@ def params_rles(smoothness: float, lam: float, lambda_max: float) -> RlesParams:
             f"rles parameters need lam*lambda_max > 0 and L > 0, "
             f"got {t} and {smoothness}"
         )
-    p = t / (t + smoothness)
-    gamma = math.sqrt(t) / (2.0 * (t + smoothness) ** 1.5)
-    l_eff = math.sqrt(smoothness**2 / (1.0 - p) + t**2 / p)
+    try:
+        p = t / (t + smoothness)
+        gamma = math.sqrt(t) / (2.0 * (t + smoothness) ** 1.5)
+        l_eff = math.sqrt(smoothness**2 / (1.0 - p) + t**2 / p)
+    except (OverflowError, ZeroDivisionError):  # p rounds to 0 or 1, or a power overflows
+        raise ConfigError(
+            f"rles parameters leave the float range at lam * lambda_max = {t:.3g}, "
+            f"L = {smoothness:.3g}"
+        ) from None
     return RlesParams(gamma=gamma, p_comm=p, l_eff=l_eff)
 
 
@@ -311,14 +317,14 @@ def _check_divergence(z: np.ndarray, threshold: float, k: int):
 
 def _distance_reached(z: np.ndarray, reference: np.ndarray, n_x: int,
                       target: float) -> bool:
-    """`_distance_sq(z, reference, n_x) <= target`, screened first by one
+    """`_distances_sq(z, reference, n_x) <= target`, screened first by one
     dot product: a value a band above the target (plus 1e-300 for squares
     that underflow) puts the exact sum above it too; otherwise, NaN and
     inf included, the exact sum decides."""
     d = z - reference
     if np.vdot(d, d) > target * (1.0 + _band(d.size)) + 1e-300:
         return False
-    return _distance_sq(z, reference, n_x) <= target
+    return _distances_sq(z, reference, n_x) <= target
 
 
 def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
@@ -335,7 +341,7 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
     exact distance only when one dot product cannot rule the target out; a
     gap target reads the gap `observe` has just recorded if the recorder
     measured it with the target's arguments, else measures.  Both decide
-    as `_distance_sq` and `restricted_gap` do, so a run stops at the first
+    as `_distances_sq` and `restricted_gap` do, so a run stops at the first
     iterate whose recorded value is at or below its target.  The result
     carries the recorder's `record`, read after the last step."""
     if reference is not None and (reference := _join(reference)).shape != z0.shape:
@@ -363,7 +369,10 @@ def _drive(problem: SaddleProblem, gossip: GossipMatrix, z0: np.ndarray,
         return restricted_gap(problem, gossip, config.lam, _split(rep, n_x),
                               inner_tol=config.gap_inner_tol) <= target
 
-    threshold = 1e12 * (omega**2 if math.isfinite(omega) else max(1.0, _sum_sq(z0)))
+    try:
+        threshold = 1e12 * (omega**2 if math.isfinite(omega) else max(1.0, _sum_sq(z0)))
+    except OverflowError:  # a diameter above about 1e154 has no finite square
+        threshold = math.inf
     if recorder is not None:
         recorder.observe(0, z0, counters)
     z = rep = z0
@@ -573,13 +582,10 @@ def rles_outer_step(problem: SaddleProblem, gossip: GossipMatrix, config: Algori
                     counters: Counters) -> tuple[np.ndarray, tuple]:
     """One rles iteration: mix, extrapolate from the anchor, corrected step.
 
-    anchor is the tuple of `_rles_anchor`, or its first three entries (u,
-    local operator at u, penalty products at u), which the step completes.
-    Of two coins (or schedule checks), the first picks the estimator
-    branch and the second moves the anchor to the new iterate.
+    anchor is the tuple of `_rles_anchor`.  Of two coins (or schedule
+    checks), the first picks the estimator branch and the second moves the
+    anchor to the new iterate.
     """
-    if len(anchor) == 3:
-        anchor = _rles_anchor(*anchor, config.gamma)
     u, grad_u, pg_u, total, shift = anchor
     p, project = config.p_comm, problem.domain.project_z
 

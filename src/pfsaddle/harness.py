@@ -419,52 +419,30 @@ class ResultBundle:
         return bool(self.failures)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def _lam_token(index: int, lam: float) -> str:
     text = format(lam, ".6g").replace(".", "p").replace("-", "m").replace("+", "")
     return f"lam{index}-{text}"
 
 
-def _csv_bytes(columns, rows) -> bytes:
+# rows formatted at a time, so that the longest trace is never held whole
+# as str objects
+_TRACE_ROWS = 256
+
+
+def _csv_bytes(head: str, columns: list, sep: str = ",", end: str = "\r\n") -> bytes:
+    """The line(s) `head`, then one row per index of `columns` (one list of
+    values each), as UTF-8, formatted a column and `_TRACE_ROWS` rows at a
+    time.  A cell is empty for None, a float's (np.float64's too) 17
+    significant digits, else the value's str.  No cell needs quoting:
+    labels match [A-Za-z0-9][A-Za-z0-9._-]* and stop reasons are words."""
     # a BytesIO hands over its buffer uncopied; a StringIO copies its text
     # when read, which held the longest paper-m8 trace twice
     buffer = io.BytesIO()
-    text = io.TextIOWrapper(buffer, encoding="utf-8", newline="")
-    writer = csv.writer(text)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    text.flush()
-    return buffer.getvalue()
-
-
-# trace rows formatted at a time, so that the longest trace is never held
-# whole as str objects
-_TRACE_ROWS = 256
-_INT_COLUMNS = ("k", "comm_rounds", "local_grad_batches")
-
-
-def _trace_bytes(record) -> bytes:
-    """`_csv_bytes(CSV_COLUMNS, record.rows())`, formatted a column at a
-    time: k and the counters are ints, every other column floats or None."""
-    buffer = io.BytesIO()
-    buffer.write((",".join(CSV_COLUMNS) + "\r\n").encode())
-    for start in range(0, len(record), _TRACE_ROWS):
-        cells = []
-        for name in CSV_COLUMNS:
-            values = getattr(record, name)[start:start + _TRACE_ROWS]
-            cells.append(list(map(str, values)) if name in _INT_COLUMNS else
-                         ["" if v is None else "%.17g" % v for v in values])
-        buffer.write(("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode())
+    buffer.write((head + end).encode())
+    for start in range(0, len(columns[0]), _TRACE_ROWS):
+        cells = [["" if v is None else "%.17g" % v if isinstance(v, float) else str(v)
+                  for v in column[start:start + _TRACE_ROWS]] for column in columns]
+        buffer.write((end.join(map(sep.join, zip(*cells))) + end).encode())
     return buffer.getvalue()
 
 
@@ -544,7 +522,7 @@ def _execute_cell(problem: SaddleProblem, gossip: GossipMatrix,
         result = runner(problem, gossip, alg_config,
                         reference=reference, recorder=recorder)
         record = result.record
-        trace = _trace_bytes(record)
+        trace = _csv_bytes(",".join(CSV_COLUMNS), [getattr(record, name) for name in CSV_COLUMNS])
         summary.update({
             "iterations": result.iterations,
             "stop_reason": result.stop_reason,
@@ -675,7 +653,7 @@ def _write_bundle(config: ExperimentConfig, problem: SaddleProblem,
         groups.setdefault(_run_key(cell), []).append(index)
     execute = partial(_execute_cell, problem, gossip, config, references)
     work = [(group, cells[group[0]]) for group in groups.values()]
-    filed = [None] * len(cells)  # (cell id, summary row, manifest entry)
+    filed = [None] * len(cells)  # (cell id, summary, manifest entry)
     for group, outcome in _outcomes(execute, work, jobs):
         for index in group:
             cell_id, seed = _cell_id(*cells[index]), cells[index][2].seed
@@ -683,15 +661,14 @@ def _write_bundle(config: ExperimentConfig, problem: SaddleProblem,
             if outcome["trace"] is not None:
                 csv_file = f"runs/{cell_id}.csv"
                 (out / csv_file).write_bytes(outcome["trace"])
-            summary = {**outcome["summary"], "seed": seed}
-            filed[index] = (cell_id, [summary.get(col) for col in SUMMARY_COLUMNS], {
+            filed[index] = (cell_id, {**outcome["summary"], "seed": seed}, {
                 "status": "ok" if outcome["error"] is None else "failed",
                 "error": outcome["error"],
                 "csv": csv_file,
                 "resolved": {**outcome["resolved"], "seed": seed},
             })
-    (out / "summary.csv").write_bytes(
-        _csv_bytes(SUMMARY_COLUMNS, [row for _, row, _ in filed]))
+    (out / "summary.csv").write_bytes(_csv_bytes(",".join(SUMMARY_COLUMNS), [
+        [summary.get(name) for _, summary, _ in filed] for name in SUMMARY_COLUMNS]))
     manifest = {
         "version": __version__,
         "config": config_to_dict(config),
@@ -711,8 +688,7 @@ def _write_bundle(config: ExperimentConfig, problem: SaddleProblem,
 # plot data
 # --------------------------------------------------------------------------
 
-_PLOT_QUANTITIES = ("dist_sq", "gap", "penalty_value", "consensus_x", "consensus_y")
-_PLOT_AXES = ("k", "comm_rounds", "local_grad_batches")
+_PLOT_AXES, _PLOT_QUANTITIES = CSV_COLUMNS[:3], CSV_COLUMNS[3:]
 _LOG_FLOOR = 1e-16
 
 
@@ -728,16 +704,12 @@ def _read_run_csv(path: Path) -> dict[str, list]:
 
 
 def _write_plot_file(path: Path, x_name: str, y_name: str, xs, ys, source: str):
-    floored = any(y <= 0.0 for y in ys)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# source: {source}\n")
-        fh.write(f"# columns: {x_name} {y_name}\n")
-        fh.write("# rows with empty values skipped\n")
-        if floored:
-            fh.write(f"# {y_name} floored at {_LOG_FLOOR:g} for log plotting\n")
-        for x, y in zip(xs, ys):
-            y_out = max(y, _LOG_FLOOR) if floored else y
-            fh.write(f"{_fmt(x)} {_fmt(y_out)}\n")
+    head = [f"# source: {source}", f"# columns: {x_name} {y_name}",
+            "# rows with empty values skipped"]
+    if any(y <= 0.0 for y in ys):
+        head.append(f"# {y_name} floored at {_LOG_FLOOR:g} for log plotting")
+        ys = [max(y, _LOG_FLOOR) for y in ys]
+    path.write_bytes(_csv_bytes("\n".join(head), [xs, ys], " ", "\n"))
 
 
 def emit_plot_data(bundle_dir, quantity: str, x_axis: str,

@@ -5,15 +5,15 @@ block pair by W.  Local work is counted in gradient batches: one evaluation
 of every node's local gradient pair.  The oracles `GossipMatrix.penalty` and
 `SaddleProblem.operator` tick the Counters a solver hands them; the measures
 below (distance, restricted gap, consensus residuals, penalty value) hand
-none and cost nothing.  Each has one array body, shared by the recorder, the
-distance stop and the public edge; the recorder's stacked forms are
-bit-equal to it per point.
+none and cost nothing.  Each has one array body on a stack of points
+(..., M, n), shared by the recorder, the distance stop and the public edge;
+each point's value is bit-equal to the body's on that point alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,17 +22,6 @@ from .gossip import GossipMatrix, _penalty_value, penalty_value
 from .problems import SaddleProblem
 from .stacked import (StackedPoint, _check_like, _join, _point_sums, _project_rows, _split,
                       _sum_sq)
-
-CSV_COLUMNS = (
-    "k",
-    "comm_rounds",
-    "local_grad_batches",
-    "dist_sq",
-    "gap",
-    "penalty_value",
-    "consensus_x",
-    "consensus_y",
-)
 
 __all__ = [
     "Counters",
@@ -59,16 +48,10 @@ class Counters:
         self.local_grad_batches += 1
 
 
-def _distance_sq(z: np.ndarray, reference: np.ndarray, n_x: int) -> float:
-    """`distance_sq` on joined arrays with n_x x columns, unchecked."""
-    d = z - reference
-    return _sum_sq(d[:, :n_x]) + _sum_sq(d[:, n_x:])
-
-
 def _distances_sq(stack: np.ndarray, reference: np.ndarray, n_x: int) -> np.ndarray:
-    """`_distance_sq` of every point of a stack (..., M, n), bit-equal to it
-    per point; one column block's differences are held at a time, squared
-    in place."""
+    """`distance_sq` of every point of a stack (..., M, n) of joined arrays
+    with n_x x columns, unchecked (a 0-d value for one point); one column
+    block's differences are held at a time, squared in place."""
     def block(cols: slice) -> np.ndarray:
         d = stack[..., cols] - reference[:, cols]
         return _point_sums(np.multiply(d, d, out=d))
@@ -78,7 +61,7 @@ def _distances_sq(stack: np.ndarray, reference: np.ndarray, n_x: int) -> np.ndar
 def distance_sq(p: StackedPoint, reference: StackedPoint) -> float:
     """Squared Frobenius distance, summed block by block."""
     _check_like(p, reference)
-    return _distance_sq(_join(p), _join(reference), p.x.shape[1])
+    return float(_distances_sq(_join(p), _join(reference), p.x.shape[1]))
 
 
 def _consensus_residual(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,6 +103,8 @@ class RunRecord:
         """Yield tuples matching CSV_COLUMNS; None marks an absent value."""
         return zip(*(getattr(self, name) for name in CSV_COLUMNS))
 
+
+CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 # the pending iterates take at most this many bytes (one iterate at least):
 # 1,024 iterates at M * n = 32, 16 at M * n = 2,048, 4 at M = 1024 with n = 8

@@ -249,7 +249,10 @@ class RobustRegressionSpec(_ReadOnlyArrays):
             raise InvalidValueError("robust regression requires a bounded domain")
         if np.any(domain.center_x != 0.0) or np.any(domain.center_y != 0.0):
             raise InvalidValueError("robust regression requires zero-centered balls")
-        margin = self.beta_y - 2.0 * domain.radius_x**2
+        try:
+            margin = self.beta_y - 2.0 * domain.radius_x**2
+        except OverflowError:  # a radius above about 1e154 clears no beta_y
+            margin = -math.inf
         if margin < 0.1:
             raise InvalidValueError(
                 f"beta_y={self.beta_y} too small for radius_x={domain.radius_x}: "

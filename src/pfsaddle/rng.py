@@ -64,7 +64,7 @@ class Xoshiro256StarStar:
         self._gauss_cache: float | None = None
 
     def next_u64(self) -> int:
-        # the bulk draws below repeat these lines on local copies of the words
+        # `_uniform_list` repeats these lines on local copies of the words
         s0, s1, s2, s3 = self._s
         x = s1 * 5 & _MASK64
         t = s1 << 17 & _MASK64
@@ -86,44 +86,26 @@ class Xoshiro256StarStar:
 
     def normals(self, shape) -> np.ndarray:
         """Array of standard normals with the given shape, drawn in C order.
-        A Box-Muller pair takes u1 in (0, 1] and u2 in [0, 1) from two words
-        and gives r cos(2 pi u2), then r sin(2 pi u2), r = sqrt(-2 log u1); an
-        odd count caches the sine for the next draw.  The array is allocated
-        before the first draw, so a shape numpy refuses raises at once."""
+        A Box-Muller pair takes two uniforms u and u2, with u1 = u + 2**-53
+        in (0, 1] (exact, as u is a multiple of 2**-53 below 1), and gives
+        r cos(2 pi u2), then r sin(2 pi u2), r = sqrt(-2 log u1); an odd count
+        caches the sine for the next draw.  The array is allocated before the
+        first draw, so a shape numpy refuses raises at once."""
         out = np.empty(shape)
         flat, size = out.reshape(-1), out.size
-        s0, s1, s2, s3 = self._s
-        cache, mask = self._gauss_cache, _MASK64
+        cache = self._gauss_cache
         log, sqrt, cos, sin, two_pi = math.log, math.sqrt, math.cos, math.sin, 2.0 * math.pi
         for start in range(0, size, _CHUNK):
             count = min(_CHUNK, size - start)
             values = [] if cache is None else [cache]
             append = values.append
-            for _ in range((count - len(values) + 1) >> 1):
-                x = s1 * 5 & mask
-                t = s1 << 17 & mask
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 ^= t
-                s3 = (s3 << 45 | s3 >> 19) & mask
-                u1 = ((((x << 7 | x >> 57) * 9 & mask) >> 11) + 1) * 2.0**-53
-                x = s1 * 5 & mask
-                t = s1 << 17 & mask
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 ^= t
-                s3 = (s3 << 45 | s3 >> 19) & mask
-                u2 = (((x << 7 | x >> 57) * 9 & mask) >> 11) * 2.0**-53
-                radius, angle = sqrt(-2.0 * log(u1)), two_pi * u2
+            pairs = iter(self._uniform_list(2 * ((count - len(values) + 1) >> 1)))
+            for u, u2 in zip(pairs, pairs):
+                radius, angle = sqrt(-2.0 * log(u + 2.0**-53)), two_pi * u2
                 append(radius * cos(angle))
                 append(radius * sin(angle))
             cache = values.pop() if len(values) > count else None
             flat[start:start + count] = values
-        self._s = [s0, s1, s2, s3]
         self._gauss_cache = cache
         return out
 
@@ -131,22 +113,26 @@ class Xoshiro256StarStar:
         """Array of uniforms in [0, 1), allocated and drawn as `normals`."""
         out = np.empty(shape)
         flat, size = out.reshape(-1), out.size
+        for start in range(0, size, _CHUNK):
+            flat[start:start + _CHUNK] = self._uniform_list(min(_CHUNK, size - start))
+        return out
+
+    def _uniform_list(self, count: int) -> list:
+        """The next `count` values of `uniform` as a list: the one loop of
+        the bulk draws, with the state update of `next_u64` inlined."""
         s0, s1, s2, s3 = self._s
         mask = _MASK64
-        for start in range(0, size, _CHUNK):
-            count = min(_CHUNK, size - start)
-            values = []
-            append = values.append
-            for _ in range(count):
-                x = s1 * 5 & mask
-                t = s1 << 17 & mask
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 ^= t
-                s3 = (s3 << 45 | s3 >> 19) & mask
-                append((((x << 7 | x >> 57) * 9 & mask) >> 11) * 2.0**-53)
-            flat[start:start + count] = values
+        values = []
+        append = values.append
+        for _ in range(count):
+            x = s1 * 5 & mask
+            t = s1 << 17 & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = (s3 << 45 | s3 >> 19) & mask
+            append((((x << 7 | x >> 57) * 9 & mask) >> 11) * 2.0**-53)
         self._s = [s0, s1, s2, s3]
-        return out
+        return values

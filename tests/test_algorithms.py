@@ -11,6 +11,7 @@ from pfsaddle.algorithms import (
     TOL_FLOOR,
     AlgorithmConfig,
     _check_divergence,
+    _rles_anchor,
     baseline_run,
     extragradient_run,
     params_rles,
@@ -25,7 +26,7 @@ from pfsaddle.algorithms import (
 )
 from pfsaddle.errors import ConfigError, ConvergenceError, DivergenceError
 from pfsaddle.gossip import GossipMatrix, Topology, laplacian, penalty_grad
-from pfsaddle.metrics import Counters, RunRecorder, _distance_sq, _distances_sq, distance_sq
+from pfsaddle.metrics import Counters, RunRecorder, _distances_sq, distance_sq
 from pfsaddle.problems import (
     QuadraticSaddleSpec,
     SaddleProblem,
@@ -34,7 +35,13 @@ from pfsaddle.problems import (
     reference_solution,
 )
 from pfsaddle.rng import Xoshiro256StarStar, derive_seed
-from pfsaddle.stacked import BallDomain, StackedPoint, _join, _split
+from pfsaddle.stacked import BallDomain, StackedPoint, _join, _split, frobenius_sq
+
+
+def oracle_distance_sq(z, reference, n_x):
+    """The squared distance of one joined point, summed block by block."""
+    d = z - reference
+    return frobenius_sq(d[:, :n_x]) + frobenius_sq(d[:, n_x:])
 
 
 def quad_problem(m, n_x, n_y, **kwargs):
@@ -675,12 +682,13 @@ def test_rles_run_matches_manual_randomized_step_sequence():
                              target_kind="iterations", target_value=60,
                              max_outer=60)
     res = rles_run(problem, gossip, config)
-    # the anchor triple (u, operator at u, penalty products at u), built from
+    # the anchor at u (u, operator at u, penalty products at u), built from
     # the public gradient pairs with the y blocks flipped to operator sign
     start = projected_center(problem)
     grad_u, pg_u = problem.grad_f(start), penalty_grad(gossip, lam, start)
     z = _join(start)
-    anchor = (z, np.hstack((grad_u.x, -grad_u.y)), np.hstack((pg_u.x, -pg_u.y)))
+    anchor = _rles_anchor(z, np.hstack((grad_u.x, -grad_u.y)),
+                          np.hstack((pg_u.x, -pg_u.y)), config.gamma)
     counters = Counters(comm_rounds=1, local_grad_batches=1)
     rng = Xoshiro256StarStar(derive_seed(config.seed, "rles-coins"))
     for k in range(60):
@@ -878,7 +886,7 @@ def test_distance_target_computes_one_distance_per_iteration(method, monkeypatch
     assert result.stop_reason == "target" and result.iterations >= 10
     assert sum(stacked) == len(dist) == result.iterations + 1
     ref_z = _join(ref)
-    assert [_distance_sq(z, ref_z, problem.n_x) for z in points] == dist
+    assert [oracle_distance_sq(z, ref_z, problem.n_x) for z in points] == dist
     first = next(k for k, d in enumerate(dist) if k > 0 and d <= config.target_value)
     assert result.iterations == first
 
@@ -891,9 +899,9 @@ def test_distance_stop_computes_the_exact_distance_only_near_its_target(method, 
 
     def counted(*args):
         calls.append(args)
-        return _distance_sq(*args)
+        return _distances_sq(*args)
 
-    monkeypatch.setattr("pfsaddle.algorithms._distance_sq", counted)
+    monkeypatch.setattr("pfsaddle.algorithms._distances_sq", counted)
     problem, gossip, config, ref, runner = distance_target_case(method)
     result = runner(problem, gossip, config, reference=ref)
     assert result.stop_reason == "target" and result.iterations >= 10

@@ -1,6 +1,8 @@
 """Tests for config parsing, grid execution, plot data, and the CLI."""
 
+import csv
 import errno
+import io
 import json
 import math
 import multiprocessing
@@ -27,7 +29,7 @@ from pfsaddle.harness import (
     _execute_cell,
     _lam_token,
     _reference_needed,
-    _trace_bytes,
+    _write_plot_file,
     build_problem,
     config_to_dict,
     emit_plot_data,
@@ -257,17 +259,56 @@ def test_rerun_is_byte_identical(tmp_path):
     assert len(a) >= 14
 
 
+def oracle_fmt(value) -> str:
+    """One cell as the row writer formatted it."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def oracle_csv_bytes(columns, rows) -> bytes:
+    """A CSV file written row by row with csv.writer and `oracle_fmt`."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([oracle_fmt(v) for v in row])
+    return text.getvalue().encode()
+
+
+def oracle_plot_text(x_name, y_name, xs, ys, source) -> str:
+    """A plot file written line by line with `oracle_fmt`."""
+    floored = any(y <= 0.0 for y in ys)
+    lines = [f"# source: {source}\n", f"# columns: {x_name} {y_name}\n",
+             "# rows with empty values skipped\n"]
+    if floored:
+        lines.append(f"# {y_name} floored at 1e-16 for log plotting\n")
+    lines += [f"{oracle_fmt(x)} {oracle_fmt(max(y, 1e-16) if floored else y)}\n"
+              for x, y in zip(xs, ys)]
+    return "".join(lines)
+
+
+# absent values, signed zeros, non-finite and extreme floats
+SPECIAL_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  1.7976931348623157e308, 2.2250738585072014e-308, 1e-8, 0.1, -3.0]
+
+
+def trace_bytes(record) -> bytes:
+    return _csv_bytes(",".join(CSV_COLUMNS), [getattr(record, name) for name in CSV_COLUMNS])
+
+
 @pytest.mark.parametrize("rows", [0, 1, 7, 2 * pfsaddle.harness._TRACE_ROWS + 3])
 def test_trace_bytes_equal_the_row_writer(rows):
-    # the per-column formatter writes what csv.writer writes row by row with
-    # `_fmt`: absent values, signed zeros, non-finite and extreme floats
-    special = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
-               1.7976931348623157e308, 2.2250738585072014e-308, 1e-8, 0.1, -3.0]
+    # the column writer writes what csv.writer writes row by row
     rng = np.random.default_rng(rows)
 
     def floats(absent: float) -> list:
         return [None if rng.uniform() < absent else
-                (special[rng.integers(len(special))] if rng.uniform() < 0.5
+                (SPECIAL_FLOATS[rng.integers(len(SPECIAL_FLOATS))] if rng.uniform() < 0.5
                  else float(rng.normal() * 10.0 ** rng.integers(-300, 300)))
                 for _ in range(rows)]
 
@@ -276,9 +317,46 @@ def test_trace_bytes_equal_the_row_writer(rows):
         local_grad_batches=[3 * k for k in range(rows)],
         dist_sq=[None] * rows, gap=floats(0.9), penalty_value=floats(0.0),
         consensus_x=floats(0.0), consensus_y=floats(0.5))
-    assert _trace_bytes(record) == _csv_bytes(CSV_COLUMNS, record.rows())
+    assert trace_bytes(record) == oracle_csv_bytes(CSV_COLUMNS, record.rows())
     record.dist_sq = floats(0.0)
-    assert _trace_bytes(record) == _csv_bytes(CSV_COLUMNS, record.rows())
+    assert trace_bytes(record) == oracle_csv_bytes(CSV_COLUMNS, record.rows())
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2 * pfsaddle.harness._TRACE_ROWS + 3])
+def test_summary_and_plot_lines_equal_the_row_writer(rows, tmp_path):
+    # names, the None cells of failed cells, extreme seeds, special floats
+    # and np.float64 medians, as the row writer writes them
+    rng = np.random.default_rng(rows)
+
+    def number():
+        if rng.uniform() < 0.5:
+            return SPECIAL_FLOATS[rng.integers(len(SPECIAL_FLOATS))]
+        value = rng.normal() * 10.0 ** rng.integers(-300, 300)
+        return np.float64(value) if rng.uniform() < 0.5 else float(value)
+
+    table = []
+    for i in range(rows):
+        label = ["00-extragradient", "01-sliding", "a.B_c-9", "rles"][i % 4]
+        seed = [2**63 - 1, -5, 0][i % 3]
+        if rng.uniform() < 0.3:  # a failed cell files only what it was given
+            table.append([label, number(), seed, None, "error"] + [None] * 7)
+        else:
+            table.append([label, number(), seed, int(rng.integers(0, 10**6)),
+                          ["target", "max_outer", "residual"][i % 3],
+                          int(rng.integers(0, 10**12)), int(rng.integers(0, 10**12)),
+                          None if i % 2 else number(), None if i % 5 else number(),
+                          number(), number(), number()])
+    columns = [[row[i] for row in table] for i in range(len(SUMMARY_COLUMNS))]
+    assert (_csv_bytes(",".join(SUMMARY_COLUMNS), columns)
+            == oracle_csv_bytes(SUMMARY_COLUMNS, table))
+
+    xs = [float(k) for k in range(rows)]
+    medians = list(np.median(rng.normal(size=(3, rows)) * 1e3, axis=0))
+    for ys in (medians, [number() for _ in range(rows)], [abs(y) + 1.0 for y in medians]):
+        path = tmp_path / "curve.dat"
+        _write_plot_file(path, "k", "dist_sq", xs, ys, "median of 3 seeds")
+        assert path.read_bytes() == oracle_plot_text(
+            "k", "dist_sq", xs, ys, "median of 3 seeds").encode()
 
 
 ROBUST_ON_BALLS = {"family": "robust_regression", "dim": 2, "num_samples": 10,
@@ -293,19 +371,19 @@ def cell_by_cell(config, out: Path) -> tuple[dict, dict]:
                   if _reference_needed(config, problem) else None
                   for lam in config.lambda_grid]
     (out / "runs").mkdir(parents=True)
-    rows, manifest_cells = [], {}
+    summaries, manifest_cells = [], {}
     for cell in cells:
         o = _execute_cell(problem, gossip, config, references, cell)
         cell_id, seed = _cell_id(*cell), cell[2].seed
         csv_file = None if o["trace"] is None else f"runs/{cell_id}.csv"
         if csv_file:
             (out / csv_file).write_bytes(o["trace"])
-        rows.append([seed if col == "seed" else o["summary"].get(col)
-                     for col in SUMMARY_COLUMNS])
+        summaries.append({**o["summary"], "seed": seed})
         manifest_cells[cell_id] = {
             "status": "ok" if o["error"] is None else "failed", "error": o["error"],
             "csv": csv_file, "resolved": {**o["resolved"], "seed": seed}}
-    (out / "summary.csv").write_bytes(_csv_bytes(SUMMARY_COLUMNS, rows))
+    (out / "summary.csv").write_bytes(_csv_bytes(",".join(SUMMARY_COLUMNS), [
+        [summary.get(name) for summary in summaries] for name in SUMMARY_COLUMNS]))
     return read_bytes_map(out), manifest_cells
 
 
@@ -490,6 +568,12 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
     {"lambda_grid": [1e-200], "algorithms": [{"name": "sliding", "case": "cc"}]},
     {"problem": {"family": "quadratic", "radius_x": 1e-170, "radius_y": 1e-170},
      "algorithms": [{"name": "sliding", "case": "cc"}]},
+    # rles parameters out of float range: p rounds to 1 (1 / (1 - p)), a
+    # power overflows, and p rounds to 0 (t^2 / p)
+    *({"topology": {"kind": "ring", "num_nodes": 4}, "problem": {"family": "quadratic"},
+       "lambda_grid": [lam], "algorithms": [{"name": "rles"}]} for lam in (1e17, 1e300, 5e-324)),
+    # a robust radius whose square overflows clears no beta_y
+    {"problem": {"family": "robust_regression", "radius_x": 1e200}},
 ], ids=["gap-target", "final-gap", "gap-every", "gap-every-negative",
         "rles-at-lambda-0", "reference-tol-0", "reference-tol-nan",
         "gap-inner-tol-negative", "gap-inner-tol-nan", "reference-tol-1e-30",
@@ -501,15 +585,37 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
         "output-dir-null", "output-dir-number", "output-dir-empty", "target-list",
         "target-string", "metrics-list", "metrics-null", "quadratic-n-x-0",
         "quadratic-n-y-0", "bilinear-dim-0", "robust-dim-0", "sliding-lambda-subnormal",
-        "sliding-cc-gamma-squared-overflows", "sliding-cc-tiny-domain"])
+        "sliding-cc-gamma-squared-overflows", "sliding-cc-tiny-domain",
+        "rles-p-rounds-to-1", "rles-power-overflows", "rles-p-rounds-to-0",
+        "robust-radius-squared-overflows"])
 def test_validate_rejects_what_run_rejects_at_setup(tmp_path, capsys, monkeypatch, extra):
     monkeypatch.chdir(tmp_path)  # where a relative output_dir would land
     out = tmp_path / "out"
     path = write_config(tmp_path, {**minimal_raw(output_dir=str(out)), **extra})
     assert main(["validate", path]) == 1
     assert main(["run", path]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("problem, names", [
+    ({"family": "quadratic"}, ["extragradient", "sliding", "rles"]),
+    ({"family": "bilinear"}, ["extragradient", "rles"]),
+], ids=["quadratic", "bilinear"])
+def test_radii_whose_squares_overflow_run_every_cell(tmp_path, capsys, problem, names):
+    # a diameter of about 2.8e200 has no finite square: the divergence
+    # guard of the reference solve and of each cell has no bound then
+    out = tmp_path / "out"
+    path = write_config(tmp_path, minimal_raw(
+        output_dir=str(out), problem={**problem, "radius_x": 1e200, "radius_y": 1e200},
+        algorithms=[{"name": name} for name in names]))
+    assert main(["validate", path]) == 0
+    assert main(["run", path]) == 0
+    cells = json.loads((out / "manifest.json").read_text())["cells"]
+    assert len(cells) == len(names)
+    assert {cell["status"] for cell in cells.values()} == {"ok"}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["dim", "num_samples"])

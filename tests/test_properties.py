@@ -44,7 +44,6 @@ from pfsaddle.gossip import _penalty_value  # noqa: E402
 from pfsaddle.errors import DivergenceError  # noqa: E402
 from pfsaddle.metrics import (  # noqa: E402
     _consensus_residual,
-    _distance_sq,
     _distances_sq,
     distance_sq,
 )
@@ -249,6 +248,12 @@ def wrapped_sum_sq(a):
     return float(np.sum(a * a))
 
 
+def wrapped_distance_sq(z, ref, n_x):
+    """The squared distance of one joined point, block by block."""
+    d = z - ref
+    return wrapped_sum_sq(d[:, :n_x]) + wrapped_sum_sq(d[:, n_x:])
+
+
 @PROPERTY
 @given(st.one_of(st.integers(1, 9), st.sampled_from([16, 255, 256])),
        st.sampled_from([(1, 2), (2, 1), (1, 4), (3, 2), (2, 5), (6, 3)]),
@@ -266,8 +271,8 @@ def test_wrapper_free_measures_match_the_numpy_wrappers(m, dims, lam, seed):
     d = z - ref
     for block in (z, x, y, d[:, :n_x], d[:, n_x:]):
         assert _sum_sq(block) == wrapped_sum_sq(block)
-    assert _distance_sq(z, ref, n_x) == (wrapped_sum_sq(d[:, :n_x])
-                                         + wrapped_sum_sq(d[:, n_x:]))
+    got = _distances_sq(z, ref, n_x)
+    assert got.shape == () and got == wrapped_distance_sq(z, ref, n_x)
     assert _consensus_residual(x, y) == (wrapped_sum_sq(x - x.mean(axis=0)),
                                          wrapped_sum_sq(y - y.mean(axis=0)))
     want = 0.0 if lam == 0.0 else 0.5 * lam * (trace_inner(x, w @ x) - trace_inner(y, w @ y))
@@ -296,7 +301,7 @@ def test_stacked_distances_equal_the_per_point_distance(m, dims, count, seed):
     stack = ref + rng.normal(size=(count, m, n_x + n_y)) * 10.0 ** rng.uniform(
         -6, 3, size=(count, 1, 1))
     assert _distances_sq(stack, ref, n_x).tolist() == [
-        _distance_sq(z, ref, n_x) for z in stack]
+        wrapped_distance_sq(z, ref, n_x) for z in stack]
 
 
 @st.composite
@@ -316,7 +321,7 @@ def screened_cases(draw):
     poison = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
     if poison is not None:
         z[draw(st.integers(0, m - 1)), draw(st.integers(0, n_x + n_y - 1))] = poison
-    exact = _distance_sq(z, ref, n_x)
+    exact = wrapped_distance_sq(z, ref, n_x)
     norm = _sum_sq(z)
 
     def near(value):
@@ -332,7 +337,7 @@ def test_screened_stop_and_guard_decide_as_the_exact_sums(case):
     # one dot product screens the distance stop and the divergence guard;
     # whatever it lets through, the decisions are the exact sums' decisions
     z, ref, n_x, target, threshold = case
-    assert _distance_reached(z, ref, n_x, target) == (_distance_sq(z, ref, n_x) <= target)
+    assert _distance_reached(z, ref, n_x, target) == (wrapped_distance_sq(z, ref, n_x) <= target)
     diverged = not _sum_sq(z) <= threshold
     try:
         _check_divergence(z, threshold, 1)
