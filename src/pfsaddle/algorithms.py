@@ -131,7 +131,8 @@ class AlgorithmConfig:
     lam: float = _field(float, 0.0, at_least=0.0)
     inner_t: int = _field(int, 1, at_least=1)
     delta_rel: float = _field(float, 0.25, above=0.0, below=1.0)
-    p_comm: float = _field(float, 0.5, above=0.0, below=1.0)
+    # above 1 / max float, so 1 / p_comm (the rles period and branch scale) is finite
+    p_comm: float = _field(float, 0.5, above=1.0 / sys.float_info.max, below=1.0)
     schedule: str = _field(str, "randomized", choices=SCHEDULES)
     seed: int = _field(int, 0)
     max_outer: int = _field(int, 1_000_000, at_least=1)

@@ -5,7 +5,8 @@ graph (or a positive multiple of it): symmetric, positive semidefinite,
 with kernel spanned by the constant vector and sparsity confined to graph
 edges.  Multiplying a stacked iterate by W is the one primitive that costs
 a communication round: `GossipMatrix.penalty` is that product, and it ticks
-the round on the Counters a solver hands it.
+the round on the Counters a solver hands it.  `GossipMatrix.product` forms
+every W product, dense or, on a large sparse graph, along the edge list.
 """
 
 from __future__ import annotations
@@ -136,11 +137,13 @@ def _erdos_renyi_edges(m: int, edge_prob: float, seed: int) -> set[tuple[int, in
 @dataclass(frozen=True, eq=False)
 class GossipMatrix(_ReadOnlyArrays):
     """A concrete gossip matrix; its lambda_max comes from the dense symmetric
-    eigensolver on w when it is built."""
+    eigensolver on w when it is built, and its edge runs (see `product`)
+    where the graph is large and sparse."""
 
     w: np.ndarray
     edges: frozenset
     lambda_max: float = field(init=False)
+    _runs: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -155,6 +158,16 @@ class GossipMatrix(_ReadOnlyArrays):
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
+        # the size rule: walking a run costs about one numpy call, the time
+        # of some 4096 dense multiply-adds per column of z, and the dense
+        # product takes M^2 of them; 4096 * runs <= M^2 walks rings and
+        # paths of 144 or more nodes (five runs) and square grids of 676 or
+        # more (4 sqrt(M) + 5 runs), and leaves smaller ones, stars and
+        # Erdos-Renyi graphs (about a run per edge) dense.  It is not the
+        # timed crossover: rings break even between 176 and 208 nodes and
+        # square grids between 256 and 576 (BENCH_gossip.json, `boundary`)
+        object.__setattr__(self, "_runs", _edge_runs(w, self.edges,
+                                                     most=w.shape[0] ** 2 // 4096))
 
     @property
     def num_nodes(self) -> int:
@@ -169,11 +182,60 @@ class GossipMatrix(_ReadOnlyArrays):
             edges = {(min(i, j), max(i, j)) for i, j in nz if i != j}
         return cls(w, frozenset(edges))
 
+    def product(self, z: np.ndarray) -> np.ndarray:
+        """W @ z for a stack z shaped (..., M, n), unchecked; z may be a view,
+        and it is not copied.  Where W has few enough edge runs (the rule is
+        in `__post_init__`), row i of the product is 0.0 + w[i, c] * z[c]
+        + ... summed left to right over its nonzero columns c in ascending
+        order, with no BLAS, so each point of a stack gets its own 2-D
+        product's bits; otherwise it is the dense `w @ z`."""
+        if self._runs is None:
+            return self.w @ z
+        out = np.zeros(z.shape)
+        for start, stop, shift, weight in self._runs:
+            out[..., start:stop, :] += weight * z[..., start + shift:stop + shift, :]
+        return out
+
     def penalty(self, lam: float, z: np.ndarray, counters=None) -> np.ndarray:
         """The gossip product lam * (W @ z), unchecked: one round, ticked on `counters`."""
         if counters is not None:
             counters.add_comm()
-        return lam * (self.w @ z)
+        return lam * self.product(z)
+
+
+def _edge_runs(w: np.ndarray, edges: frozenset, most: float) -> tuple | None:
+    """The nonzeros of w on its edges and diagonal as runs (start, stop,
+    shift, weight): w[i, i + shift] == weight for start <= i < stop, sorted
+    by shift and then by start, so that every row meets its columns in
+    ascending order.  A ring has five runs.  Built from the edges, a shift
+    at a time, with no M x M temporary and few Python objects (they would
+    stay resident).  None when there are more than `most` runs, or when the
+    edges miss a nonzero of w, as a matrix built with the wrong edges may."""
+    m = w.shape[0]
+    rows_by_shift = {0: list(range(m))}
+    for i, j in {(min(i, j), max(i, j)) for i, j in edges if i != j}:  # each edge once
+        if not (0 <= i and j < m):
+            return None
+        rows_by_shift.setdefault(j - i, []).append(i)
+        rows_by_shift.setdefault(i - j, []).append(j)
+    if len(rows_by_shift) > most:  # every shift takes a run
+        return None
+    runs, covered = [], 0
+    for shift in sorted(rows_by_shift):
+        rows = sorted(rows_by_shift[shift])
+        weights = w[rows, [row + shift for row in rows]]
+        covered += np.count_nonzero(weights)
+        for row, weight in zip(rows, weights.tolist()):
+            last = runs[-1] if runs else None
+            if weight == 0.0:
+                continue
+            if last and last[1] == row and last[2] == shift and last[3] == weight:
+                last[1] += 1
+            elif len(runs) == most:
+                return None
+            else:
+                runs.append([row, row + 1, shift, weight])
+    return tuple(map(tuple, runs)) if covered == np.count_nonzero(w) else None
 
 
 def _check_symmetric(w: np.ndarray) -> None:
@@ -286,19 +348,27 @@ def _check_penalty_args(g: GossipMatrix, lam: float, p: StackedPoint):
         )
 
 
-def _penalty_value(w: np.ndarray, lam: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _penalty_value(g: GossipMatrix, lam: float, x: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
     """`penalty_value` of every point of the stacks x and y, shaped (..., M, n)
     (blocks or column views), unchecked: one value per point.  The product
-    `w @ x` broadcasts over the leading axes, which keeps each point's bits."""
+    `g.product(x)` broadcasts over the leading axes, which keeps each point's
+    bits."""
     if lam == 0.0:
         return np.zeros(x.shape[:-2])
-    return 0.5 * lam * (_point_sums(x * (w @ x)) - _point_sums(y * (w @ y)))
+
+    def form(block):  # block * (W @ block) in the product's buffer: no second stack
+        product = g.product(block)
+        product *= block
+        return _point_sums(product)
+
+    return 0.5 * lam * (form(x) - form(y))
 
 
 def penalty_value(g: GossipMatrix, lam: float, p: StackedPoint) -> float:
     """Consensus penalty (lam/2) tr(X^T W X) - (lam/2) tr(Y^T W Y)."""
     _check_penalty_args(g, lam, p)
-    return float(_penalty_value(g.w, lam, p.x, p.y))
+    return float(_penalty_value(g, lam, p.x, p.y))
 
 
 def penalty_grad(g: GossipMatrix, lam: float, p: StackedPoint) -> StackedPoint:

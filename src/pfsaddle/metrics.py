@@ -171,7 +171,7 @@ class RunRecorder:
         x, y = stack[:, :, :n_x], stack[:, :, n_x:]
         rec.dist_sq.extend([None] * self._filled if self._reference is None
                            else _distances_sq(stack, self._reference, n_x).tolist())
-        rec.penalty_value.extend(_penalty_value(self.gossip.w, self.lam, x, y).tolist())
+        rec.penalty_value.extend(_penalty_value(self.gossip, self.lam, x, y).tolist())
         cx, cy = _consensus_residual(x, y)
         rec.consensus_x.extend(cx.tolist())
         rec.consensus_y.extend(cy.tolist())

@@ -260,17 +260,23 @@ class RobustRegressionSpec(_ReadOnlyArrays):
             )
         r_x, r_y = domain.radius_x, domain.radius_y
         smoothness = 0.0
-        for m in range(self.num_nodes):
-            feats, targs = self.features[m], self.targets[m]
-            n = feats.shape[0]
-            anorms = np.linalg.norm(feats, axis=1)
-            shifted = anorms + r_y
-            c_xx = (2.0 / n) * float(np.sum(shifted**2)) + self.beta_x
-            res_bound = r_x * shifted + np.abs(targs)
-            c_xy = (2.0 / n) * float(np.sum(shifted * r_x + res_bound))
-            c_yy = self.beta_y
-            top = 0.5 * (c_xx + c_yy + math.hypot(c_xx - c_yy, 2.0 * c_xy))
-            smoothness = max(smoothness, top)
+        with np.errstate(over="ignore"):  # an overflow is refused below, by name
+            for m in range(self.num_nodes):
+                feats, targs = self.features[m], self.targets[m]
+                n = feats.shape[0]
+                anorms = np.linalg.norm(feats, axis=1)
+                shifted = anorms + r_y
+                c_xx = (2.0 / n) * float(np.sum(shifted**2)) + self.beta_x
+                res_bound = r_x * shifted + np.abs(targs)
+                c_xy = (2.0 / n) * float(np.sum(shifted * r_x + res_bound))
+                c_yy = self.beta_y
+                top = 0.5 * (c_xx + c_yy + math.hypot(c_xx - c_yy, 2.0 * c_xy))
+                smoothness = max(smoothness, top)
+        if not smoothness < math.inf:  # radius_x is bounded by the beta_y margin
+            raise InvalidValueError(
+                f"radius_y={r_y} is too large: the smoothness bound over the domain "
+                f"overflows the float range"
+            )
         strong = min(self.beta_x, self.beta_y - 2.0 * r_x**2)
         return smoothness, strong
 

@@ -1,6 +1,8 @@
 """Tests for topologies, gossip matrices, spectra, and the mixing penalty."""
 
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +19,10 @@ from pfsaddle.gossip import (
     scale,
     validate,
 )
-from pfsaddle.gossip import _connected, _erdos_renyi_edges
+from pfsaddle.gossip import _connected, _edge_runs, _erdos_renyi_edges, _penalty_value
 from pfsaddle.rng import Xoshiro256StarStar, derive_seed
 from pfsaddle.stacked import StackedPoint, frobenius_sq
+from test_algorithms import _CountingW
 from test_rng import OracleXoshiro
 
 
@@ -405,3 +408,141 @@ def test_penalty_shape_mismatch():
         penalty_value(g, 1.0, p)
     with pytest.raises(ShapeError):
         penalty_grad(g, 1.0, p)
+
+
+# -- the W product -------------------------------------------------------------
+
+
+def oracle_product(w, z):
+    """W @ z one row at a time: row i is 0.0 + w[i, c] * z[c] + ... summed
+    left to right over the nonzero columns c of row i in ascending order."""
+    out = np.zeros(z.shape)
+    for i in range(w.shape[0]):
+        acc = np.zeros(z.shape[:-2] + z.shape[-1:])
+        for c in np.flatnonzero(w[i]):
+            acc = acc + w[i, c] * z[..., c, :]
+        out[..., i, :] = acc
+    return out
+
+
+def weighted_gossip(m=40):
+    """A from_matrix W: the Laplacian of a ring with chords, drawn edge weights."""
+    gen = Xoshiro256StarStar(derive_seed(3, "weighted", m))
+    pairs = [(i, (i + 1) % m) for i in range(m)] + [(i, (i + 7) % m) for i in range(0, m, 3)]
+    w = np.zeros((m, m))
+    for (i, j), a in zip(pairs, gen.uniforms((len(pairs),)) + 0.5):
+        w[i, j] = w[j, i] = -a
+    np.fill_diagonal(w, -w.sum(axis=1))
+    return GossipMatrix.from_matrix(w)
+
+
+def edge_walking(g):
+    """g, with its product walking the edge runs whatever the size rule says."""
+    object.__setattr__(g, "_runs", _edge_runs(g.w, g.edges, most=math.inf))
+    return g
+
+
+PRODUCT_GRAPHS = [
+    lambda: laplacian(Topology("ring", 256)),
+    lambda: edge_walking(laplacian(Topology("star", 9))),
+    lambda: edge_walking(laplacian(Topology("grid2d", 30))),
+    lambda: edge_walking(laplacian(Topology("erdos_renyi", 40, seed=1, edge_prob=0.2))),
+    lambda: edge_walking(weighted_gossip()),
+]
+PRODUCT_IDS = ["ring-256", "star", "grid2d", "erdos-renyi", "weighted"]
+
+
+@pytest.mark.parametrize("make", PRODUCT_GRAPHS, ids=PRODUCT_IDS)
+def test_edge_product_is_the_ascending_row_sum(make):
+    g = make()
+    m = g.num_nodes
+    z = Xoshiro256StarStar(m).normals((m, 7))
+    for block in (z, z[:, 2:5]):  # a column view is read in place
+        assert g.product(block).tobytes() == oracle_product(g.w, block).tobytes()
+    scaled = scale(g, 0.3)  # weights other than -1, 1 and 2
+    if scaled._runs is None:
+        edge_walking(scaled)
+    assert scaled.product(z).tobytes() == oracle_product(scaled.w, z).tobytes()
+
+
+@pytest.mark.parametrize("make", PRODUCT_GRAPHS, ids=PRODUCT_IDS)
+def test_edge_product_gives_each_point_of_a_stack_its_own_bits(make):
+    g = make()
+    m = g.num_nodes
+    stack = Xoshiro256StarStar(m + 1).normals((3, m, 6))
+    for block in (stack, stack[..., :2], stack[..., 2:]):
+        got = g.product(block)
+        assert got.flags.c_contiguous
+        for k in range(len(stack)):
+            assert got[k].tobytes() == g.product(np.array(block[k])).tobytes()
+    values = _penalty_value(g, 0.7, stack[..., :2], stack[..., 2:]).tolist()
+    assert values == [penalty_value(g, 0.7, StackedPoint(point[:, :2], point[:, 2:]))
+                      for point in stack]
+
+
+@pytest.mark.parametrize("make", PRODUCT_GRAPHS, ids=PRODUCT_IDS)
+def test_edge_product_matches_dense_within_rounding(make):
+    g = make()
+    m = g.num_nodes
+    z = Xoshiro256StarStar(m + 2).normals((2, m, 5)) * 10.0 ** np.arange(-2, 3)
+    widest = int(np.count_nonzero(g.w, axis=1).max())
+    # each side sums at most `widest` nonzero terms a row, in some order
+    bound = 2.0 * widest * np.finfo(float).eps * (np.abs(g.w) @ np.abs(z))
+    assert np.all(np.abs(g.product(z) - g.w @ z) <= bound)
+
+
+def test_size_rule_keeps_small_and_dense_graphs_dense():
+    for topology in (Topology("ring", 8), Topology("erdos_renyi", 16, seed=0, edge_prob=0.3),
+                     Topology("ring", 128), Topology("ring", 143), Topology("path", 143),
+                     Topology("grid2d", 256), Topology("grid2d", 625),
+                     Topology("erdos_renyi", 256, seed=0, edge_prob=0.02)):
+        assert laplacian(topology)._runs is None, topology
+    # the boundary the docs state: 4096 * runs <= M^2
+    for m in (144, 256, 1024):
+        assert len(laplacian(Topology("ring", m))._runs) == 5
+    assert len(laplacian(Topology("path", 144))._runs) == 5
+    assert len(laplacian(Topology("grid2d", 676))._runs) == 4 * 26 + 5
+    # below the rule every product is one `w @ z`, as a counting W sees
+    g = laplacian(Topology("ring", 8))
+    object.__setattr__(g, "w", g.w.view(_CountingW))
+    g.w.products = 0
+    g.penalty(0.5, np.ones((8, 3)))
+    g.product(np.ones((2, 8, 3)))
+    penalty_value(g, 0.5, StackedPoint(np.ones((8, 2)), np.ones((8, 1))))
+    assert g.w.products == 4
+
+
+def test_edge_runs_need_edges_that_cover_w():
+    g = laplacian(Topology("ring", 256))
+    missing = GossipMatrix(g.w, g.edges - {(0, 1)})  # w keeps the entry
+    assert missing._runs is None
+    z = Xoshiro256StarStar(5).normals((256, 3))
+    assert np.array_equal(missing.product(z), g.w @ z)
+    assert _edge_runs(g.w, g.edges | {(0, 256)}, most=math.inf) is None
+    # pairs given both ways round, or on the diagonal, are one edge each
+    both = g.edges | {(j, i) for i, j in g.edges} | {(3, 3)}
+    assert _edge_runs(g.w, both, most=math.inf) == g._runs
+
+
+def test_edge_runs_are_built_without_an_m_by_m_array():
+    g = laplacian(Topology("ring", 1024))
+    tracemalloc.start()
+    try:
+        runs = _edge_runs(g.w, g.edges, most=math.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert runs == g._runs
+    assert peak < 1024 * 1024 * 8 // 8  # an eighth of one M x M float array
+
+
+@pytest.mark.parametrize("topology", [Topology("ring", 8), Topology("ring", 256)],
+                         ids=["dense", "edge-runs"])
+def test_pickled_gossip_matrix_gives_the_same_products(topology):
+    # a --jobs worker receives the matrix pickled
+    g = laplacian(topology)
+    again = pickle.loads(pickle.dumps(g))
+    assert again._runs == g._runs and not again.w.flags.writeable
+    z = Xoshiro256StarStar(9).normals((2, topology.num_nodes, 4))
+    assert again.product(z).tobytes() == g.product(z).tobytes()
+    assert again.penalty(1.5, z[0]).tobytes() == g.penalty(1.5, z[0]).tobytes()

@@ -599,6 +599,30 @@ def test_validate_rejects_what_run_rejects_at_setup(tmp_path, capsys, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("extra, key", [
+    # deterministic rles counts its period as round(1 / p): a subnormal p,
+    # derived from lambda or pinned, has no finite reciprocal
+    ({"topology": {"kind": "ring", "num_nodes": 4}, "lambda_grid": [5e-324],
+      "algorithms": [{"name": "rles", "schedule": "deterministic"}]}, "p_comm"),
+    ({"topology": {"kind": "ring", "num_nodes": 4},
+      "algorithms": [{"name": "rles", "schedule": "deterministic",
+                      "overrides": {"p_comm": 1e-310}}]}, "p_comm"),
+    # a robust radius_y whose square overflows the smoothness bound
+    ({"problem": {"family": "robust_regression", "radius_y": 1e200}}, "radius_y"),
+], ids=["rles-p-subnormal-from-lambda", "rles-p-subnormal-override", "robust-radius-y-huge"])
+def test_validate_names_the_value_that_leaves_the_float_range(tmp_path, capsys, recwarn,
+                                                              extra, key):
+    path = write_config(tmp_path, {**minimal_raw(output_dir=str(tmp_path / "out")), **extra})
+    assert main(["validate", path]) == 1
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        line for line in err.splitlines() if line]
+    assert key in err and "Traceback" not in err and "Warning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 @pytest.mark.parametrize("problem, names", [
     ({"family": "quadratic"}, ["extragradient", "sliding", "rles"]),
     ({"family": "bilinear"}, ["extragradient", "rles"]),

@@ -31,7 +31,8 @@ from pfsaddle.algorithms import (  # noqa: E402
     rles_run,
     sliding_run,
 )
-from pfsaddle.gossip import TOPOLOGY_KINDS, Topology, laplacian, penalty_grad  # noqa: E402
+from pfsaddle.gossip import (  # noqa: E402
+    TOPOLOGY_KINDS, GossipMatrix, Topology, laplacian, penalty_grad)
 from pfsaddle.harness import (  # noqa: E402
     _CONFIG_KEYS,
     _PROBLEM_KEYS,
@@ -267,6 +268,7 @@ def test_wrapper_free_measures_match_the_numpy_wrappers(m, dims, lam, seed):
     ref = z + rng.normal(size=z.shape) * 10.0 ** rng.uniform(-6, 0)
     a = rng.normal(size=(m, m))
     w = a + a.T
+    g = GossipMatrix.from_matrix(w)  # dense: every entry is an edge
     x, y = z[:, :n_x], z[:, n_x:]
     d = z - ref
     for block in (z, x, y, d[:, :n_x], d[:, n_x:]):
@@ -276,12 +278,12 @@ def test_wrapper_free_measures_match_the_numpy_wrappers(m, dims, lam, seed):
     assert _consensus_residual(x, y) == (wrapped_sum_sq(x - x.mean(axis=0)),
                                          wrapped_sum_sq(y - y.mean(axis=0)))
     want = 0.0 if lam == 0.0 else 0.5 * lam * (trace_inner(x, w @ x) - trace_inner(y, w @ y))
-    got = _penalty_value(w, lam, x, y)
+    got = _penalty_value(g, lam, x, y)
     assert got.shape == () and got == want
     stack = np.stack((ref, z))  # one value per point, each the point's own
     xs, ys = stack[..., :n_x], stack[..., n_x:]
-    assert _penalty_value(w, lam, xs, ys).tolist() == [
-        float(_penalty_value(w, lam, ref[:, :n_x], ref[:, n_x:])), want]
+    assert _penalty_value(g, lam, xs, ys).tolist() == [
+        float(_penalty_value(g, lam, ref[:, :n_x], ref[:, n_x:])), want]
     assert [c.tolist() for c in _consensus_residual(xs, ys)] == [
         [float(a), float(b)]
         for a, b in zip(_consensus_residual(ref[:, :n_x], ref[:, n_x:]),
