@@ -155,7 +155,7 @@ class AlgorithmConfig:
 # `overrides` may pin
 _SOLVER_KEYS = {f.name: f.metadata["key"] for f in fields(AlgorithmConfig)}
 _OVERRIDE_KEYS = {name: _SOLVER_KEYS[name] for name in (
-    "gamma", "inner_t", "delta_rel", "p_comm", "gap_check_every", "averaged_output")}
+    "gamma", "inner_t", "p_comm", "gap_check_every", "averaged_output")}
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@
 
 A gossip matrix W here is the graph Laplacian of a connected undirected
 graph (or a positive multiple of it): symmetric, positive semidefinite,
-with kernel spanned by the constant vector and sparsity confined to graph
-edges.  Multiplying a stacked iterate by W is the one primitive that costs
-a communication round: `GossipMatrix.penalty` is that product, and it ticks
-the round on the Counters a solver hands it.  `GossipMatrix.product` forms
-every W product, dense or, on a large sparse graph, along the edge list.
+with kernel spanned by the constant vector; its off-diagonal nonzeros are
+the graph's edges.  Multiplying a stacked iterate by W is the one primitive
+that costs a communication round: `GossipMatrix.penalty` is that product,
+and it ticks the round on the Counters a solver hands it.
+`GossipMatrix.product` forms every W product, dense or, on a large sparse
+graph, along runs of W's nonzeros.
 """
 
 from __future__ import annotations
@@ -136,12 +137,12 @@ def _erdos_renyi_edges(m: int, edge_prob: float, seed: int) -> set[tuple[int, in
 
 @dataclass(frozen=True, eq=False)
 class GossipMatrix(_ReadOnlyArrays):
-    """A concrete gossip matrix; its lambda_max comes from the dense symmetric
-    eigensolver on w when it is built, and its edge runs (see `product`)
-    where the graph is large and sparse."""
+    """A concrete gossip matrix W, which is its own graph: node i talks to
+    the nodes where row i is nonzero.  Its lambda_max comes from the dense
+    symmetric eigensolver on w when it is built, and its edge runs (see
+    `product`) where the graph is large and sparse."""
 
     w: np.ndarray
-    edges: frozenset
     lambda_max: float = field(init=False)
     _runs: tuple | None = field(init=False, repr=False)
 
@@ -157,7 +158,6 @@ class GossipMatrix(_ReadOnlyArrays):
         w = np.array(w, copy=True)
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
         # the size rule: walking a run costs about one numpy call, the time
         # of some 4096 dense multiply-adds per column of z, and the dense
         # product takes M^2 of them; 4096 * runs <= M^2 walks rings and
@@ -166,21 +166,11 @@ class GossipMatrix(_ReadOnlyArrays):
         # Erdos-Renyi graphs (about a run per edge) dense.  It is not the
         # timed crossover: rings break even between 176 and 208 nodes and
         # square grids between 256 and 576 (BENCH_gossip.json, `boundary`)
-        object.__setattr__(self, "_runs", _edge_runs(w, self.edges,
-                                                     most=w.shape[0] ** 2 // 4096))
+        object.__setattr__(self, "_runs", _runs(w, most=w.shape[0] ** 2 // 4096))
 
     @property
     def num_nodes(self) -> int:
         return self.w.shape[0]
-
-    @classmethod
-    def from_matrix(cls, w, edges=None) -> "GossipMatrix":
-        """Wrap an explicit symmetric matrix, inferring edges from its sparsity."""
-        w = np.asarray(w, dtype=float)
-        if edges is None:
-            nz = np.argwhere(w != 0.0)
-            edges = {(min(i, j), max(i, j)) for i, j in nz if i != j}
-        return cls(w, frozenset(edges))
 
     def product(self, z: np.ndarray) -> np.ndarray:
         """W @ z for a stack z shaped (..., M, n), unchecked; z may be a view,
@@ -203,39 +193,29 @@ class GossipMatrix(_ReadOnlyArrays):
         return lam * self.product(z)
 
 
-def _edge_runs(w: np.ndarray, edges: frozenset, most: float) -> tuple | None:
-    """The nonzeros of w on its edges and diagonal as runs (start, stop,
-    shift, weight): w[i, i + shift] == weight for start <= i < stop, sorted
-    by shift and then by start, so that every row meets its columns in
-    ascending order.  A ring has five runs.  Built from the edges, a shift
-    at a time, with no M x M temporary and few Python objects (they would
-    stay resident).  None when there are more than `most` runs, or when the
-    edges miss a nonzero of w, as a matrix built with the wrong edges may."""
-    m = w.shape[0]
-    rows_by_shift = {0: list(range(m))}
-    for i, j in {(min(i, j), max(i, j)) for i, j in edges if i != j}:  # each edge once
-        if not (0 <= i and j < m):
-            return None
-        rows_by_shift.setdefault(j - i, []).append(i)
-        rows_by_shift.setdefault(i - j, []).append(j)
-    if len(rows_by_shift) > most:  # every shift takes a run
+def _runs(w: np.ndarray, most: float) -> tuple | None:
+    """The nonzeros of w as runs (start, stop, shift, weight):
+    w[i, i + shift] == weight for start <= i < stop, sorted by shift and
+    then by start, so that every row meets its columns in ascending order.
+    A ring has five runs.  Read off `np.nonzero(w)`, which builds no M x M
+    temporary.  None when there are no runs or more than `most`; a graph
+    under 64 nodes (`most` 0) returns before any numpy call."""
+    if most < 1:
         return None
-    runs, covered = [], 0
-    for shift in sorted(rows_by_shift):
-        rows = sorted(rows_by_shift[shift])
-        weights = w[rows, [row + shift for row in rows]]
-        covered += np.count_nonzero(weights)
-        for row, weight in zip(rows, weights.tolist()):
-            last = runs[-1] if runs else None
-            if weight == 0.0:
-                continue
-            if last and last[1] == row and last[2] == shift and last[3] == weight:
-                last[1] += 1
-            elif len(runs) == most:
-                return None
-            else:
-                runs.append([row, row + 1, shift, weight])
-    return tuple(map(tuple, runs)) if covered == np.count_nonzero(w) else None
+    rows, cols = np.nonzero(w)
+    shifts = (cols - rows).tolist()
+    if len(set(shifts)) > most:  # every shift takes a run; spares the sort
+        return None
+    runs = []
+    for shift, row, weight in sorted(zip(shifts, rows.tolist(), w[rows, cols].tolist())):
+        last = runs[-1] if runs else None
+        if last and last[1] == row and last[2] == shift and last[3] == weight:
+            last[1] += 1
+        elif len(runs) == most:
+            return None
+        else:
+            runs.append([row, row + 1, shift, weight])
+    return tuple(map(tuple, runs)) or None
 
 
 def _check_symmetric(w: np.ndarray) -> None:
@@ -257,15 +237,15 @@ def laplacian(topology: Topology) -> GossipMatrix:
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
     w[i, j] = w[j, i] = -1.0
     np.fill_diagonal(w, np.count_nonzero(w, axis=1))  # the degrees
-    return GossipMatrix(w, frozenset(pairs))
+    return GossipMatrix(w)
 
 
 def scale(g: GossipMatrix, c: float) -> GossipMatrix:
-    """Positive rescale c*W, with lambda_max recomputed; edges are unchanged."""
+    """Positive rescale c*W, with lambda_max recomputed; the graph is unchanged."""
     c = float(c)
     if not (c > 0.0) or math.isinf(c):
         raise InvalidValueError(f"scale factor must be a positive finite number, got {c}")
-    return GossipMatrix(c * g.w, g.edges)
+    return GossipMatrix(c * g.w)
 
 
 def power_lambda_max(w, tol: float = 1e-12, max_iter: int | None = None,
@@ -283,6 +263,8 @@ def power_lambda_max(w, tol: float = 1e-12, max_iter: int | None = None,
     w = np.asarray(w, dtype=float)
     _check_symmetric(w)
     m = w.shape[0]
+    if not m:  # as GossipMatrix refuses it
+        raise ShapeError(f"matrix must be non-empty, got {w.shape}")
     if not w.any():
         return 0.0
     if max_iter is None:
@@ -314,29 +296,22 @@ def validate(g: GossipMatrix) -> None:
     """Check the structural contract of a gossip matrix, raising on failure.
 
     Verifies: exact symmetry, positive semidefiniteness (smallest
-    eigenvalue >= -1e-10), constant vectors in the kernel (|W 1| <= 1e-12),
-    kernel dimension exactly one (graph connectivity), and off-diagonal
-    sparsity confined to the stored edge set.
+    eigenvalue >= -1e-10), constant vectors in the kernel (|W 1| <= 1e-12)
+    and, from two nodes up, kernel dimension exactly one (graph
+    connectivity).  W's sparsity is its graph, so it needs no check.
     """
     w = g.w
-    m = g.num_nodes
     if not np.array_equal(w, w.T):
         raise InvalidValueError("gossip matrix is not symmetric")
-    ones = np.ones(m)
-    if float(np.linalg.norm(w @ ones)) > 1e-12:
+    if float(np.linalg.norm(w @ np.ones(g.num_nodes))) > 1e-12:
         raise InvalidValueError("constant vector is not in the kernel of W")
     evals = np.linalg.eigvalsh(w)
     if evals[0] < -1e-10:
         raise InvalidValueError(f"matrix is not PSD (smallest eigenvalue {evals[0]:.3e})")
-    gap_ref = max(1.0, float(evals[-1]))
-    if evals[1] <= 1e-12 * gap_ref:
+    if len(evals) > 1 and evals[1] <= 1e-12 * max(1.0, float(evals[-1])):
         raise InvalidValueError(
             "kernel dimension exceeds one (underlying graph is disconnected)"
         )
-    off_diagonal = (w != 0.0) & ~np.eye(m, dtype=bool)
-    for i, j in np.argwhere(off_diagonal).tolist():  # row-major order
-        if (min(i, j), max(i, j)) not in g.edges:
-            raise InvalidValueError(f"nonzero entry at non-edge position ({i}, {j})")
 
 
 def _check_penalty_args(g: GossipMatrix, lam: float, p: StackedPoint):

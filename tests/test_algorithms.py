@@ -74,7 +74,7 @@ def scalar_quadratic_problem(m, mu=1.0, radius=math.inf, centers=None):
 
 
 def single_node_gossip():
-    return GossipMatrix(np.zeros((1, 1)), frozenset())
+    return GossipMatrix(np.zeros((1, 1)))
 
 
 def ring_gossip(m):

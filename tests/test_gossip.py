@@ -19,7 +19,7 @@ from pfsaddle.gossip import (
     scale,
     validate,
 )
-from pfsaddle.gossip import _connected, _edge_runs, _erdos_renyi_edges, _penalty_value
+from pfsaddle.gossip import _connected, _erdos_renyi_edges, _penalty_value, _runs
 from pfsaddle.rng import Xoshiro256StarStar, derive_seed
 from pfsaddle.stacked import StackedPoint, frobenius_sq
 from test_algorithms import _CountingW
@@ -166,31 +166,13 @@ def test_validate_all_kinds_all_sizes():
 def test_validate_rejects_asymmetric():
     w = np.array([[1.0, -1.0], [-0.5, 1.0]])
     with pytest.raises(InvalidValueError):
-        GossipMatrix.from_matrix(w, edges=((0, 1),))
+        GossipMatrix(w)
 
 
 def test_validate_rejects_broken_kernel():
     w = np.array([[2.0, -1.0], [-1.0, 2.0]])  # W 1 != 0
-    g = GossipMatrix.from_matrix(w, edges=((0, 1),))
+    g = GossipMatrix(w)
     with pytest.raises(InvalidValueError):
-        validate(g)
-
-
-def test_validate_rejects_sparsity_violation():
-    # complete-graph laplacian declared with only a path's edges
-    w = laplacian(Topology("complete", 3)).w
-    g = GossipMatrix.from_matrix(w, edges=((0, 1), (1, 2)))
-    with pytest.raises(InvalidValueError):
-        validate(g)
-
-
-def test_validate_names_the_first_non_edge_nonzero_in_row_major_order():
-    # complete-graph laplacian declared with a ring's edges: row 0 holds the
-    # first offender at (0, 2); column-major order would find (2, 0)
-    w = laplacian(Topology("complete", 4)).w
-    g = GossipMatrix.from_matrix(w, edges=((0, 1), (1, 2), (2, 3), (0, 3)))
-    with pytest.raises(InvalidValueError,
-                       match=r"^nonzero entry at non-edge position \(0, 2\)$"):
         validate(g)
 
 
@@ -200,9 +182,16 @@ def test_validate_rejects_disconnected():
     w[0, 1] = w[1, 0] = -1.0
     w[2, 2] = w[3, 3] = 1.0
     w[2, 3] = w[3, 2] = -1.0
-    g = GossipMatrix.from_matrix(w, edges=((0, 1), (2, 3)))
+    g = GossipMatrix(w)
     with pytest.raises(InvalidValueError):
         validate(g)
+
+
+def test_validate_accepts_a_single_node():
+    # one node is connected: its Laplacian is the 1x1 zero matrix
+    validate(GossipMatrix(np.zeros((1, 1))))
+    with pytest.raises(InvalidValueError, match="constant vector"):
+        validate(GossipMatrix(np.array([[1.0]])))
 
 
 # -- scaling ------------------------------------------------------------------
@@ -224,9 +213,9 @@ def test_scale_complete_by_m_squared():
 
 @pytest.mark.parametrize("make", [
     lambda: laplacian(Topology("erdos_renyi", 9, seed=2)),
-    lambda: GossipMatrix.from_matrix(laplacian(Topology("star", 5)).w),
+    lambda: GossipMatrix(laplacian(Topology("star", 5)).w),
     lambda: scale(laplacian(Topology("ring", 7)), 0.3),
-    lambda: GossipMatrix(np.diag([3.0, 0.0, 1.0]), frozenset()),
+    lambda: GossipMatrix(np.diag([3.0, 0.0, 1.0])),
 ], ids=["laplacian", "from_matrix", "scale", "constructor"])
 def test_lambda_max_is_computed_from_w(make):
     # the one source of lambda_max: the dense eigensolver on the stored w
@@ -237,21 +226,21 @@ def test_lambda_max_is_computed_from_w(make):
 @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,)])
 def test_gossip_matrix_rejects_a_w_with_no_lambda_max(shape):
     with pytest.raises(ShapeError):
-        GossipMatrix(np.zeros(shape), frozenset())
+        GossipMatrix(np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_gossip_matrix_rejects_a_non_finite_w(bad):
     # NaN built with lambda_max -0.0 and inf with lambda_max NaN
     with pytest.raises(InvalidValueError):
-        GossipMatrix(np.array([[bad, 0.0], [0.0, 1.0]]), frozenset())
+        GossipMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_gossip_matrix_constructor_rejects_a_non_symmetric_w():
     # eigvalsh would read only the lower triangle (lambda_max 1.0) while the
     # penalty multiplies by all of w (spectral norm 1.618)
     with pytest.raises(InvalidValueError):
-        GossipMatrix(np.array([[1.0, -1.0], [0.0, 1.0]]), frozenset({(0, 1)}))
+        GossipMatrix(np.array([[1.0, -1.0], [0.0, 1.0]]))
 
 
 def test_scale_rejects_nonpositive():
@@ -273,6 +262,11 @@ def test_power_identity_and_diagonal():
 
 def test_power_zero_matrix():
     assert power_lambda_max(np.zeros((4, 4))) == 0.0
+
+
+def test_power_rejects_an_empty_matrix_as_gossip_matrix_does():
+    with pytest.raises(ShapeError):
+        power_lambda_max(np.zeros((0, 0)))
 
 
 def test_power_rejects_asymmetric():
@@ -426,19 +420,19 @@ def oracle_product(w, z):
 
 
 def weighted_gossip(m=40):
-    """A from_matrix W: the Laplacian of a ring with chords, drawn edge weights."""
+    """A W built by hand: the Laplacian of a ring with chords, drawn edge weights."""
     gen = Xoshiro256StarStar(derive_seed(3, "weighted", m))
     pairs = [(i, (i + 1) % m) for i in range(m)] + [(i, (i + 7) % m) for i in range(0, m, 3)]
     w = np.zeros((m, m))
     for (i, j), a in zip(pairs, gen.uniforms((len(pairs),)) + 0.5):
         w[i, j] = w[j, i] = -a
     np.fill_diagonal(w, -w.sum(axis=1))
-    return GossipMatrix.from_matrix(w)
+    return GossipMatrix(w)
 
 
 def edge_walking(g):
     """g, with its product walking the edge runs whatever the size rule says."""
-    object.__setattr__(g, "_runs", _edge_runs(g.w, g.edges, most=math.inf))
+    object.__setattr__(g, "_runs", _runs(g.w, math.inf))
     return g
 
 
@@ -495,7 +489,8 @@ def test_size_rule_keeps_small_and_dense_graphs_dense():
     for topology in (Topology("ring", 8), Topology("erdos_renyi", 16, seed=0, edge_prob=0.3),
                      Topology("ring", 128), Topology("ring", 143), Topology("path", 143),
                      Topology("grid2d", 256), Topology("grid2d", 625),
-                     Topology("erdos_renyi", 256, seed=0, edge_prob=0.02)):
+                     Topology("erdos_renyi", 256, seed=0, edge_prob=0.02),
+                     Topology("star", 1024), Topology("erdos_renyi", 1024, seed=0, edge_prob=0.05)):
         assert laplacian(topology)._runs is None, topology
     # the boundary the docs state: 4096 * runs <= M^2
     for m in (144, 256, 1024):
@@ -512,23 +507,56 @@ def test_size_rule_keeps_small_and_dense_graphs_dense():
     assert g.w.products == 4
 
 
-def test_edge_runs_need_edges_that_cover_w():
-    g = laplacian(Topology("ring", 256))
-    missing = GossipMatrix(g.w, g.edges - {(0, 1)})  # w keeps the entry
-    assert missing._runs is None
-    z = Xoshiro256StarStar(5).normals((256, 3))
-    assert np.array_equal(missing.product(z), g.w @ z)
-    assert _edge_runs(g.w, g.edges | {(0, 256)}, most=math.inf) is None
-    # pairs given both ways round, or on the diagonal, are one edge each
-    both = g.edges | {(j, i) for i, j in g.edges} | {(3, 3)}
-    assert _edge_runs(g.w, both, most=math.inf) == g._runs
+def oracle_runs(w):
+    """The maximal runs of w, brute force: every nonzero w[i, j] grouped by
+    shift j - i, rows ascending, split where a row is skipped or the weight
+    changes."""
+    by_shift = {}
+    for i, j in np.argwhere(w).tolist():
+        by_shift.setdefault(j - i, []).append((i, float(w[i, j])))
+    runs = []
+    for shift in sorted(by_shift):
+        for row, weight in sorted(by_shift[shift]):
+            if runs and runs[-1][1:] == [row, shift, weight]:
+                runs[-1][1] += 1
+            else:
+                runs.append([row, row + 1, shift, weight])
+    return tuple(map(tuple, runs))
+
+
+def nearly_symmetric():
+    """A ring(256) Laplacian whose w[0, 1] moved within the symmetry tolerance."""
+    w = np.array(laplacian(Topology("ring", 256)).w)
+    w[0, 1] += 1e-13
+    return w
+
+
+RUN_MATRICES = {
+    **{f"{kind}-{m}": (lambda kind=kind, m=m: laplacian(Topology(kind, m, edge_prob=0.1)).w)
+       for kind in TOPOLOGY_KINDS for m in (40, 144)},  # most 0 and most 5
+    "grid2d-676": lambda: laplacian(Topology("grid2d", 676)).w,  # 109 runs, most 111
+    "weighted": lambda: weighted_gossip().w,
+    "diagonal": lambda: np.diag([3.0, 0.0, 1.0]),
+    "nearly-symmetric": nearly_symmetric,
+    "single-node": lambda: np.zeros((1, 1)),
+}
+
+
+@pytest.mark.parametrize("make", RUN_MATRICES.values(), ids=RUN_MATRICES.keys())
+def test_runs_are_the_maximal_runs_of_w(make):
+    w = make()
+    want = oracle_runs(w)
+    assert _runs(w, math.inf) == (want or None)
+    g = GossipMatrix(w)  # under the size rule
+    most = g.num_nodes ** 2 // 4096
+    assert g._runs == (want if 0 < len(want) <= most else None)
 
 
 def test_edge_runs_are_built_without_an_m_by_m_array():
     g = laplacian(Topology("ring", 1024))
     tracemalloc.start()
     try:
-        runs = _edge_runs(g.w, g.edges, most=math.inf)
+        runs = _runs(g.w, math.inf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

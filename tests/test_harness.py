@@ -546,6 +546,8 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
     {"algorithms": [{"name": "extragradient", "overrides": {"gamma": True}}]},
     {"algorithms": [{"name": "sliding", "overrides": {"delta_rel": "0.1"}}]},
     {"algorithms": [{"name": "sliding", "overrides": {"gap_check_every": 2.5}}]},
+    # delta_rel is resolved, never pinned: sliding reads only inner_t
+    {"algorithms": [{"name": "sliding", "overrides": {"delta_rel": 0.01}}]},
     # an output directory is a non-empty string, not str() of any JSON value
     {"output_dir": None},
     {"output_dir": 5},
@@ -582,6 +584,7 @@ UNBOUNDED_QUADRATIC = {"family": "quadratic", "mu": 1.0, "smoothness": 4.0,
         "label-not-a-string", "override-inner-t-float", "override-p-comm-string",
         "override-averaged-output-string", "override-gamma-bool",
         "override-delta-rel-string", "override-gap-check-every-float",
+        "override-delta-rel",
         "output-dir-null", "output-dir-number", "output-dir-empty", "target-list",
         "target-string", "metrics-list", "metrics-null", "quadratic-n-x-0",
         "quadratic-n-y-0", "bilinear-dim-0", "robust-dim-0", "sliding-lambda-subnormal",
@@ -654,7 +657,7 @@ def test_validate_refuses_a_robust_size_numpy_cannot_allocate_at_once(tmp_path, 
 
 
 # for each row `overrides` may pin, a value just outside its bound or type
-OUTSIDE = {"gamma": 0, "inner_t": 0, "delta_rel": 1.0, "p_comm": 0.0,
+OUTSIDE = {"gamma": 0, "inner_t": 0, "p_comm": 0.0,
            "gap_check_every": 0, "averaged_output": "no"}
 
 

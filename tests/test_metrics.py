@@ -33,7 +33,7 @@ from pfsaddle.stacked import BallDomain, StackedPoint, _join, _project_rows, _su
 
 
 def single_node_gossip():
-    return GossipMatrix(np.zeros((1, 1)), frozenset())
+    return GossipMatrix(np.zeros((1, 1)))
 
 
 def scalar_bilinear_unit_ball(m=1):

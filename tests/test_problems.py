@@ -589,7 +589,7 @@ def test_reference_single_node_origin_saddle():
     )
     # a single node has no neighbors; the 1x1 zero matrix is its laplacian
     from pfsaddle.gossip import GossipMatrix
-    g = GossipMatrix(np.zeros((1, 1)), frozenset())
+    g = GossipMatrix(np.zeros((1, 1)))
     prob = SaddleProblem.from_spec(spec, BallDomain(2.0, 2.0, n_x=1, n_y=1))
     ref = reference_solution(prob, g, 0.0, tol=1e-13)
     assert abs(ref.x[0, 0]) <= 1e-12

@@ -268,7 +268,7 @@ def test_wrapper_free_measures_match_the_numpy_wrappers(m, dims, lam, seed):
     ref = z + rng.normal(size=z.shape) * 10.0 ** rng.uniform(-6, 0)
     a = rng.normal(size=(m, m))
     w = a + a.T
-    g = GossipMatrix.from_matrix(w)  # dense: every entry is an edge
+    g = GossipMatrix(w)  # dense: every entry is an edge
     x, y = z[:, :n_x], z[:, n_x:]
     d = z - ref
     for block in (z, x, y, d[:, :n_x], d[:, n_x:]):
