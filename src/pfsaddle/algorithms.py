@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DivergenceError, ShapeError
+from .errors import ConfigError, ConvergenceError, DivergenceError, InvalidValueError, ShapeError
 from .gossip import GossipMatrix, _check_penalty_args
 from .gossip import penalty_grad  # no caller here; bench/tracer.py wraps algorithms.penalty_grad
 from .metrics import Counters, RunRecorder, _distances_sq, restricted_gap
@@ -294,7 +294,7 @@ def _resolve_start(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
         raise ConfigError(f"start point has {start.num_nodes} rows, "
                           f"problem has {problem.num_nodes}")
     start = domain.project(start)
-    _check_penalty_args(gossip, lam, start)
+    _check_penalty_args(gossip, lam, start.num_nodes)
     return start
 
 
@@ -433,9 +433,12 @@ def extragradient_run(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
 
     With residual_tol set, stops once the fixed-point residual
     |z - proj(z - gamma F(z))| falls to residual_tol and raises
-    ConvergenceError if that does not happen within max_iter iterations.
+    ConvergenceError if that does not happen within max_iter iterations;
+    a residual_tol that is not positive and finite raises InvalidValueError.
     Without it, runs exactly max_iter iterations.
     """
+    if residual_tol is not None and not 0.0 < residual_tol < math.inf:
+        raise InvalidValueError(f"residual_tol must be positive and finite, got {residual_tol}")
     result = _extragradient(problem, gossip, lam, gamma, start, recorder,
                             residual_tol, limit=max_iter)
     if residual_tol is not None and result.stop_reason != "residual":
@@ -562,7 +565,7 @@ def rles_direction(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     with weights (p, 1-p) recovers the full gradient pair at `point`
     exactly.  Callers tick the matching counter.
     """
-    _check_penalty_args(gossip, lam, point)
+    _check_penalty_args(gossip, lam, point.num_nodes)
     grad = np.hstack((anchor_grad.x, -anchor_grad.y))
     penalty = np.hstack((anchor_penalty.x, -anchor_penalty.y))
     d = _rles_direction(problem, gossip, lam, p_comm, _join(point), grad, penalty,

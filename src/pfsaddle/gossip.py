@@ -24,7 +24,7 @@ from .errors import (
     TopologyError,
 )
 from .rng import Xoshiro256StarStar, derive_seed
-from .stacked import StackedPoint, _ReadOnlyArrays, _join, _point_sums
+from .stacked import StackedPoint, _ReadOnlyArrays, _block_sums, _join
 
 TOPOLOGY_KINDS = ("complete", "ring", "star", "path", "grid2d", "erdos_renyi")
 
@@ -295,55 +295,51 @@ def power_lambda_max(w, tol: float = 1e-12, max_iter: int | None = None,
 def validate(g: GossipMatrix) -> None:
     """Check the structural contract of a gossip matrix, raising on failure.
 
-    Verifies: exact symmetry, positive semidefiniteness (smallest
-    eigenvalue >= -1e-10), constant vectors in the kernel (|W 1| <= 1e-12)
-    and, from two nodes up, kernel dimension exactly one (graph
-    connectivity).  W's sparsity is its graph, so it needs no check.
+    Verifies, against |W| = max |eigenvalue| so that c W fares as W for c > 0:
+    exact symmetry, |W 1| <= 1e-12 |W|, smallest eigenvalue >= -1e-10 |W| and,
+    from two nodes up, second smallest > 1e-12 |W| (kernel dimension one: a
+    connected graph).  W's sparsity is its graph, so it needs no check.
     """
     w = g.w
     if not np.array_equal(w, w.T):
         raise InvalidValueError("gossip matrix is not symmetric")
-    if float(np.linalg.norm(w @ np.ones(g.num_nodes))) > 1e-12:
-        raise InvalidValueError("constant vector is not in the kernel of W")
     evals = np.linalg.eigvalsh(w)
-    if evals[0] < -1e-10:
+    size = max(-evals[0], evals[-1])
+    if float(np.linalg.norm(w @ np.ones(g.num_nodes))) > 1e-12 * size:
+        raise InvalidValueError("constant vector is not in the kernel of W")
+    if evals[0] < -1e-10 * size:
         raise InvalidValueError(f"matrix is not PSD (smallest eigenvalue {evals[0]:.3e})")
-    if len(evals) > 1 and evals[1] <= 1e-12 * max(1.0, float(evals[-1])):
+    if len(evals) > 1 and evals[1] <= 1e-12 * size:
         raise InvalidValueError(
             "kernel dimension exceeds one (underlying graph is disconnected)"
         )
 
 
-def _check_penalty_args(g: GossipMatrix, lam: float, p: StackedPoint):
+def _check_penalty_args(g: GossipMatrix, lam: float, num_nodes: int):
     if lam < 0.0 or not math.isfinite(lam):
         raise InvalidValueError(f"penalty weight must be finite and >= 0, got {lam}")
-    if p.num_nodes != g.num_nodes:
+    if num_nodes != g.num_nodes:
         raise ShapeError(
-            f"point has {p.num_nodes} rows but gossip matrix has {g.num_nodes}"
+            f"gossip matrix has {g.num_nodes} nodes, expected {num_nodes}"
         )
 
 
-def _penalty_value(g: GossipMatrix, lam: float, x: np.ndarray,
-                   y: np.ndarray) -> np.ndarray:
-    """`penalty_value` of every point of the stacks x and y, shaped (..., M, n)
-    (blocks or column views), unchecked: one value per point.  The product
-    `g.product(x)` broadcasts over the leading axes, which keeps each point's
-    bits."""
+def _penalty_value(g: GossipMatrix, lam: float, stack: np.ndarray, n_x: int) -> np.ndarray:
+    """`penalty_value` of every point of a joined stack (..., M, n) with n_x x
+    columns, unchecked: one W product, which keeps each point's bits, with the
+    stack multiplied into its buffer."""
     if lam == 0.0:
-        return np.zeros(x.shape[:-2])
-
-    def form(block):  # block * (W @ block) in the product's buffer: no second stack
-        product = g.product(block)
-        product *= block
-        return _point_sums(product)
-
-    return 0.5 * lam * (form(x) - form(y))
+        return np.zeros(stack.shape[:-2])
+    product = g.product(stack)
+    product *= stack
+    sx, sy = _block_sums(product, n_x)
+    return 0.5 * lam * (sx - sy)
 
 
 def penalty_value(g: GossipMatrix, lam: float, p: StackedPoint) -> float:
     """Consensus penalty (lam/2) tr(X^T W X) - (lam/2) tr(Y^T W Y)."""
-    _check_penalty_args(g, lam, p)
-    return float(_penalty_value(g, lam, p.x, p.y))
+    _check_penalty_args(g, lam, p.num_nodes)
+    return float(_penalty_value(g, lam, _join(p), p.x.shape[1]))
 
 
 def penalty_grad(g: GossipMatrix, lam: float, p: StackedPoint) -> StackedPoint:
@@ -354,6 +350,6 @@ def penalty_grad(g: GossipMatrix, lam: float, p: StackedPoint) -> StackedPoint:
     pair of the full objective.  One evaluation corresponds to one
     gossip communication round; callers account for it.
     """
-    _check_penalty_args(g, lam, p)
+    _check_penalty_args(g, lam, p.num_nodes)
     product = g.penalty(lam, _join(p))
     return StackedPoint(product[:, :p.x.shape[1]], -product[:, p.x.shape[1]:])

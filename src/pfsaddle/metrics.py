@@ -5,9 +5,9 @@ block pair by W.  Local work is counted in gradient batches: one evaluation
 of every node's local gradient pair.  The oracles `GossipMatrix.penalty` and
 `SaddleProblem.operator` tick the Counters a solver hands them; the measures
 below (distance, restricted gap, consensus residuals, penalty value) hand
-none and cost nothing.  Each has one array body on a stack of points
-(..., M, n), shared by the recorder, the distance stop and the public edge;
-each point's value is bit-equal to the body's on that point alone.
+none and cost nothing.  Each has one array body on a joined stack (..., M, n)
+with n_x x columns, shared by the recorder, the distance stop and the public
+edge; each point's value is bit-equal to the body's on that point alone.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConvergenceError, InvalidValueError, ShapeError
-from .gossip import GossipMatrix, _penalty_value, penalty_value
+from .gossip import GossipMatrix, _check_penalty_args, _penalty_value, penalty_value
 from .problems import SaddleProblem
-from .stacked import (StackedPoint, _check_like, _join, _point_sums, _project_rows, _split,
+from .stacked import (StackedPoint, _block_sums, _check_like, _join, _project_rows, _split,
                       _sum_sq)
 
 __all__ = [
@@ -50,12 +50,9 @@ class Counters:
 
 def _distances_sq(stack: np.ndarray, reference: np.ndarray, n_x: int) -> np.ndarray:
     """`distance_sq` of every point of a stack (..., M, n) of joined arrays
-    with n_x x columns, unchecked (a 0-d value for one point); one column
-    block's differences are held at a time, squared in place."""
-    def block(cols: slice) -> np.ndarray:
-        d = stack[..., cols] - reference[:, cols]
-        return _point_sums(np.multiply(d, d, out=d))
-    return block(slice(None, n_x)) + block(slice(n_x, None))
+    with n_x x columns, unchecked (a 0-d value for one point), squared in place."""
+    d = stack - reference
+    return np.add(*_block_sums(np.multiply(d, d, out=d), n_x))
 
 
 def distance_sq(p: StackedPoint, reference: StackedPoint) -> float:
@@ -64,13 +61,11 @@ def distance_sq(p: StackedPoint, reference: StackedPoint) -> float:
     return float(_distances_sq(_join(p), _join(reference), p.x.shape[1]))
 
 
-def _consensus_residual(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`consensus_residual` of every point of the stacks x and y, shaped
-    (..., M, n) (blocks or column views), unchecked: one value per point."""
-    def spread(b: np.ndarray) -> np.ndarray:
-        d = b - np.add.reduce(b, axis=-2, keepdims=True) / b.shape[-2]
-        return _point_sums(d * d)
-    return spread(x), spread(y)
+def _consensus_residual(stack: np.ndarray, n_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """`consensus_residual` of every point of a joined stack (..., M, n) with
+    n_x x columns, unchecked: the stack centred once, squared in place."""
+    d = stack - np.add.reduce(stack, axis=-2, keepdims=True) / stack.shape[-2]
+    return _block_sums(np.multiply(d, d, out=d), n_x)
 
 
 def consensus_residual(p: StackedPoint) -> tuple[float, float]:
@@ -79,7 +74,7 @@ def consensus_residual(p: StackedPoint) -> tuple[float, float]:
     Returns (sum_m |x_m - xbar|^2, sum_m |y_m - ybar|^2); both are zero
     exactly when every node holds the same local model.
     """
-    cx, cy = _consensus_residual(p.x, p.y)
+    cx, cy = _consensus_residual(_join(p), p.x.shape[1])
     return float(cx), float(cy)
 
 
@@ -107,7 +102,8 @@ class RunRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 # the pending iterates take at most this many bytes (one iterate at least):
-# 1,024 iterates at M * n = 32, 16 at M * n = 2,048, 4 at M = 1024 with n = 8
+# 1,024 iterates at M * n = 32, 16 at M * n = 2,048, 4 at M = 1024 with n = 8;
+# a flush works half of them at a time, as each body's temporaries are whole stacks
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -120,8 +116,8 @@ class RunRecorder:
     that is positive, since it needs two inner solves), which a gap stop
     reads.  It copies z into a pending buffer of at most `_CHUNK_BYTES`;
     `dist_sq`, `penalty_value`, `consensus_x` and `consensus_y` are
-    computed for every pending iterate at once, bit-equal to the per-point
-    measures, when the buffer is full and when `record` is read.
+    computed for every pending iterate, half the buffer at a time, bit-equal
+    to the per-point measures, when the buffer is full and when `record` is read.
     """
 
     def __init__(self, problem: SaddleProblem, gossip: GossipMatrix, lam: float,
@@ -133,6 +129,7 @@ class RunRecorder:
         self.problem = problem
         self.gossip = gossip
         self.lam = float(lam)
+        _check_penalty_args(gossip, self.lam, problem.num_nodes)
         self._reference = None if reference is None else _join(reference)
         self.gap_every = int(gap_every)
         self.gap_tol = float(gap_tol)
@@ -163,18 +160,16 @@ class RunRecorder:
             self._flush()
 
     def _flush(self):
-        """The per-chunk columns of the pending iterates."""
-        if not self._filled:
-            return
-        rec, n_x = self._record, self.problem.n_x
-        stack = self._pending[:self._filled]
-        x, y = stack[:, :, :n_x], stack[:, :, n_x:]
-        rec.dist_sq.extend([None] * self._filled if self._reference is None
-                           else _distances_sq(stack, self._reference, n_x).tolist())
-        rec.penalty_value.extend(_penalty_value(self.gossip, self.lam, x, y).tolist())
-        cx, cy = _consensus_residual(x, y)
-        rec.consensus_x.extend(cx.tolist())
-        rec.consensus_y.extend(cy.tolist())
+        """The per-chunk columns of the pending iterates, a half at a time."""
+        rec, n_x, half = self._record, self.problem.n_x, max(1, (self._filled + 1) // 2)
+        for start in range(0, self._filled, half):
+            stack = self._pending[:self._filled][start:start + half]
+            rec.dist_sq.extend([None] * len(stack) if self._reference is None
+                               else _distances_sq(stack, self._reference, n_x).tolist())
+            rec.penalty_value.extend(_penalty_value(self.gossip, self.lam, stack, n_x).tolist())
+            cx, cy = _consensus_residual(stack, n_x)
+            rec.consensus_x.extend(cx.tolist())
+            rec.consensus_y.extend(cy.tolist())
         self._filled = 0
 
 
@@ -232,6 +227,7 @@ def restricted_gap(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     """
     if not problem.domain.is_bounded:
         raise InvalidValueError("restricted gap requires a bounded domain")
+    _check_penalty_args(gossip, lam, problem.num_nodes)
     step = 1.0 / (problem.smoothness + lam * gossip.lambda_max)
 
     def total(q: StackedPoint) -> float:

@@ -389,7 +389,8 @@ def reference_solution(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     Instances with mu = 0 are returned unchecked.
 
     Raises ConvergenceError if the residual target is not met within
-    max_iter iterations, or if the squared bound exceeds 1e-12.
+    max_iter iterations, or if the squared bound exceeds 1e-12, and
+    InvalidValueError unless tol is positive and finite.
     """
     from .algorithms import extragradient_run  # local import to avoid a cycle
 

@@ -126,11 +126,12 @@ def _sum_sq(a: np.ndarray) -> float:
     return float(np.add.reduce(a * a, axis=None))
 
 
-def _point_sums(a: np.ndarray) -> np.ndarray:
-    """The sum of each trailing (M, n) matrix of a C-contiguous stack
-    (..., M, n), reduced flat over (M, n) as `_sum_sq` reduces one point,
-    so each sum is bit-equal to that point's alone."""
-    return np.add.reduce(a.reshape(*a.shape[:-2], -1), axis=-1)
+def _block_sums(a: np.ndarray, n_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's sums over its n_x x columns and over its y columns, for a
+    stack (..., M, n): each block reduced flat in row-major order, as `_sum_sq`
+    reduces it, so each sum is bit-equal to that block's alone."""
+    return tuple(np.add.reduce(a[..., cols].reshape(*a.shape[:-2], -1), axis=-1)
+                 for cols in (slice(None, n_x), slice(n_x, None)))
 
 
 def frobenius_sq(a: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from pfsaddle.algorithms import (
     sliding_run,
     solve_prox,
 )
-from pfsaddle.errors import ConfigError, ConvergenceError, DivergenceError
+from pfsaddle.errors import ConfigError, ConvergenceError, DivergenceError, InvalidValueError
 from pfsaddle.gossip import GossipMatrix, Topology, laplacian, penalty_grad
 from pfsaddle.metrics import Counters, RunRecorder, _distances_sq, distance_sq
 from pfsaddle.problems import (
@@ -183,6 +184,20 @@ def test_extragradient_residual_stop_and_exhaustion():
     with pytest.raises(ConvergenceError):
         extragradient_run(problem, gossip, 0.5, 0.2, start=start,
                           max_iter=3, residual_tol=1e-10)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -0.5, 0.0, math.nan, math.inf])
+def test_extragradient_and_reference_reject_a_residual_tol_not_positive_and_finite(tol):
+    # a negative tolerance was squared into a stop at iteration 0, and NaN
+    # spun to the iteration cap
+    problem = scalar_quadratic_problem(2)
+    gossip = ring_gossip(2)
+    start = time.perf_counter()
+    with pytest.raises(InvalidValueError, match="residual_tol"):
+        extragradient_run(problem, gossip, 0.5, 0.2, residual_tol=tol)
+    with pytest.raises(InvalidValueError, match="residual_tol"):
+        reference_solution(problem, gossip, 1.0, tol=tol)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_extragradient_diverges_with_huge_step():

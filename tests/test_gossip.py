@@ -187,6 +187,34 @@ def test_validate_rejects_disconnected():
         validate(g)
 
 
+SCALES = [1e-13, 1e-9, 3.3, 1e3 + 0.1, 1e6 + 0.1, 1e9 + 0.7]
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("topology", [
+    Topology("erdos_renyi", 16, seed=0, edge_prob=0.3), Topology("complete", 7),
+    Topology("grid2d", 12), Topology("star", 9), Topology("ring", 5)],
+    ids=["erdos-renyi-16", "complete-7", "grid2d-12", "star-9", "ring-5"])
+def test_validate_accepts_every_positive_multiple_of_a_laplacian(topology, c):
+    # the thresholds scale with W: the absolute ones refused ER(16) from
+    # c = 1000.1 (kernel), ring(5) at 1e6 + 0.1 (PSD) and every graph at 1e-13
+    validate(scale(laplacian(topology), c))
+
+
+@pytest.mark.parametrize("c", [1e-13, 1e9])
+def test_validate_rejects_at_every_scale(c):
+    with pytest.raises(InvalidValueError, match="not symmetric"):
+        validate(GossipMatrix(c * np.array([[1.0, -1.0], [-0.5, 1.0]])))
+    with pytest.raises(InvalidValueError, match="constant vector"):
+        validate(GossipMatrix(c * np.array([[2.0, -1.0], [-1.0, 2.0]])))
+    two_pairs = np.kron(np.eye(2), [[1.0, -1.0], [-1.0, 1.0]])
+    with pytest.raises(InvalidValueError, match="disconnected"):
+        validate(GossipMatrix(c * two_pairs))
+    negated = -laplacian(Topology("ring", 5)).w  # W 1 = 0, but not PSD
+    with pytest.raises(InvalidValueError, match="not PSD"):
+        validate(GossipMatrix(c * negated))
+
+
 def test_validate_accepts_a_single_node():
     # one node is connected: its Laplacian is the 1x1 zero matrix
     validate(GossipMatrix(np.zeros((1, 1))))
@@ -469,7 +497,7 @@ def test_edge_product_gives_each_point_of_a_stack_its_own_bits(make):
         assert got.flags.c_contiguous
         for k in range(len(stack)):
             assert got[k].tobytes() == g.product(np.array(block[k])).tobytes()
-    values = _penalty_value(g, 0.7, stack[..., :2], stack[..., 2:]).tolist()
+    values = _penalty_value(g, 0.7, stack, 2).tolist()
     assert values == [penalty_value(g, 0.7, StackedPoint(point[:, :2], point[:, 2:]))
                       for point in stack]
 
@@ -503,8 +531,8 @@ def test_size_rule_keeps_small_and_dense_graphs_dense():
     g.w.products = 0
     g.penalty(0.5, np.ones((8, 3)))
     g.product(np.ones((2, 8, 3)))
-    penalty_value(g, 0.5, StackedPoint(np.ones((8, 2)), np.ones((8, 1))))
-    assert g.w.products == 4
+    penalty_value(g, 0.5, StackedPoint(np.ones((8, 2)), np.ones((8, 1))))  # one product
+    assert g.w.products == 3
 
 
 def oracle_runs(w):

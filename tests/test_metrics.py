@@ -3,19 +3,22 @@
 import csv
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pfsaddle.metrics
 from pfsaddle.algorithms import AlgorithmConfig, baseline_run
-from pfsaddle.errors import InvalidValueError
-from pfsaddle.gossip import GossipMatrix, Topology, laplacian, penalty_value
+from pfsaddle.errors import InvalidValueError, ShapeError
+from pfsaddle.gossip import GossipMatrix, Topology, _penalty_value, laplacian, penalty_value
 from pfsaddle.harness import parse_config, run
 from pfsaddle.metrics import (
     CSV_COLUMNS,
     Counters,
     RunRecorder,
+    _consensus_residual,
+    _distances_sq,
     consensus_residual,
     distance_sq,
     restricted_gap,
@@ -239,6 +242,109 @@ def test_the_record_keeps_an_iterate_mutated_after_observe(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# joined bodies
+# --------------------------------------------------------------------------
+
+
+def blockwise_penalty_value(g, lam, stack, n_x):
+    """The penalty body as it was: one W product per column block, each
+    block multiplied into its product and reduced flat."""
+    def form(block):
+        product = g.product(block)
+        product *= block
+        return np.add.reduce(product.reshape(*product.shape[:-2], -1), axis=-1)
+    return 0.5 * lam * (form(stack[..., :n_x]) - form(stack[..., n_x:]))
+
+
+def blockwise_consensus_residual(stack, n_x):
+    """The consensus body as it was: each column block centred on its own."""
+    def spread(b):
+        d = b - np.add.reduce(b, axis=-2, keepdims=True) / b.shape[-2]
+        d = d * d
+        return np.add.reduce(d.reshape(*d.shape[:-2], -1), axis=-1)
+    return spread(stack[..., :n_x]), spread(stack[..., n_x:])
+
+
+JOINED_GRAPHS = [(8, "dense"), (256, "walks")]
+WIDTHS = [(n_x, n_y) for n_x in (1, 2, 3) for n_y in (1, 3)]
+
+
+def joined_stack(m, n_x, n_y):
+    rng = np.random.default_rng(m * 10 + n_x * 3 + n_y)
+    stack = rng.normal(size=(3, m, n_x + n_y)) * 10.0 ** rng.uniform(-2, 2, size=(3, m, 1))
+    return stack, stack[0] + rng.normal(size=(m, n_x + n_y))
+
+
+@pytest.mark.parametrize("dims", WIDTHS, ids=str)
+@pytest.mark.parametrize("m, path", JOINED_GRAPHS)
+def test_joined_bodies_give_each_point_its_own_bits(m, path, dims):
+    n_x, n_y = dims
+    g = laplacian(Topology("ring", m))
+    assert (g._runs is None) == (path == "dense")
+    stack, reference = joined_stack(m, n_x, n_y)
+    assert _distances_sq(stack, reference, n_x).tolist() == [
+        float(_distances_sq(z, reference, n_x)) for z in stack]
+    assert _penalty_value(g, 0.7, stack, n_x).tolist() == [
+        float(_penalty_value(g, 0.7, z, n_x)) for z in stack]
+    assert [c.tolist() for c in _consensus_residual(stack, n_x)] == [
+        [float(_consensus_residual(z, n_x)[b]) for z in stack] for b in (0, 1)]
+
+
+@pytest.mark.parametrize("dims", WIDTHS, ids=str)
+@pytest.mark.parametrize("m, path", JOINED_GRAPHS)
+def test_joined_bodies_match_the_blockwise_oracles(m, path, dims):
+    n_x, n_y = dims
+    g = laplacian(Topology("ring", m))
+    stack, _ = joined_stack(m, n_x, n_y)
+    eps = np.finfo(float).eps
+    got, want = _penalty_value(g, 0.7, stack, n_x), blockwise_penalty_value(g, 0.7, stack, n_x)
+    if path == "walks":  # each column of a walked product is its own
+        assert got.tolist() == want.tolist()
+    else:
+        # a dense product's column bits depend on the block width: each
+        # entry sums K = 3 nonzero terms per row in some order, and each
+        # point's total sums its M * n entries in another
+        size = np.add.reduce((np.abs(stack) * (np.abs(g.w) @ np.abs(stack))).reshape(3, -1),
+                             axis=-1)
+        assert np.all(np.abs(got - want) <= 0.7 * (2 * 3 + m * (n_x + n_y)) * eps * size)
+    for got, want, block in zip(_consensus_residual(stack, n_x),
+                                blockwise_consensus_residual(stack, n_x),
+                                (stack[..., :n_x], stack[..., n_x:])):
+        if block.shape[-1] > 1:
+            assert got.tolist() == want.tolist()
+        else:
+            # numpy sums one column across the nodes pairwise and a wider
+            # block a row at a time, so a one-column block's mean moves
+            # in its last bits, and its residual by at most this much
+            mean = np.abs(np.add.reduce(block, axis=-2, keepdims=True)) / m
+            size = np.add.reduce(((np.abs(block) + mean) ** 2).reshape(3, -1), axis=-1)
+            assert np.all(np.abs(got - want) <= 4 * m * eps * size)
+
+
+def test_a_ring_256_flush_stays_under_400_kb():
+    # the joined bodies hold temporaries the size of their whole stack, so a
+    # flush works half the buffer at a time: one flush of a full 256 KB
+    # buffer of n_x = n_y = 4 iterates on ring(256), whose product walks its
+    # edge runs, peaked at 640 KB when the bodies took the whole buffer
+    m = 256
+    spec = random_quadratic(m, 4, 4, mu=1.0, smoothness=10.0, seed=1)
+    problem = SaddleProblem.from_spec(spec, BallDomain.unbounded(4, 4))
+    rec = RunRecorder(problem, laplacian(Topology("ring", m)), 0.5,
+                      reference=StackedPoint.zeros(m, 4, 4))
+    z, c = np.random.default_rng(0).normal(size=(m, 8)), Counters()
+    for k in range(len(rec._pending) - 1):
+        rec.observe(k, z, c)
+    tracemalloc.start()
+    try:
+        rec.observe(len(rec._pending) - 1, z, c)  # fills the buffer: one flush
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec._filled == 0 and len(rec.record) == len(rec._pending)
+    assert peak < 400 * 1024
+
+
+# --------------------------------------------------------------------------
 # restricted gap
 # --------------------------------------------------------------------------
 
@@ -370,3 +476,23 @@ def test_restricted_gap_rejects_an_unbounded_domain():
     p = StackedPoint.zeros(3, 2, 2)
     with pytest.raises(InvalidValueError):
         restricted_gap(problem, gossip, 0.5, p)
+
+
+@pytest.mark.parametrize("lam, gossip, error", [
+    (math.nan, laplacian(Topology("ring", 4)), InvalidValueError),
+    (math.inf, laplacian(Topology("ring", 4)), InvalidValueError),
+    (-1.0, laplacian(Topology("ring", 4)), InvalidValueError),
+    (0.5, laplacian(Topology("ring", 5)), ShapeError),
+], ids=["nan", "inf", "negative", "ring-5-on-4-nodes"])
+def test_restricted_gap_and_recorder_check_lambda_and_the_gossip_size(lam, gossip, error):
+    # checked before any inner solve: a NaN weight spun the solve to its
+    # 5,000,000-iteration cap, inf divided by zero, and a 5-node W failed
+    # inside the solve's matmul
+    spec = random_quadratic(4, 2, 2, mu=1.0, smoothness=4.0, seed=5)
+    problem = SaddleProblem.from_spec(spec, BallDomain(2.0, 2.0, n_x=2, n_y=2))
+    start = time.perf_counter()
+    with pytest.raises(error):
+        restricted_gap(problem, gossip, lam, StackedPoint.zeros(4, 2, 2))
+    with pytest.raises(error):
+        RunRecorder(problem, gossip, lam)
+    assert time.perf_counter() - start < 5.0

@@ -260,8 +260,8 @@ def wrapped_distance_sq(z, ref, n_x):
        st.sampled_from([(1, 2), (2, 1), (1, 4), (3, 2), (2, 5), (6, 3)]),
        st.sampled_from([0.0, 0.1, 1.0, 16.0]), st.integers(0, 2**16))
 def test_wrapper_free_measures_match_the_numpy_wrappers(m, dims, lam, seed):
-    # the measure bodies on column views of a joined array, bit for bit
-    # against np.sum, .mean(axis=0) and trace_inner, alone and in a stack
+    # the measure bodies on a joined array, bit for bit against np.sum,
+    # .mean(axis=0) and trace_inner on its columns, alone and in a stack
     n_x, n_y = dims
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(m, n_x + n_y)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
@@ -275,19 +275,20 @@ def test_wrapper_free_measures_match_the_numpy_wrappers(m, dims, lam, seed):
         assert _sum_sq(block) == wrapped_sum_sq(block)
     got = _distances_sq(z, ref, n_x)
     assert got.shape == () and got == wrapped_distance_sq(z, ref, n_x)
-    assert _consensus_residual(x, y) == (wrapped_sum_sq(x - x.mean(axis=0)),
-                                         wrapped_sum_sq(y - y.mean(axis=0)))
-    want = 0.0 if lam == 0.0 else 0.5 * lam * (trace_inner(x, w @ x) - trace_inner(y, w @ y))
-    got = _penalty_value(g, lam, x, y)
+    centred = z - z.mean(axis=0)
+    assert _consensus_residual(z, n_x) == (wrapped_sum_sq(centred[:, :n_x]),
+                                           wrapped_sum_sq(centred[:, n_x:]))
+    wz = w @ z
+    want = 0.0 if lam == 0.0 else 0.5 * lam * (trace_inner(x, wz[:, :n_x])
+                                               - trace_inner(y, wz[:, n_x:]))
+    got = _penalty_value(g, lam, z, n_x)
     assert got.shape == () and got == want
     stack = np.stack((ref, z))  # one value per point, each the point's own
-    xs, ys = stack[..., :n_x], stack[..., n_x:]
-    assert _penalty_value(g, lam, xs, ys).tolist() == [
-        float(_penalty_value(g, lam, ref[:, :n_x], ref[:, n_x:])), want]
-    assert [c.tolist() for c in _consensus_residual(xs, ys)] == [
+    assert _penalty_value(g, lam, stack, n_x).tolist() == [
+        float(_penalty_value(g, lam, ref, n_x)), want]
+    assert [c.tolist() for c in _consensus_residual(stack, n_x)] == [
         [float(a), float(b)]
-        for a, b in zip(_consensus_residual(ref[:, :n_x], ref[:, n_x:]),
-                        _consensus_residual(x, y))]
+        for a, b in zip(_consensus_residual(ref, n_x), _consensus_residual(z, n_x))]
 
 
 @PROPERTY
