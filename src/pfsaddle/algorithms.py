@@ -22,9 +22,10 @@ randomized local extra step (rles)
 Every step is a projected z - gamma * F on the joined iterate z = [x | y],
 with the saddle operator F(z) = problem.operator(z) + gossip.penalty(lam, z).
 
-Costs are counted by those two oracles, which tick the run's Counters they
-are given: every gossip product is one round even when the penalty weight is
-zero, and every operator evaluation is one local gradient batch.
+Costs are counted by those two oracles and by sliding's prox half-step
+(`SaddleProblem.prox_step`), which tick the run's Counters they are given:
+every gossip product is one round even when the penalty weight is zero, and
+every operator evaluation and every prox half-step is one local gradient batch.
 """
 
 from __future__ import annotations
@@ -477,17 +478,17 @@ def solve_prox(problem: SaddleProblem, v: np.ndarray, start: np.ndarray,
 
     over the domain balls: a 1-strongly-monotone, (1 + gamma L)-smooth
     saddle problem.  It is attacked by inner_t projected extragradient
-    iterations with step 1/(2 (1 + gamma L)), warm-started at `start`.
-    Each inner iteration costs two local gradient batches and no
-    communication; the whole stack is advanced at once, which is
+    iterations with step 1/(2 (1 + gamma L)), warm-started at `start`,
+    each half-step the problem family's `prox_step`.  Each inner
+    iteration costs two local gradient batches and no communication; the whole stack is advanced at once, which is
     equivalent to per-node solves because f is row-local.
     """
     eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
-    project, operator = problem.domain.project_z, problem.operator
+    project, step = problem.domain.project_z, problem.prox_step(v, gamma, eta, counters)
     u = project(start)
     for _ in range(inner_t):
-        half = project(u - eta * (gamma * operator(u, counters) + (u - v)))
-        u = project(u - eta * (gamma * operator(half, counters) + (half - v)))
+        half = project(step(u, u))
+        u = project(step(u, half))
     return u
 
 

@@ -224,8 +224,7 @@ def _check_symmetric(w: np.ndarray) -> None:
         raise ShapeError(f"matrix must be square, got {w.shape}")
     if np.array_equal(w, w.T):  # as every Laplacian is; spares two float copies of W
         return
-    scale_ref = float(np.max(np.abs(w))) if w.size else 0.0
-    if float(np.max(np.abs(w - w.T))) > 1e-12 * max(1.0, scale_ref):
+    if float(np.max(np.abs(w - w.T))) > 1e-12 * float(np.max(np.abs(w))):
         raise InvalidValueError("matrix is not symmetric")
 
 

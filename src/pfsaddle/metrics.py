@@ -2,12 +2,13 @@
 
 Communication is counted in gossip rounds: one multiplication of a stacked
 block pair by W.  Local work is counted in gradient batches: one evaluation
-of every node's local gradient pair.  The oracles `GossipMatrix.penalty` and
-`SaddleProblem.operator` tick the Counters a solver hands them; the measures
-below (distance, restricted gap, consensus residuals, penalty value) hand
-none and cost nothing.  Each has one array body on a joined stack (..., M, n)
-with n_x x columns, shared by the recorder, the distance stop and the public
-edge; each point's value is bit-equal to the body's on that point alone.
+of every node's local gradient pair.  The oracles `GossipMatrix.penalty`,
+`SaddleProblem.operator` and the prox half-step of `SaddleProblem.prox_step`
+tick the Counters a solver hands them; the measures below (distance,
+restricted gap, consensus residuals, penalty value) hand none and cost
+nothing.  Each has one array body on a joined stack (..., M, n) with n_x x
+columns, shared by the recorder, the distance stop and the public edge; each
+point's value is bit-equal to the body's on that point alone.
 """
 
 from __future__ import annotations
@@ -228,6 +229,8 @@ def restricted_gap(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     if not problem.domain.is_bounded:
         raise InvalidValueError("restricted gap requires a bounded domain")
     _check_penalty_args(gossip, lam, problem.num_nodes)
+    if p.num_nodes != problem.num_nodes:
+        raise ShapeError(f"point has {p.num_nodes} rows, problem has {problem.num_nodes}")
     step = 1.0 / (problem.smoothness + lam * gossip.lambda_max)
 
     def total(q: StackedPoint) -> float:

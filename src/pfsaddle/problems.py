@@ -117,6 +117,14 @@ class QuadraticSaddleSpec(_ReadOnlyArrays):
         """The saddle operator (d f/d x, -d f/d y) on a joined iterate z = [x | y]."""
         return (self._k @ z[:, :, None])[:, :, 0] + self._c
 
+    def prox_step(self, v: np.ndarray, gamma: float, eta: float):
+        """Sliding's prox half-step step(base, at) = base - eta * (gamma * F(at)
+        + (at - v)) with the constants folded into B = -(eta gamma) K - eta I
+        and b = eta v - (eta gamma) c: one batched product and two adds."""
+        mat = -(eta * gamma) * self._k - eta * np.eye(self._k.shape[-1])
+        shift = eta * v - (eta * gamma) * self._c
+        return lambda base, at: base + (mat @ at[..., None])[..., 0] + shift
+
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Sum of the local objective values."""
         return float(
@@ -228,6 +236,11 @@ class RobustRegressionSpec(_ReadOnlyArrays):
             out[nodes, d:] = self.beta_y * y - (2.0 / n) * total * x
         return out
 
+    def prox_step(self, v: np.ndarray, gamma: float, eta: float):
+        """Sliding's prox half-step step(base, at) = base - eta * (gamma * F(at)
+        + (at - v)) on joined iterates, one operator call each."""
+        return lambda base, at: base - eta * (gamma * self.operator(at) + (at - v))
+
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Sum of the local objective values."""
         total = 0.0
@@ -335,6 +348,19 @@ class SaddleProblem:
         if counters is not None:
             counters.add_grad()
         return self.spec.operator(z)
+
+    def prox_step(self, v: np.ndarray, gamma: float, eta: float, counters=None):
+        """Sliding's prox half-step oracle, as the spec forms it: step(base, at)
+        = base - eta * (gamma * F(at) + (at - v)) on joined iterates,
+        unchecked; each call is one batch, ticked on `counters` when given."""
+        step = self.spec.prox_step(v, gamma, eta)
+        if counters is None:
+            return step
+
+        def ticked(base: np.ndarray, at: np.ndarray) -> np.ndarray:
+            counters.add_grad()
+            return step(base, at)
+        return ticked
 
     def value_f(self, p: StackedPoint) -> float:
         """Sum of the local objective values."""

@@ -753,9 +753,10 @@ class _CountingW(np.ndarray):
     (rles_run, {"p_comm": 0.3, "schedule": "deterministic"}),
 ], ids=["extragradient", "sliding", "rles-randomized", "rles-deterministic"])
 def test_counters_equal_the_oracle_evaluations_made(monkeypatch, runner, extra):
-    # counted from outside: every W product is one gossip round and every
-    # operator call one local batch; metrology (a recorder with gaps and
-    # distances) adds evaluations but never ticks
+    # counted from outside: every W product is one gossip round, and every
+    # operator call and every call of a prox half-step one local batch;
+    # metrology (a recorder with gaps and distances) adds evaluations but
+    # never ticks
     lam = 0.5
     spec = random_quadratic(4, 2, 2, mu=1.0, smoothness=10.0, seed=9)
     problem = SaddleProblem.from_spec(spec, BallDomain(1.0, 1.0, n_x=2, n_y=2))
@@ -763,13 +764,22 @@ def test_counters_equal_the_oracle_evaluations_made(monkeypatch, runner, extra):
     reference = reference_solution(problem, gossip, lam)
     object.__setattr__(gossip, "w", gossip.w.view(_CountingW))
     batches = []
-    operator = SaddleProblem.operator
+    operator, prox_step = SaddleProblem.operator, SaddleProblem.prox_step
 
     def counted(self, *args, **kwargs):
         batches.append(1)
         return operator(self, *args, **kwargs)
 
+    def counted_prox(self, *args, **kwargs):
+        step = prox_step(self, *args, **kwargs)
+
+        def counted_step(base, at):
+            batches.append(1)
+            return step(base, at)
+        return counted_step
+
     monkeypatch.setattr(SaddleProblem, "operator", counted)
+    monkeypatch.setattr(SaddleProblem, "prox_step", counted_prox)
     config = AlgorithmConfig(gamma=0.01, lam=lam, target_kind="iterations",
                              target_value=30, max_outer=30, **extra)
     gossip.w.products = 0

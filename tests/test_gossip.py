@@ -19,7 +19,8 @@ from pfsaddle.gossip import (
     scale,
     validate,
 )
-from pfsaddle.gossip import _connected, _erdos_renyi_edges, _penalty_value, _runs
+from pfsaddle.gossip import (_check_symmetric, _connected, _erdos_renyi_edges, _penalty_value,
+                             _runs)
 from pfsaddle.rng import Xoshiro256StarStar, derive_seed
 from pfsaddle.stacked import StackedPoint, frobenius_sq
 from test_algorithms import _CountingW
@@ -269,6 +270,35 @@ def test_gossip_matrix_constructor_rejects_a_non_symmetric_w():
     # penalty multiplies by all of w (spectral norm 1.618)
     with pytest.raises(InvalidValueError):
         GossipMatrix(np.array([[1.0, -1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("c", [1e-13, 1.0, 1e9])
+def test_symmetry_tolerance_is_relative_to_the_largest_entry(c):
+    # an asymmetry of half the largest entry is refused at every scale, as
+    # validate refuses it; a tolerance floored at 1e-12 let it in below unit
+    # scale, with a lambda_max read off one triangle
+    bad = c * np.array([[1.0, -1.0], [-0.5, 1.0]])
+    with pytest.raises(InvalidValueError, match="not symmetric"):
+        GossipMatrix(bad)
+    with pytest.raises(InvalidValueError, match="not symmetric"):
+        power_lambda_max(bad)
+    near = c * laplacian(Topology("ring", 5)).w
+    near[0, 1] += 1e-13 * c  # below 1e-12 times the largest entry, 2c
+    assert GossipMatrix(near).num_nodes == 5
+
+
+@pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+def test_an_exact_laplacian_passes_the_symmetry_check_without_a_float_copy(kind):
+    # array_equal(w, w.T) decides it, with one boolean array; the tolerance
+    # test would form w - w.T and its absolute value, two float copies of W
+    w = scale(laplacian(Topology(kind, 256, edge_prob=0.1)), 0.3).w
+    tracemalloc.start()
+    try:
+        _check_symmetric(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < w.nbytes // 2
 
 
 def test_scale_rejects_nonpositive():

@@ -496,3 +496,13 @@ def test_restricted_gap_and_recorder_check_lambda_and_the_gossip_size(lam, gossi
     with pytest.raises(error):
         RunRecorder(problem, gossip, lam)
     assert time.perf_counter() - start < 5.0
+
+
+def test_restricted_gap_checks_the_point_rows_before_any_inner_solve():
+    # a 5-row point on a 4-node problem failed in the inner solve's broadcast
+    spec = random_quadratic(4, 2, 2, mu=1.0, smoothness=4.0, seed=5)
+    problem = SaddleProblem.from_spec(spec, BallDomain(2.0, 2.0, n_x=2, n_y=2))
+    gossip = laplacian(Topology("ring", 4))
+    for rows in (3, 5):
+        with pytest.raises(ShapeError, match=f"point has {rows} rows"):
+            restricted_gap(problem, gossip, 0.5, StackedPoint.zeros(rows, 2, 2))

@@ -30,6 +30,7 @@ from pfsaddle.algorithms import (  # noqa: E402
     rles_direction,
     rles_run,
     sliding_run,
+    solve_prox,
 )
 from pfsaddle.gossip import (  # noqa: E402
     TOPOLOGY_KINDS, GossipMatrix, Topology, laplacian, penalty_grad)
@@ -44,6 +45,7 @@ from pfsaddle.harness import (  # noqa: E402
 from pfsaddle.gossip import _penalty_value  # noqa: E402
 from pfsaddle.errors import DivergenceError  # noqa: E402
 from pfsaddle.metrics import (  # noqa: E402
+    Counters,
     _consensus_residual,
     _distances_sq,
     distance_sq,
@@ -213,6 +215,55 @@ def test_joined_quadratic_operator_matches_the_four_einsum_gradient(m, dims, see
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     f = problem.operator(_join(p))
     assert np.array_equal(grad.x, f[:, :n_x]) and np.array_equal(grad.y, -f[:, n_x:])
+
+
+def generic_half_step(problem, v, gamma, eta, base, at):
+    """Sliding's prox half-step as every family formed it before the
+    quadratic folded its constants: one operator call."""
+    return base - eta * (gamma * problem.operator(at) + (at - v))
+
+
+def generic_prox(problem, v, start, gamma, inner_t):
+    """`solve_prox` on the generic half-step."""
+    eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
+    project = problem.domain.project_z
+    u = project(start)
+    for _ in range(inner_t):
+        half = project(generic_half_step(problem, v, gamma, eta, u, u))
+        u = project(generic_half_step(problem, v, gamma, eta, u, half))
+    return u
+
+
+@PROPERTY
+@given(problems(), st.floats(1e-3, 10.0), st.integers(1, 6), st.integers(0, 2**16))
+def test_prox_half_step_and_solve_prox_match_the_generic_formula(case, gamma, inner_t, seed):
+    # the quadratic's folded step B at + b within a few ulps of the scale of
+    # its terms, the robust regression's bit for bit, on bounded and
+    # unbounded balls; every half-step is one batch and no round
+    problem, _, _ = case
+    rng = np.random.default_rng(seed)
+    shape = (problem.num_nodes, problem.n_x + problem.n_y)
+    v, base, at = (rng.normal(size=shape) * 10.0 ** rng.uniform(-2, 2) for _ in range(3))
+    eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
+    counters = Counters()
+    got = problem.prox_step(v, gamma, eta, counters)(base, at)
+    want = generic_half_step(problem, v, gamma, eta, base, at)
+    assert counters == Counters(0, 1)
+    counters = Counters()
+    prox = solve_prox(problem, v, base, gamma, inner_t, counters)
+    assert counters == Counters(0, 2 * inner_t)
+    want_prox = generic_prox(problem, v, base, gamma, inner_t)
+    spec = problem.spec
+    if isinstance(spec, RobustRegressionSpec):
+        assert np.array_equal(got, want) and np.array_equal(prox, want_prox)
+        return
+    eps, n = np.finfo(float).eps, shape[1]
+    scale = (np.abs(base) + eta * (np.abs(at) + np.abs(v)) + eta * gamma * (
+        (np.abs(spec._k) @ np.abs(at)[:, :, None])[:, :, 0] + np.abs(spec._c)))
+    assert np.all(np.abs(got - want) <= (n + 4) * eps * scale)
+    # the inner steps contract, so the ulps of each step do not compound
+    size = max(np.abs(x).max() for x in (v, base, gamma * spec._c, want_prox))
+    assert np.max(np.abs(prox - want_prox)) <= inner_t * (n + 4) * eps * size
 
 
 def multi_pass_projection(rows, center, radius):
