@@ -111,7 +111,7 @@ _PROBLEM_KEYS = {  # the rows of a problem section besides its family, by family
     },
     "robust_regression": {
         "dim": _Key(int, 2, at_least=1), "num_samples": _Key(int, 25, at_least=1),
-        "beta_x": _Key(float, 1.0), "beta_y": _Key(float, 3.0),
+        "beta_x": _Key(float, 1.0, above=0.0), "beta_y": _Key(float, 3.0, above=0.0),
         "heterogeneity": _Key(float, 1.0), "data_seed": _Key(int, 0),
         "radius_x": _Key(float, 1.0), "radius_y": _Key(float, 1.0),
     },

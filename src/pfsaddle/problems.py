@@ -154,10 +154,8 @@ class RobustRegressionSpec(_ReadOnlyArrays):
 
     features[m] has shape (N_m, n) and targets[m] has shape (N_m,); the
     sample counts N_m may differ across nodes.  The same dimension n is
-    used for x and for the shift y.  Nodes sharing a sample count are also
-    stacked into one group each, (nodes, features, transposed view, targets);
-    a group holding every node indexes them by `slice(None)`, so the operator
-    reads and writes views.
+    used for x and for the shift y.  The operator reads the data only
+    through per-node sums built once with the spec (see `operator`).
     """
 
     features: tuple
@@ -170,43 +168,43 @@ class RobustRegressionSpec(_ReadOnlyArrays):
         targs = tuple(np.array(t, dtype=float, copy=True) for t in self.targets)
         if len(feats) != len(targs) or len(feats) < 1:
             raise ShapeError("features and targets must pair up, one entry per node")
-        dim = None
         for m, (f, t) in enumerate(zip(feats, targs)):
             if f.ndim != 2 or t.ndim != 1 or f.shape[0] != t.shape[0]:
                 raise ShapeError(f"node {m}: features (N, n) and targets (N,) required")
             if f.shape[0] < 1:
                 raise ShapeError(f"node {m}: at least one sample required")
-            if dim is None:
-                dim = f.shape[1]
-            elif f.shape[1] != dim:
+            if f.shape[1] != feats[0].shape[1]:
                 raise ShapeError("all nodes must share the feature dimension")
             if not (np.all(np.isfinite(f)) and np.all(np.isfinite(t))):
                 raise InvalidValueError(f"node {m}: data contains non-finite entries")
-            f.setflags(write=False)
-            t.setflags(write=False)
-        if not (float(self.beta_x) > 0.0 and float(self.beta_y) > 0.0):
-            raise InvalidValueError("beta_x and beta_y must be positive")
-        # set the fields as unpickling does, which also stacks the groups
-        self.__setstate__({"features": feats, "targets": targs,
-                           "beta_x": float(self.beta_x), "beta_y": float(self.beta_y)})
-
-    def __getstate__(self) -> dict:
-        # the groups are rebuilt on unpickling, so the transposed features stay a view
-        return {k: v for k, v in vars(self).items() if k != "_groups"}
-
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        counts = np.array([t.shape[0] for t in self.targets])
-        groups = []
-        for n in dict.fromkeys(counts.tolist()):
-            nodes = np.flatnonzero(counts == n)
-            feats, targs = (np.stack([a[m] for m in nodes]) for a in (self.features, self.targets))
-            for arr in (nodes, feats, targs):
-                arr.setflags(write=False)
-            if nodes.size == counts.size:  # always arange(M): same values, no gather
-                nodes = slice(None)
-            groups.append((nodes, feats, feats.transpose(0, 2, 1), targs))
-        object.__setattr__(self, "_groups", tuple(groups))
+        beta_x, beta_y = float(self.beta_x), float(self.beta_y)
+        if not (0.0 < beta_x < math.inf and 0.0 < beta_y < math.inf):
+            raise InvalidValueError(
+                f"beta_x={beta_x} and beta_y={beta_y} must be positive and finite")
+        # per node, with A = features, b = targets and a = x.y, F(z) on z = [x | y] is
+        # [[G, -c I], [c I, beta_y I]] z - [h | 0] + a [s | 0] + (s.x + 2a) [y | -x] with
+        # the normal-equation sums G = (2/N) A'A + beta_x I, s = (2/N) A'1, h = (2/N) A'b
+        # and c = (2/N) sum b; `_map` stacks that map, the row [s | 0] and rows giving [y | -x]
+        d = feats[0].shape[1]
+        eye = np.eye(d)
+        mat, offset = np.zeros((len(feats), 4 * d + 1, 2 * d)), np.zeros((len(feats), 2 * d))
+        mat[:, d:2 * d, d:2 * d] = beta_y * eye
+        mat[:, 2 * d + 1:3 * d + 1, d:], mat[:, 3 * d + 1:, :d] = eye, -eye
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by name
+            for m, (f, t) in enumerate(zip(feats, targs)):
+                scale = 2.0 / f.shape[0]
+                c = scale * t.sum()
+                mat[m, :d, :d] = scale * (f.T @ f) + beta_x * eye
+                mat[m, :d, d:2 * d], mat[m, d:2 * d, :d] = -c * eye, c * eye
+                mat[m, 2 * d, :d] = scale * f.sum(axis=0)
+                offset[m, :d] = -scale * (t @ f)
+                if not (np.all(np.isfinite(mat[m])) and np.all(np.isfinite(offset[m]))):
+                    raise InvalidValueError(
+                        f"node {m}: the sums (2/N) A'A, (2/N) A'1, (2/N) A'b and "
+                        f"(2/N) sum b of its data leave the float range")
+        # set the fields as unpickling does, read-only
+        self.__setstate__({"features": feats, "targets": targs, "beta_x": beta_x,
+                           "beta_y": beta_y, "_map": mat, "_offset": offset})
 
     @property
     def num_nodes(self) -> int:
@@ -221,20 +219,14 @@ class RobustRegressionSpec(_ReadOnlyArrays):
         return self.features[0].shape[1]
 
     def operator(self, z: np.ndarray) -> np.ndarray:
-        """The saddle operator (d f/d x, -d f/d y) on a joined iterate z = [x | y]."""
-        # one pass per sample-count group, with the per-node products' last
-        # bits; a one-group spec's slice(None) takes views, with the same bits
-        out, d = np.empty_like(z), self.n_x
-        for nodes, feats, feats_t, targs in self._groups:
-            x, y = z[nodes, :d], z[nodes, d:]
-            n = feats.shape[1]
-            residuals = ((feats @ x[:, :, None])[:, :, 0] + (x[:, None, :] @ y[:, :, None])[:, 0]
-                         - targs)
-            total = residuals.sum(axis=1)[:, None]
-            out[nodes, :d] = ((2.0 / n) * ((feats_t @ residuals[:, :, None])[:, :, 0] + total * y)
-                              + self.beta_x * x)
-            out[nodes, d:] = self.beta_y * y - (2.0 / n) * total * x
-        return out
+        """The saddle operator (d f/d x, -d f/d y) on a joined iterate z = [x | y],
+        or on a stack (..., M, 2n) of them: one batched product with `_map`,
+        one per-node dot product a = x.y and the adds of the folded form."""
+        d = self.n_x
+        prod = (self._map @ z[..., None])[..., 0]
+        a = (z[..., None, :d] @ z[..., d:, None])[..., 0]
+        return (prod[..., :2 * d] + self._offset + a * self._map[:, 2 * d]
+                + (prod[..., 2 * d:2 * d + 1] + 2.0 * a) * prod[..., 2 * d + 1:])
 
     def prox_step(self, v: np.ndarray, gamma: float, eta: float):
         """Sliding's prox half-step step(base, at) = base - eta * (gamma * F(at)
@@ -272,22 +264,29 @@ class RobustRegressionSpec(_ReadOnlyArrays):
                 f"need beta_y >= 2*radius_x^2 + 0.1 (margin {margin:.3g})"
             )
         r_x, r_y = domain.radius_x, domain.radius_y
-        smoothness = 0.0
-        with np.errstate(over="ignore"):  # an overflow is refused below, by name
-            for m in range(self.num_nodes):
-                feats, targs = self.features[m], self.targets[m]
-                n = feats.shape[0]
-                anorms = np.linalg.norm(feats, axis=1)
-                shifted = anorms + r_y
-                c_xx = (2.0 / n) * float(np.sum(shifted**2)) + self.beta_x
-                res_bound = r_x * shifted + np.abs(targs)
-                c_xy = (2.0 / n) * float(np.sum(shifted * r_x + res_bound))
-                c_yy = self.beta_y
-                top = 0.5 * (c_xx + c_yy + math.hypot(c_xx - c_yy, 2.0 * c_xy))
-                smoothness = max(smoothness, top)
-        if not smoothness < math.inf:  # radius_x is bounded by the beta_y margin
+
+        def bound(r_x, r_y, beta_x, beta_y):
+            top = 0.0
+            with np.errstate(over="ignore"):  # an overflow is refused below, by name
+                for feats, targs in zip(self.features, self.targets):
+                    n = feats.shape[0]
+                    anorms = np.linalg.norm(feats, axis=1)
+                    shifted = anorms + r_y
+                    c_xx = (2.0 / n) * float(np.sum(shifted**2)) + beta_x
+                    res_bound = r_x * shifted + np.abs(targs)
+                    c_xy = (2.0 / n) * float(np.sum(shifted * r_x + res_bound))
+                    top = max(top, 0.5 * (c_xx + beta_y + math.hypot(c_xx - beta_y, 2.0 * c_xy)))
+            return top
+
+        smoothness = bound(r_x, r_y, self.beta_x, self.beta_y)
+        if not smoothness < math.inf:  # name the first term whose addition overflows
+            b_x, b_y = self.beta_x, self.beta_y
+            culprit = next((name for name, terms in (
+                ("the data", (0.0, 0.0, 0.0, 0.0)), (f"beta_x={b_x}", (0.0, 0.0, b_x, 0.0)),
+                (f"beta_y={b_y}", (0.0, 0.0, b_x, b_y))) if not bound(*terms) < math.inf),
+                f"radius_y={r_y}")  # radius_x is bounded by the beta_y margin
             raise InvalidValueError(
-                f"radius_y={r_y} is too large: the smoothness bound over the domain "
+                f"{culprit} is too large: the smoothness bound over the domain "
                 f"overflows the float range"
             )
         strong = min(self.beta_x, self.beta_y - 2.0 * r_x**2)

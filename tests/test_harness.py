@@ -626,6 +626,23 @@ def test_validate_names_the_value_that_leaves_the_float_range(tmp_path, capsys, 
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("beta_x", 0.0, "problem.beta_x must be > 0, got 0.0"),
+    ("beta_y", -1.0, "problem.beta_y must be > 0, got -1.0"),
+    ("beta_x", 1e308, "beta_x=1e+308 is too large"),
+    ("beta_y", 1e308, "beta_y=1e+308 is too large"),
+], ids=["beta-x-zero", "beta-y-negative", "beta-x-huge", "beta-y-huge"])
+def test_validate_names_a_robust_beta_out_of_range(tmp_path, capsys, recwarn, key, value,
+                                                   message):
+    # a beta the float range cannot carry is blamed on beta, not on a radius
+    path = write_config(tmp_path, minimal_raw(
+        output_dir=str(tmp_path / "out"), problem={"family": "robust_regression", key: value}))
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "radius" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("problem, names", [
     ({"family": "quadratic"}, ["extragradient", "sliding", "rles"]),
     ({"family": "bilinear"}, ["extragradient", "rles"]),

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -724,30 +725,71 @@ def test_array_holding_types_compare_and_hash_by_identity(make):
     assert len({a, b, a}) == 2
 
 
-def test_robust_spec_groups_nodes_by_sample_count():
-    spec = RobustRegressionSpec(
-        (np.ones((4, 2)), np.ones((7, 2)), 2.0 * np.ones((4, 2))),
-        (np.zeros(4), np.zeros(7), np.ones(4)), 1.0, 3.0)
-    groups = [(nodes.tolist(), feats.shape, targs.shape)
-              for nodes, feats, _, targs in spec._groups]
-    assert groups == [([0, 2], (2, 4, 2), (2, 4)), ([1], (1, 7, 2), (1, 7))]
-    for restored in (spec, pickle.loads(pickle.dumps(spec))):
-        for nodes, feats, feats_t, _ in restored._groups:
-            assert isinstance(nodes, np.ndarray) and not nodes.flags.writeable
-            assert feats_t.base is feats and not feats_t.flags.writeable
+def ragged_robust_spec():
+    gen = Xoshiro256StarStar(5)
+    return RobustRegressionSpec(tuple(gen.normals((n, 2)) for n in (4, 7, 4, 1)),
+                                tuple(gen.normals((n,)) for n in (4, 7, 4, 1)), 1.0, 3.0)
 
 
-@pytest.mark.parametrize("m,dim,samples", [(16, 2, 100), (5, 3, 7), (1, 1, 4)])
-def test_one_group_robust_operator_on_slices_is_bit_equal_to_gathers(m, dim, samples):
-    spec = random_robust_regression(m, dim, samples, beta_x=1.0, beta_y=3.0, seed=2)
-    for restored in (spec, pickle.loads(pickle.dumps(spec))):
-        (group,) = restored._groups
-        assert group[0] == slice(None)
-    # the same spec indexing every node by an index array
-    gathered = pickle.loads(pickle.dumps(spec))
-    object.__setattr__(gathered, "_groups", ((np.arange(m),) + spec._groups[0][1:],))
-    gen = Xoshiro256StarStar(3)
-    for _ in range(5):
-        z = 2.0 * gen.normals((m, 2 * dim))
-        assert np.array_equal(spec.operator(z).view(np.uint64),
-                              gathered.operator(z).view(np.uint64))
+@pytest.mark.parametrize("make", [
+    lambda: random_robust_regression(16, 2, 100, beta_x=1.0, beta_y=3.0, seed=2),
+    lambda: random_robust_regression(5, 3, 7, beta_x=1.0, beta_y=3.0, seed=2),
+    lambda: random_robust_regression(1, 1, 4, beta_x=1.0, beta_y=3.0, seed=2),
+    ragged_robust_spec,
+], ids=["16-2-100", "5-3-7", "1-1-4", "ragged"])
+def test_robust_operator_on_a_stack_is_bit_equal_to_each_point(make):
+    spec = make()
+    stack = 2.0 * Xoshiro256StarStar(3).normals((5, spec.num_nodes, 2 * spec.n_x))
+    out = spec.operator(stack)
+    assert out.shape == stack.shape
+    for point, got in zip(stack, out):
+        assert np.array_equal(got.view(np.uint64), spec.operator(point).view(np.uint64))
+    # a two-axis stack, and a point taken from a wider array as a view
+    wide = np.concatenate((stack, stack), axis=-1)
+    assert np.array_equal(spec.operator(stack.reshape(5, 1, *stack.shape[1:]))[:, 0], out)
+    assert np.array_equal(spec.operator(wide[0, :, :stack.shape[-1]]), out[0])
+
+
+def test_pickled_robust_spec_gives_the_same_operator_bytes():
+    # the process pool ships the spec with its statistics, which stay read-only
+    spec = ragged_robust_spec()
+    restored = pickle.loads(pickle.dumps(spec))
+    z = 2.0 * Xoshiro256StarStar(4).normals((spec.num_nodes, 4))
+    assert spec.operator(z).tobytes() == restored.operator(z).tobytes()
+    for name in ("_map", "_offset"):
+        before, after = getattr(spec, name), getattr(restored, name)
+        assert before.tobytes() == after.tobytes() and before.shape == after.shape
+        assert not before.flags.writeable and not after.flags.writeable
+
+
+@pytest.mark.parametrize("beta_x, beta_y", [
+    (math.inf, 3.0), (1.0, math.inf), (math.nan, 3.0), (1.0, -math.inf), (0.0, 3.0),
+], ids=["beta-x-inf", "beta-y-inf", "beta-x-nan", "beta-y-minus-inf", "beta-x-zero"])
+def test_robust_spec_refuses_a_beta_that_is_not_positive_and_finite(beta_x, beta_y):
+    with pytest.raises(InvalidValueError, match="beta_x=.* and beta_y=.* must be positive"):
+        RobustRegressionSpec((np.ones((3, 2)),), (np.zeros(3),), beta_x, beta_y)
+
+
+@pytest.mark.parametrize("feats, targs", [
+    (np.full((3, 2), 1e200), np.zeros(3)),  # A'A overflows
+    (np.ones((3, 2)), np.full(3, 1e308)),  # sum b overflows
+    (np.full((3, 2), 1e300), np.full(3, 1e300)),  # A'b overflows
+], ids=["gram", "target-sum", "cross"])
+def test_robust_spec_refuses_data_whose_statistics_leave_the_float_range(recwarn, feats,
+                                                                         targs):
+    with pytest.raises(InvalidValueError, match="node 1: .* of its data leave the float range"):
+        RobustRegressionSpec((np.ones((2, 2)), feats), (np.zeros(2), targs), 1.0, 3.0)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("feats, beta_x, beta_y, radius_y, name", [
+    (np.full((100, 2), 1e153), 1.0, 3.0, 1.0, "the data"),
+    (np.ones((3, 2)), 1e308, 3.0, 1.0, "beta_x=1e+308"),
+    (np.ones((3, 2)), 1.0, 1e308, 1.0, "beta_y=1e+308"),
+    (np.ones((3, 2)), 1.0, 3.0, 1e200, "radius_y=1e+200"),
+], ids=["data", "beta-x", "beta-y", "radius-y"])
+def test_robust_constants_name_what_overflows(recwarn, feats, beta_x, beta_y, radius_y, name):
+    spec = RobustRegressionSpec((feats,), (np.zeros(feats.shape[0]),), beta_x, beta_y)
+    with pytest.raises(InvalidValueError, match="^" + re.escape(name) + " is too large: "):
+        estimate_constants(spec, BallDomain(1.0, radius_y, n_x=2, n_y=2))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

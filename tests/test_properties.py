@@ -170,19 +170,37 @@ def per_node_robust_grad(spec, xs, ys):
     return gx, gy
 
 
+def per_node_robust_term_sums(spec, xs, ys):
+    """Per entry of `per_node_robust_grad`, the sum of the magnitudes of the
+    terms it adds up: the same loop on absolute values, every sign +."""
+    gx, gy = np.empty_like(xs), np.empty_like(ys)
+    for m in range(spec.num_nodes):
+        feats, targs = np.abs(spec.features[m]), np.abs(spec.targets[m])
+        x, y = np.abs(xs[m]), np.abs(ys[m])
+        n = feats.shape[0]
+        residuals = feats @ x + (x @ y) + targs
+        gx[m] = (2.0 / n) * ((feats.T @ residuals) + residuals.sum() * y) + spec.beta_x * x
+        gy[m] = (2.0 / n) * residuals.sum() * x + spec.beta_y * y
+    return gx, gy
+
+
 @PROPERTY
-@given(st.lists(st.sampled_from([1, 2, 5, 30]), min_size=1, max_size=6),
-       st.integers(1, 4), st.integers(0, 2**16))
-def test_batched_robust_gradient_matches_the_per_node_loop(counts, dim, seed):
-    # ragged sample counts, N = 1 and n = 1 included: one pass per group
+@given(st.lists(st.sampled_from([1, 2, 5, 30, 100]), min_size=1, max_size=6),
+       st.integers(1, 4), st.sampled_from([1e-2, 1.0, 1e2]), st.integers(0, 2**16))
+def test_batched_robust_gradient_matches_the_per_node_loop(counts, dim, scale, seed):
+    # ragged sample counts, N = 1 and n = 1 included, data at several scales:
+    # the statistics reorder the loop's sums, so each entry lies within
+    # (N + n + 4) eps of it, relative to the sum of its terms' magnitudes
     rng = np.random.default_rng(seed)
-    spec = RobustRegressionSpec(tuple(rng.normal(size=(c, dim)) for c in counts),
-                                tuple(rng.normal(size=c) for c in counts), 1.0, 3.0)
-    problem = SaddleProblem.from_spec(spec, BallDomain(1.0, 1.0, n_x=dim, n_y=dim))
+    spec = RobustRegressionSpec(tuple(scale * rng.normal(size=(c, dim)) for c in counts),
+                                tuple(scale * rng.normal(size=c) for c in counts), 1.0, 3.0)
     xs, ys = rng.normal(size=(len(counts), dim)), rng.normal(size=(len(counts), dim))
-    grad = problem.grad_f(StackedPoint(xs, ys))
-    want_x, want_y = per_node_robust_grad(spec, xs, ys)
-    assert np.array_equal(grad.x, want_x) and np.array_equal(grad.y, want_y)
+    grad = SaddleProblem.from_spec(
+        spec, BallDomain(1.0, 1.0, n_x=dim, n_y=dim)).grad_f(StackedPoint(xs, ys))
+    bound = (np.array(counts) + dim + 4.0)[:, None] * np.finfo(float).eps
+    for got, want, terms in zip((grad.x, grad.y), per_node_robust_grad(spec, xs, ys),
+                                per_node_robust_term_sums(spec, xs, ys)):
+        assert np.all(np.abs(got - want) <= bound * terms)
 
 
 def four_einsum_quadratic_grad(spec, xs, ys):
