@@ -229,8 +229,7 @@ def restricted_gap(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     if not problem.domain.is_bounded:
         raise InvalidValueError("restricted gap requires a bounded domain")
     _check_penalty_args(gossip, lam, problem.num_nodes)
-    if p.num_nodes != problem.num_nodes:
-        raise ShapeError(f"point has {p.num_nodes} rows, problem has {problem.num_nodes}")
+    problem._check_rows(p)
     step = 1.0 / (problem.smoothness + lam * gossip.lambda_max)
 
     def total(q: StackedPoint) -> float:

@@ -336,8 +336,14 @@ class SaddleProblem:
     def n_y(self) -> int:
         return self.spec.n_y
 
+    def _check_rows(self, p: StackedPoint) -> None:
+        """Raise ShapeError unless the point has one row per node."""
+        if p.num_nodes != self.num_nodes:
+            raise ShapeError(f"point has {p.num_nodes} rows, problem has {self.num_nodes}")
+
     def grad_f(self, p: StackedPoint) -> StackedPoint:
         """Stacked local gradient pair (d f/d x, d f/d y), one row per node."""
+        self._check_rows(p)
         f = self.operator(_join(p))
         return StackedPoint(f[:, :self.n_x], -f[:, self.n_x:])
 
@@ -363,6 +369,7 @@ class SaddleProblem:
 
     def value_f(self, p: StackedPoint) -> float:
         """Sum of the local objective values."""
+        self._check_rows(p)
         return self.spec.value(p.x, p.y)
 
 

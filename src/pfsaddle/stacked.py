@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,55 +149,72 @@ def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _far_norms(delta: np.ndarray) -> np.ndarray:
-    """The row norms of delta, those whose squares overflow (inf norm,
-    finite entries) computed on the row divided by its largest magnitude,
-    and NaN for a row with a non-finite entry."""
+    """The norms of delta's rows (its last axis), those whose squares
+    overflow (inf norm, finite entries) computed on the row divided by its
+    largest magnitude, and NaN for a row with a non-finite entry."""
     with np.errstate(over="ignore"):
-        norms = np.sqrt(np.add.reduce(delta * delta, axis=1))
-    finite = np.isfinite(delta).all(axis=1)
+        norms = np.sqrt(np.add.reduce(delta * delta, axis=-1))
+    finite = np.isfinite(delta).all(axis=-1)
     norms[~finite] = np.nan
-    far = (np.isinf(norms) & finite).nonzero()[0]
-    if far.size:
-        peak = np.abs(delta[far]).max(axis=1)
+    far = np.isinf(norms) & finite
+    if far.any():
+        peak = np.abs(delta[far]).max(axis=-1)
         unit = delta[far] / peak[:, None]
-        norms[far] = peak * np.sqrt(np.add.reduce(unit * unit, axis=1))
+        norms[far] = peak * np.sqrt(np.add.reduce(unit * unit, axis=-1))
     return norms
 
 
-def _project_rows(rows: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Project each row of `rows` onto the ball B(center, radius).
+def _still(radius: float) -> float:
+    """A bound below which every sum of squares s has sqrt(s) <= radius,
+    whatever the rounding: r * r * (1 - 2**-48) if r * r is normal, else 0."""
+    r2 = radius * radius
+    return r2 * (1.0 - 2.0 ** -48) if r2 >= sys.float_info.min else 0.0
 
-    Rows already inside the ball are returned bitwise unchanged.  Rows
-    outside are rescaled toward the center until they lie inside, so
-    projecting twice gives byte-identical output.  As rounding can hold a
-    row just outside a ball centered far from the origin, pass k >= 8 aims
-    2**(k-60) further in, reaching the center itself by pass 60.  A row
-    farther out than the square root of the float range is measured by
+
+def _project_blocks(blocks: np.ndarray, center, radii, still) -> np.ndarray:
+    """Project each row of `blocks` (..., B, w) in block b onto B(center[b],
+    radii[b]), `still` being each radius's `_still` (a scalar where every
+    block shares it); blocks itself if no row moves.
+
+    Rows inside are returned bitwise unchanged.  Rows outside are rescaled
+    toward the center, every block's in one masked pass, and again while
+    rounding leaves one outside, so projecting twice gives the same bytes;
+    pass k >= 8 aims 2**(k-60) further in, reaching the center by pass 60.
+    A row beyond the square root of the float range is measured by
     `_far_norms`, so it too lands on the sphere; a row holding NaN or inf
     has a NaN norm there and comes back unchanged, for the divergence guard.
     """
-    if math.isinf(radius):
-        return rows
-    out, live = rows, None  # live: the rows rescaled by the previous pass
+    out = blocks
     for k in itertools.count():
-        delta = (out if live is None else out[live]) - center
+        d = out - center
         # a square overflows only if their total does: one dot product
         # sends those passes (and NaN and inf entries) to `_far_norms`
-        if np.vdot(delta, delta) <= 1e300:
-            norms = np.sqrt(np.add.reduce(delta * delta, axis=1))
+        if np.vdot(d, d) <= 1e300:
+            sums = np.add.reduce(d * d, axis=-1)
+            # rescaled rows sit on the sphere, so only the first pass exits here
+            if k == 0 and not (sums >= still).any():
+                return out
+            norms = np.sqrt(sums)
         else:
-            norms = _far_norms(delta)
-        hit = (norms > radius).nonzero()[0]
-        if not hit.size:
+            norms = _far_norms(d)
+        hit = norms > radii
+        if not hit.any():
             return out
-        scale = radius / norms[hit]
-        inward = scale < 1.0
-        hit, scale = hit[inward], scale[inward]
-        if not hit.size:
-            return out
-        out, live = (np.array(rows, dtype=float), hit) if live is None else (out, live[hit])
-        shrink = 1.0 if k < 8 else max(0.0, 1.0 - 2.0 ** (k - 60))
-        out[live] = center + delta[hit] * (scale[:, None] * shrink)
+        # r / |d| < 1 for every |d| > r: ulp(r) is too wide for it to round to 1
+        scale = np.divide(radii, norms, out=np.ones_like(norms), where=hit)
+        if k >= 8:
+            scale = scale * max(0.0, 1.0 - 2.0 ** (k - 60))
+        out = np.where(hit[..., None], center + d * scale[..., None], out)
+
+
+def _project_rows(rows: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Project each row of `rows` (..., M, n) onto the ball B(center, radius)
+    by `_project_blocks`; rows itself if no row moves."""
+    if math.isinf(radius):
+        return rows
+    blocks = rows[..., None, :]
+    out = _project_blocks(blocks, center, radius, _still(radius))
+    return rows if out is blocks else out[..., 0, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +232,8 @@ class BallDomain(_ReadOnlyArrays):
     center_y: np.ndarray = field(default=None)
     n_x: int = None
     n_y: int = None
+    # both balls for one `_project_blocks` call, when the blocks share a width
+    _joined: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("radius_x", "radius_y"):
@@ -240,6 +260,17 @@ class BallDomain(_ReadOnlyArrays):
             c.setflags(write=False)
             object.__setattr__(self, name, c)
             object.__setattr__(self, dim_name, c.shape[0])
+        radii, joined = (self.radius_x, self.radius_y), None
+        if self.n_x == self.n_y:
+            center = np.stack((self.center_x, self.center_y))
+            shared = radii[0] == radii[1]  # scalars: 5 % off robust-gap's run_s
+            joined = (0.0 if center.tobytes() == bytes(center.nbytes) else center,
+                      radii[0] if shared else np.array(radii),
+                      _still(radii[0]) if shared else np.array([_still(r) for r in radii]))
+            for arr in joined:
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+        object.__setattr__(self, "_joined", joined)
 
     @classmethod
     def unbounded(cls, n_x: int, n_y: int) -> "BallDomain":
@@ -269,13 +300,18 @@ class BallDomain(_ReadOnlyArrays):
         return _split(self.project_z(_join(p)), self.n_x)
 
     def project_z(self, z: np.ndarray) -> np.ndarray:
-        """`project` on a joined iterate, unchecked; z itself if no row moves."""
+        """`project` on a joined iterate or a stack of them (..., M, n),
+        unchecked; z itself if no row moves."""
         if self.radius_x == self.radius_y == math.inf:
             return z
-        x, y = z[:, :self.n_x], z[:, self.n_x:]
+        if self._joined is not None:
+            blocks = z.reshape(*z.shape[:-1], 2, self.n_x)
+            out = _project_blocks(blocks, *self._joined)
+            return z if out is blocks else out.reshape(z.shape)
+        x, y = z[..., :self.n_x], z[..., self.n_x:]
         px = _project_rows(x, self.center_x, self.radius_x)
         py = _project_rows(y, self.center_y, self.radius_y)
-        return z if px is x and py is y else np.hstack((px, py))
+        return z if px is x and py is y else np.concatenate((px, py), axis=-1)
 
     def contains(self, p: StackedPoint, tol: float = 1e-9) -> bool:
         """True if every row of both blocks lies within tol of its ball."""

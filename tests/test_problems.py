@@ -166,6 +166,24 @@ def test_robust_grad_matches_fd():
         assert_grad_close(got, want)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: random_quadratic(4, 2, 2, mu=1.0, smoothness=5.0, seed=1),
+    lambda: random_robust_regression(4, 2, 5, beta_x=1.0, beta_y=3.0, seed=1),
+], ids=["quadratic", "robust"])
+def test_local_oracles_check_the_point_rows(make):
+    # both operators are one batched product over the spec's nodes: a 1-row
+    # point on a 4-node problem broadcast to a 4-row gradient, the quadratic
+    # value summed it silently, and the robust value raised IndexError
+    problem = SaddleProblem.from_spec(make(), BallDomain(1.0, 1.0, n_x=2, n_y=2))
+    for rows in (1, 3, 5):
+        p = StackedPoint.zeros(rows, 2, 2)
+        for oracle in (problem.grad_f, problem.value_f):
+            with pytest.raises(ShapeError, match=f"point has {rows} rows, problem has 4"):
+                oracle(p)
+    p = StackedPoint.zeros(4, 2, 2)
+    assert problem.grad_f(p).x.shape == (4, 2) and math.isfinite(problem.value_f(p))
+
+
 def test_grad_full_is_grad_plus_penalty_and_fd():
     spec = random_quadratic(4, 2, 2, mu=1.0, smoothness=5.0, seed=7)
     prob = SaddleProblem.from_spec(spec, BallDomain.unbounded(2, 2))

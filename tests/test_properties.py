@@ -12,6 +12,7 @@ one number outside its row, are rejected."""
 import itertools
 import json
 import math
+import warnings
 from dataclasses import MISSING
 
 import numpy as np
@@ -311,6 +312,125 @@ def test_row_projection_matches_the_multi_pass_rule(m, dim, radius, offset, seed
     rows[0] = center  # a row at the center itself is left alone
     assert np.array_equal(_project_rows(rows, center, radius),
                           multi_pass_projection(rows, center, radius))
+
+
+def loop_projection(rows, center, radius):
+    """The row projection as it was before the masked passes: index arrays,
+    only the rows rescaled by the previous pass rechecked, and far rows
+    measured on the row over its largest magnitude."""
+    if math.isinf(radius):
+        return rows
+    out, live = rows, None
+    for k in itertools.count():
+        delta = (out if live is None else out[live]) - center
+        if np.vdot(delta, delta) <= 1e300:
+            norms = np.sqrt(np.add.reduce(delta * delta, axis=1))
+        else:
+            with np.errstate(over="ignore"):
+                norms = np.sqrt(np.add.reduce(delta * delta, axis=1))
+            finite = np.isfinite(delta).all(axis=1)
+            norms[~finite] = np.nan
+            far = (np.isinf(norms) & finite).nonzero()[0]
+            if far.size:
+                peak = np.abs(delta[far]).max(axis=1)
+                unit = delta[far] / peak[:, None]
+                norms[far] = peak * np.sqrt(np.add.reduce(unit * unit, axis=1))
+        hit = (norms > radius).nonzero()[0]
+        scale = radius / norms[hit]
+        inward = scale < 1.0
+        hit, scale = hit[inward], scale[inward]
+        if not hit.size:
+            return out
+        out, live = (np.array(rows, dtype=float), hit) if live is None else (out, live[hit])
+        shrink = 1.0 if k < 8 else max(0.0, 1.0 - 2.0 ** (k - 60))
+        out[live] = center + delta[hit] * (scale[:, None] * shrink)
+
+
+def per_block_projection(z, domain, rule):
+    """`project_z` as it was: each finite ball's block projected by `rule`,
+    an infinite one left alone, the blocks joined."""
+    return np.hstack([rule(z[:, cols], center, radius) if math.isfinite(radius) else z[:, cols]
+                      for cols, center, radius in (
+                          (slice(None, domain.n_x), domain.center_x, domain.radius_x),
+                          (slice(domain.n_x, None), domain.center_y, domain.radius_y))])
+
+
+def check_joined_projection(domain, z, want):
+    """project_z(z) has want's bytes, raises no RuntimeWarning, is z itself
+    exactly when no row moves, is its own projection (the same object), and
+    projects a stack of points as it projects each point."""
+    points = (z, want, z[::-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = domain.project_z(z)
+        again = domain.project_z(out)
+        stack = domain.project_z(np.stack(points))
+        alone = [domain.project_z(point) for point in points]
+    assert out.tobytes() == want.tobytes()
+    assert (out is z) == (want.tobytes() == z.tobytes())
+    assert again is out
+    assert all(got.tobytes() == each.tobytes() for got, each in zip(stack, alone))
+
+
+def joined_case(rng, n_x, n_y, m, radius_x, radius_y, offset):
+    """A domain with centers `offset` off the origin and m rows around its
+    joined center at scales 1e-2..1e2 of the radius: the first at the center,
+    the next two within a few ulps outside and inside both spheres."""
+    domain = BallDomain(radius_x, radius_y, offset * rng.normal(size=n_x),
+                        offset * rng.normal(size=n_y))
+    center = np.concatenate((domain.center_x, domain.center_y))
+    unit = np.repeat([r if 0.0 < r < math.inf else 1.0 for r in (radius_x, radius_y)], (n_x, n_y))
+    z = center + rng.normal(size=(m, n_x + n_y)) * unit * 10.0 ** rng.uniform(-2, 2, size=(m, 1))
+    for row, ulps in zip(range(1, m), (8, -8)):
+        u = rng.normal(size=n_x + n_y)
+        norms = np.repeat([np.linalg.norm(u[:n_x]), np.linalg.norm(u[n_x:])], (n_x, n_y))
+        z[row] = center + u / norms * unit * (1.0 + ulps * np.finfo(float).eps)
+    z[0] = center
+    return domain, z
+
+
+WIDTHS = st.one_of(st.integers(1, 9), st.sampled_from([16, 127, 128, 129, 130]))
+
+
+@PROPERTY
+@given(WIDTHS, WIDTHS, st.integers(1, 6), st.sampled_from([0.0, 0.1, 1.0, 3.0, math.inf]),
+       st.sampled_from([0.0, 0.1, 1.0, 3.0, math.inf]), st.sampled_from([0.0, 1.0, 100.0]),
+       st.integers(0, 2**16))
+def test_joined_projection_matches_the_multi_pass_rule_on_both_blocks(
+        n_x, n_y, m, radius_x, radius_y, offset, seed):
+    # zero and infinite radii, centers off the origin, a row at the center
+    domain, z = joined_case(np.random.default_rng(seed), n_x, n_y, m, radius_x, radius_y, offset)
+    check_joined_projection(domain, z, per_block_projection(z, domain, multi_pass_projection))
+
+
+def test_joined_projection_keeps_the_bits_at_every_block_width_to_130():
+    # the row sums of each block are bit-equal to the block's own at any width
+    rng = np.random.default_rng(11)
+    for n_x in range(1, 131):
+        for n_y in (n_x, 131 - n_x):
+            domain, z = joined_case(rng, n_x, n_y, 5, 1.0, 2.0, 1.0)
+            check_joined_projection(domain, z, per_block_projection(z, domain, multi_pass_projection))
+
+
+@pytest.mark.parametrize("n_y", [2, 3], ids=["joined", "per-block"])
+def test_joined_projection_keeps_the_loop_bits_on_far_and_non_finite_rows(n_y):
+    # rows at 1e250 in a 1e200 ball overflow their squares and land on the
+    # sphere; NaN and inf rows come back unchanged beside projected rows
+    big = BallDomain(1e200, 1.0, n_x=2, n_y=n_y)
+    z = np.zeros((3, 2 + n_y))
+    z[0, :4], z[1, :3] = (1e250, -1e250, 3.0, 4.0), (1e100, 0.0, 0.1)
+    check_joined_projection(big, z, per_block_projection(z, big, loop_projection))
+    out = big.project_z(z)
+    assert math.isclose(math.hypot(*out[0, :2]), 1e200, rel_tol=1e-15)
+    assert np.array_equal(out[1:, :2], z[1:, :2]) and np.allclose(out[0, 2:4], [0.6, 0.8])
+    domain, z = joined_case(np.random.default_rng(5), 3, n_y + 1, 6, 1.0, 0.5, 10.0)
+    z[1, 0], z[2, 5], z[3, 2], z[4] = math.nan, math.inf, -math.inf, 3.0 * z[4]
+    check_joined_projection(domain, z, per_block_projection(z, domain, loop_projection))
+    out = domain.project_z(z)
+    for row, cols in ((1, slice(None, 3)), (2, slice(3, None)), (3, slice(None, 3))):
+        assert out[row, cols].tobytes() == z[row, cols].tobytes()
+    inside = z[[0, 5]]
+    check_joined_projection(domain, inside, per_block_projection(inside, domain, multi_pass_projection))
 
 
 def wrapped_sum_sq(a):

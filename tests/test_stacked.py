@@ -1,11 +1,13 @@
 """Tests for stacked-point arithmetic, norms, and ball projections."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
+from pfsaddle import stacked
 from pfsaddle.errors import InvalidValueError, ShapeError
 from pfsaddle.rng import Xoshiro256StarStar
 from pfsaddle.stacked import (
@@ -251,6 +253,37 @@ def test_project_rows_passes_a_row_with_an_infinite_entry_through():
         mixed = np.array([[-math.inf, math.nan], [math.inf, -math.inf], [0.5, 0.0]])
         out = _project_rows(mixed, np.zeros(2), 1.0)
         assert out.tobytes() == mixed.tobytes()
+
+
+def test_an_infinite_ball_returns_its_block_before_any_array_work(monkeypatch):
+    # on blocks of different widths project_z projects each block alone; the
+    # unbounded one comes back itself, unread, however far or NaN its rows
+    seen = []
+    body = stacked._project_blocks
+    monkeypatch.setattr(stacked, "_project_blocks",
+                        lambda blocks, *ball: seen.append(ball[1]) or body(blocks, *ball))
+    domain = BallDomain(math.inf, 1.0, n_x=3, n_y=2)
+    z = np.array([[1e300, -1e300, math.nan, 0.3, 0.4], [1e250, 2.0, 3.0, 3.0, 4.0]])
+    x = z[:, :3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _project_rows(x, domain.center_x, math.inf) is x
+        out = domain.project_z(z)
+    assert seen == [1.0]
+    assert out[:, :3].tobytes() == x.tobytes()
+    assert np.allclose(out[:, 3:], [[0.3, 0.4], [0.6, 0.8]], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("radii", [(1.0, 2.0), (1.0, 1.0)])
+def test_joined_balls_are_read_only_and_survive_a_pickle(radii):
+    # project_z reads the joined center, radii and bounds, not center_x and
+    # center_y, so they are as frozen as the fields they join
+    domain = BallDomain(*radii, np.ones(2), np.array([0.5, -1.0]))
+    arrays = [a for a in domain._joined if isinstance(a, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    again = pickle.loads(pickle.dumps(domain))
+    z = np.array([[4.0, 1.0, 3.0, 3.0], [1.0, 1.5, 0.5, -0.5]])
+    assert again.project_z(z).tobytes() == domain.project_z(z).tobytes()
 
 
 def test_contains_tolerance():
