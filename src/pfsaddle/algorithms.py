@@ -22,10 +22,10 @@ randomized local extra step (rles)
 Every step is a projected z - gamma * F on the joined iterate z = [x | y],
 with the saddle operator F(z) = problem.operator(z) + gossip.penalty(lam, z).
 
-Costs are counted by those two oracles and by sliding's prox half-step
-(`SaddleProblem.prox_step`), which tick the run's Counters they are given:
-every gossip product is one round even when the penalty weight is zero, and
-every operator evaluation and every prox half-step is one local gradient batch.
+Costs are cost-model ticks on the run's Counters: every gossip product is one
+round even when the penalty weight is zero, and every operator evaluation and
+every prox half-step (`SaddleProblem.prox_step`) one local gradient batch, also
+where sliding's inner solve runs as the affine map the half-steps compose to.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import ConfigError, ConvergenceError, DivergenceError, InvalidValue
 from .gossip import GossipMatrix, _check_penalty_args
 from .gossip import penalty_grad  # no caller here; bench/tracer.py wraps algorithms.penalty_grad
 from .metrics import Counters, RunRecorder, _distances_sq, restricted_gap
-from .problems import SaddleProblem
+from .problems import QuadraticSaddleSpec, SaddleProblem
 from .rng import Xoshiro256StarStar, derive_seed
 from .stacked import StackedPoint, _join, _split, _sum_sq
 
@@ -464,12 +464,23 @@ def baseline_run(problem: SaddleProblem, gossip: GossipMatrix,
 # --------------------------------------------------------------------------
 
 
+def _inner_map(problem: SaddleProblem, gamma: float, inner_t: int):
+    """The one choice between sliding's two inner solves: on a quadratic over
+    unbounded balls the loop of `solve_prox` is affine, so the spec's
+    `prox_map` stands for it; anywhere else None, and the loop runs."""
+    eta, domain = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness)), problem.domain
+    if domain.radius_x == domain.radius_y == math.inf and isinstance(problem.spec,
+                                                                     QuadraticSaddleSpec):
+        return problem.spec.prox_map(gamma, eta, inner_t)
+    return None
+
+
 # solve_prox, sliding_outer_step and rles_outer_step: unchecked array steps,
 # not in __all__, called as module globals under these names because
 # bench/tracer.py times them by patching algorithms.<name>.
 def solve_prox(problem: SaddleProblem, v: np.ndarray, start: np.ndarray,
-               gamma: float, inner_t: int,
-               counters: Counters | None = None) -> np.ndarray:
+               gamma: float, inner_t: int, counters: Counters | None = None,
+               affine=None) -> np.ndarray:
     """Approximately solve the sliding proximal subproblem.
 
     The subproblem is, independently for every node row,
@@ -479,10 +490,16 @@ def solve_prox(problem: SaddleProblem, v: np.ndarray, start: np.ndarray,
     over the domain balls: a 1-strongly-monotone, (1 + gamma L)-smooth
     saddle problem.  It is attacked by inner_t projected extragradient
     iterations with step 1/(2 (1 + gamma L)), warm-started at `start`,
-    each half-step the problem family's `prox_step`.  Each inner
-    iteration costs two local gradient batches and no communication; the whole stack is advanced at once, which is
-    equivalent to per-node solves because f is row-local.
+    each half-step the problem family's `prox_step`, or by the map of
+    `_inner_map` they compose to (`affine`: that map, built once per run).
+    Either ticks 2 * inner_t local gradient batches and no communication.
+    The whole stack is advanced at once, as f is row-local.
     """
+    affine = affine or _inner_map(problem, gamma, inner_t)
+    if affine is not None:
+        if counters is not None:
+            counters.add_grad(2 * inner_t)
+        return affine(start, v)
     eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
     project, step = problem.domain.project_z, problem.prox_step(v, gamma, eta, counters)
     u = project(start)
@@ -494,7 +511,7 @@ def solve_prox(problem: SaddleProblem, v: np.ndarray, start: np.ndarray,
 
 def sliding_outer_step(problem: SaddleProblem, gossip: GossipMatrix,
                        config: AlgorithmConfig, z: np.ndarray,
-                       counters: Counters) -> tuple[np.ndarray, np.ndarray]:
+                       counters: Counters, affine=None) -> tuple[np.ndarray, np.ndarray]:
     """One outer sliding iteration: exactly 2 comm rounds, 2*inner_t batches.
 
     Returns the next iterate and the inner solution u it was corrected
@@ -503,7 +520,7 @@ def sliding_outer_step(problem: SaddleProblem, gossip: GossipMatrix,
     """
     gamma = config.gamma
     pg_z = gossip.penalty(config.lam, z, counters)
-    u = solve_prox(problem, z - gamma * pg_z, z, gamma, config.inner_t, counters)
+    u = solve_prox(problem, z - gamma * pg_z, z, gamma, config.inner_t, counters, affine)
     pg_u = gossip.penalty(config.lam, u, counters)
     return problem.domain.project_z(u + gamma * (pg_z - pg_u)), u
 
@@ -522,10 +539,11 @@ def sliding_run(problem: SaddleProblem, gossip: GossipMatrix,
     averaging = problem.strong_convexity <= 0.0 if averaging is None else averaging
     z0, counters = _join(_resolve_start(problem, gossip, config.lam, start)), Counters()
     u_sum, u_count = np.zeros_like(z0), 0
+    affine = _inner_map(problem, config.gamma, config.inner_t)  # held for this run only
 
     def step(z: np.ndarray, k: int):
         nonlocal u_sum, u_count
-        z, u = sliding_outer_step(problem, gossip, config, z, counters)
+        z, u = sliding_outer_step(problem, gossip, config, z, counters, affine)
         if averaging:  # the running mean of the inner solutions is the output
             u_sum, u_count = u_sum + u, u_count + 1
         return z, (u_sum / u_count if averaging else z)

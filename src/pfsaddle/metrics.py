@@ -2,13 +2,14 @@
 
 Communication is counted in gossip rounds: one multiplication of a stacked
 block pair by W.  Local work is counted in gradient batches: one evaluation
-of every node's local gradient pair.  The oracles `GossipMatrix.penalty`,
-`SaddleProblem.operator` and the prox half-step of `SaddleProblem.prox_step`
-tick the Counters a solver hands them; the measures below (distance,
-restricted gap, consensus residuals, penalty value) hand none and cost
-nothing.  Each has one array body on a joined stack (..., M, n) with n_x x
-columns, shared by the recorder, the distance stop and the public edge; each
-point's value is bit-equal to the body's on that point alone.
+of every node's local gradient pair.  Counts are cost-model ticks, made on the
+Counters a solver hands them by `GossipMatrix.penalty`, `SaddleProblem.operator`
+and each prox half-step, or the affine map standing in for the half-steps (see
+`algorithms.solve_prox`); the measures below (distance, restricted gap,
+consensus residuals, penalty value) hand none and cost nothing.  Each has one
+array body on a joined stack (..., M, n) with n_x x columns, shared by the
+recorder, the distance stop and the public edge; each point's value is
+bit-equal to the body's on that point alone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
 
 @dataclass
 class Counters:
-    """Gossip rounds and local gradient batches, ticked one at a time by the oracles."""
+    """Gossip rounds and local gradient batches, ticked by the oracles."""
 
     comm_rounds: int = 0
     local_grad_batches: int = 0
@@ -45,8 +46,8 @@ class Counters:
     def add_comm(self):
         self.comm_rounds += 1
 
-    def add_grad(self):
-        self.local_grad_batches += 1
+    def add_grad(self, batches: int = 1):
+        self.local_grad_batches += batches
 
 
 def _distances_sq(stack: np.ndarray, reference: np.ndarray, n_x: int) -> np.ndarray:
@@ -229,7 +230,7 @@ def restricted_gap(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     if not problem.domain.is_bounded:
         raise InvalidValueError("restricted gap requires a bounded domain")
     _check_penalty_args(gossip, lam, problem.num_nodes)
-    problem._check_rows(p)
+    problem._check_point(p)
     step = 1.0 / (problem.smoothness + lam * gossip.lambda_max)
 
     def total(q: StackedPoint) -> float:

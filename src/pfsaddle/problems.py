@@ -125,6 +125,28 @@ class QuadraticSaddleSpec(_ReadOnlyArrays):
         shift = eta * v - (eta * gamma) * self._c
         return lambda base, at: base + (mat @ at[..., None])[..., 0] + shift
 
+    def prox_map(self, gamma: float, eta: float, inner_t: int):
+        """`inner_t` unprojected iterations u <- u + B h + b, h = u + B u + b, of
+        `prox_step` as one affine map: u = start + D (v - start - gamma F(start))
+        with D = eta (sum_{k<inner_t} A^k)(I + B) and A = I + B + B^2, the sum
+        built by doubling, _BLOCK nodes at a time; two batched products a call."""
+        eye, d = np.eye(self._c.shape[1]), np.empty_like(self._k)
+
+        def dot(x, y):  # x @ y by matrix-vector products: numpy sends a stacked
+            # matrix product to BLAS gemm, whose buffers add some 0.3 MB to RSS
+            cols = x[..., None, :, :] @ np.swapaxes(y, -1, -2)[..., None]
+            return np.swapaxes(cols[..., 0], -1, -2)
+        for lo in range(0, self.num_nodes, _BLOCK):
+            b = -(eta * gamma) * self._k[lo:lo + _BLOCK] - eta * eye
+            a, power, total = eye + b + dot(b, b), eye, 0.0 * eye
+            for bit in bin(inner_t)[2:]:  # (A^k, S_k) from k = 0 to k = inner_t
+                total, power = total + dot(power, total), dot(power, power)
+                if bit == "1":
+                    total, power = total + power, dot(power, a)
+            d[lo:lo + _BLOCK] = eta * dot(total, eye + b)
+        return lambda start, v: start + (
+            d @ (v - start - gamma * self.operator(start))[..., None])[..., 0]
+
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Sum of the local objective values."""
         return float(
@@ -336,14 +358,15 @@ class SaddleProblem:
     def n_y(self) -> int:
         return self.spec.n_y
 
-    def _check_rows(self, p: StackedPoint) -> None:
-        """Raise ShapeError unless the point has one row per node."""
+    def _check_point(self, p: StackedPoint) -> None:
+        """Raise ShapeError unless the point has one row per node and the domain's widths."""
         if p.num_nodes != self.num_nodes:
             raise ShapeError(f"point has {p.num_nodes} rows, problem has {self.num_nodes}")
+        self.domain._check_dims(p)
 
     def grad_f(self, p: StackedPoint) -> StackedPoint:
         """Stacked local gradient pair (d f/d x, d f/d y), one row per node."""
-        self._check_rows(p)
+        self._check_point(p)
         f = self.operator(_join(p))
         return StackedPoint(f[:, :self.n_x], -f[:, self.n_x:])
 
@@ -369,7 +392,7 @@ class SaddleProblem:
 
     def value_f(self, p: StackedPoint) -> float:
         """Sum of the local objective values."""
-        self._check_rows(p)
+        self._check_point(p)
         return self.spec.value(p.x, p.y)
 
 

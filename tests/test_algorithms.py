@@ -33,6 +33,7 @@ from pfsaddle.problems import (
     SaddleProblem,
     grad_full,
     random_quadratic,
+    random_robust_regression,
     reference_solution,
 )
 from pfsaddle.rng import Xoshiro256StarStar, derive_seed
@@ -343,6 +344,52 @@ def test_solve_prox_counts_two_batches_per_inner_iteration():
     prox(problem, v, v, 0.5, inner_t=7, counters=counters)
     assert counters.local_grad_batches == 14
     assert counters.comm_rounds == 0
+
+
+def loop_prox(problem, v, start, gamma, inner_t, counters=None):
+    """`solve_prox` as the projected loop of `prox_step` half-steps, which
+    every case but a quadratic over unbounded balls still runs."""
+    eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
+    project, step = problem.domain.project_z, problem.prox_step(v, gamma, eta, counters)
+    u = project(start)
+    for _ in range(inner_t):
+        half = project(step(u, u))
+        u = project(step(u, half))
+    return u
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (random_quadratic(4, 2, 3, mu=1.0, smoothness=10.0, heterogeneity=1.0, seed=3),
+             BallDomain(0.05, math.inf, n_x=2, n_y=3)),
+    lambda: (random_quadratic(4, 2, 3, mu=1.0, smoothness=10.0, heterogeneity=1.0, seed=3),
+             BallDomain(math.inf, 0.05, n_x=2, n_y=3)),
+    lambda: (random_robust_regression(4, 2, 5, beta_x=1.0, beta_y=3.0, seed=1),
+             BallDomain(0.5, 0.5, n_x=2, n_y=2)),
+], ids=["quadratic-x-ball", "quadratic-y-ball", "robust"])
+def test_sliding_keeps_the_projected_loop_where_the_map_would_not_hold(make):
+    # a half-bounded domain projects inside the loop, and the robust
+    # operator is not affine: solve_prox and a sliding run keep the loop of
+    # prox_step half-steps there, bit for bit, with its ticks
+    problem, gossip, lam, gamma = SaddleProblem.from_spec(*make()), ring_gossip(4), 0.5, 0.05
+    assert algorithms._inner_map(problem, gamma, 9) is None
+    rng = np.random.default_rng(4)
+    v, start = 3.0 * rng.normal(size=(2, problem.num_nodes, problem.n_x + problem.n_y))
+    counters, want_counters = Counters(), Counters()
+    got = solve_prox(problem, v, start, gamma, 9, counters)
+    assert np.array_equal(got, loop_prox(problem, v, start, gamma, 9, want_counters))
+    assert counters == want_counters == Counters(0, 18)
+    if isinstance(problem.spec, QuadraticSaddleSpec):  # the unprojected map misses
+        eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
+        assert not np.allclose(problem.spec.prox_map(gamma, eta, 9)(start, v), got)
+    config = AlgorithmConfig(gamma=gamma, lam=lam, inner_t=4, target_kind="iterations",
+                             target_value=6, max_outer=6)
+    res = sliding_run(problem, gossip, config)
+    z, counters = _join(projected_center(problem)), Counters()
+    for _ in range(6):
+        pg_z = gossip.penalty(lam, z, counters)
+        u = loop_prox(problem, z - gamma * pg_z, z, gamma, 4, counters)
+        z = problem.domain.project_z(u + gamma * (pg_z - gossip.penalty(lam, u, counters)))
+    assert np.array_equal(_join(res.last), z) and res.counters == counters
 
 
 # --------------------------------------------------------------------------
@@ -789,6 +836,37 @@ def test_counters_equal_the_oracle_evaluations_made(monkeypatch, runner, extra):
     recorder = RunRecorder(problem, gossip, lam, reference=reference, gap_every=10)
     assert runner(problem, gossip, config, recorder=recorder).counters == plain
     assert recorder.record.gap[-1] is not None
+
+
+@pytest.mark.parametrize("inner_t", [1, 8, 9])
+def test_sliding_counters_on_an_unbounded_quadratic_are_the_cost_model_ticks(
+        monkeypatch, inner_t):
+    # the affine map runs in place of the half-steps: counted from outside,
+    # every W product is one gossip round, no operator or prox half-step is
+    # called, and each outer step ticks the 2 * inner_t batches of the
+    # half-steps the map stands for; metrology never ticks
+    lam, iters = 0.5, 30
+    spec = random_quadratic(4, 2, 3, mu=1.0, smoothness=10.0, seed=9)
+    problem = SaddleProblem.from_spec(spec, BallDomain.unbounded(2, 3))
+    gossip = ring_gossip(4)
+    reference = reference_solution(problem, gossip, lam)
+    object.__setattr__(gossip, "w", gossip.w.view(_CountingW))
+    calls = []
+    for name in ("operator", "prox_step"):
+        def counted(self, *args, _method=getattr(SaddleProblem, name), **kwargs):
+            calls.append(1)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(SaddleProblem, name, counted)
+    config = AlgorithmConfig(gamma=0.01, lam=lam, inner_t=inner_t, target_kind="iterations",
+                             target_value=iters, max_outer=iters)
+    gossip.w.products = 0
+    plain = sliding_run(problem, gossip, config).counters
+    assert plain == Counters(2 * iters, 2 * inner_t * iters)
+    assert gossip.w.products == 2 * iters and not calls
+    recorder = RunRecorder(problem, gossip, lam, reference=reference)
+    assert sliding_run(problem, gossip, config, recorder=recorder).counters == plain
+    assert recorder.record.dist_sq[-1] is not None
 
 
 def test_baseline_iterations_target_matches_fixed_length_extragradient():

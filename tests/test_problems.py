@@ -184,6 +184,23 @@ def test_local_oracles_check_the_point_rows(make):
     assert problem.grad_f(p).x.shape == (4, 2) and math.isfinite(problem.value_f(p))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: random_quadratic(4, 2, 2, mu=1.0, smoothness=5.0, seed=1),
+    lambda: random_robust_regression(4, 2, 5, beta_x=1.0, beta_y=3.0, seed=1),
+], ids=["quadratic", "robust"])
+def test_local_oracles_check_how_the_point_columns_split(make):
+    # a 3-column x and a 1-column y join to the problem's 4 columns: the
+    # gradient came back for the wrongly split point, and the value raised
+    # numpy's broadcast or matmul ValueError
+    problem = SaddleProblem.from_spec(make(), BallDomain(1.0, 1.0, n_x=2, n_y=2))
+    for n_x, n_y in ((3, 1), (1, 3), (2, 1), (3, 2)):
+        p = StackedPoint(np.full((4, n_x), 0.1), np.full((4, n_y), 0.1))
+        for oracle in (problem.grad_f, problem.value_f):
+            with pytest.raises(ShapeError, match=re.escape(
+                    f"point dims ({n_x}, {n_y}) do not match domain dims (2, 2)")):
+                oracle(p)
+
+
 def test_grad_full_is_grad_plus_penalty_and_fd():
     spec = random_quadratic(4, 2, 2, mu=1.0, smoothness=5.0, seed=7)
     prob = SaddleProblem.from_spec(spec, BallDomain.unbounded(2, 2))

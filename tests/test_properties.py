@@ -27,6 +27,7 @@ from pfsaddle.algorithms import (  # noqa: E402
     AlgorithmConfig,
     _check_divergence,
     _distance_reached,
+    _inner_map,
     baseline_run,
     rles_direction,
     rles_run,
@@ -68,6 +69,7 @@ from pfsaddle.stacked import (  # noqa: E402
     _sum_sq,
     trace_inner,
 )
+from test_algorithms import loop_prox  # noqa: E402
 from test_rng import OracleDraws  # noqa: E402
 
 # few, reproducible examples, and no example database written to disk
@@ -283,6 +285,45 @@ def test_prox_half_step_and_solve_prox_match_the_generic_formula(case, gamma, in
     # the inner steps contract, so the ulps of each step do not compound
     size = max(np.abs(x).max() for x in (v, base, gamma * spec._c, want_prox))
     assert np.max(np.abs(prox - want_prox)) <= inner_t * (n + 4) * eps * size
+
+
+@st.composite
+def unbounded_quadratics(draw):
+    """A quadratic over unbounded balls, n_x and n_y drawn apart, on up to
+    two blocks of nodes: strongly monotone, or bilinear (mu = 0, P = Q = 0)
+    with every node coupled."""
+    m, n_x, n_y = draw(st.integers(1, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**16))
+    spec = random_quadratic(m, n_x, n_y, mu=draw(st.sampled_from([1e-3, 1.0])),
+                            smoothness=10.0, heterogeneity=1.0, seed=seed)
+    if draw(st.booleans()):
+        coupling = np.random.default_rng(seed).normal(size=(m, n_x, n_y))
+        spec = QuadraticSaddleSpec(np.zeros((m, n_x, n_x)), np.zeros((m, n_y, n_y)),
+                                   spec.a_lin, spec.b_lin, coupling)
+    return SaddleProblem.from_spec(spec, BallDomain.unbounded(n_x, n_y))
+
+
+@PROPERTY
+@pytest.mark.parametrize("inner_t", [1, 2, 3, 8, 9, 17, 63, 64])
+@given(unbounded_quadratics(), st.floats(1e-3, 10.0), st.integers(0, 2**16))
+def test_solve_prox_on_unbounded_quadratics_matches_the_half_step_loop(
+        inner_t, problem, gamma, seed):
+    # the affine map stands for the loop of half-steps within the ulp bound
+    # of the folded step, ticks the 2 * inner_t batches of those half-steps
+    # and no round, and the map a run builds once gives the same bits
+    rng = np.random.default_rng(seed)
+    shape = (problem.num_nodes, problem.n_x + problem.n_y)
+    v, base = (rng.normal(size=shape) * 10.0 ** rng.uniform(-2, 2) for _ in range(2))
+    counters = Counters()
+    got = solve_prox(problem, v, base, gamma, inner_t, counters)
+    assert counters == Counters(0, 2 * inner_t)
+    affine = _inner_map(problem, gamma, inner_t)
+    assert affine is not None
+    assert np.array_equal(solve_prox(problem, v, base, gamma, inner_t, affine=affine), got)
+    want = loop_prox(problem, v, base, gamma, inner_t)
+    eps, n = np.finfo(float).eps, shape[1]
+    size = max(np.abs(x).max() for x in (v, base, gamma * problem.spec._c, want))
+    assert np.max(np.abs(got - want)) <= inner_t * (n + 4) * eps * size
 
 
 def multi_pass_projection(rows, center, radius):
