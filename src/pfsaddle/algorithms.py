@@ -23,9 +23,9 @@ Every step is a projected z - gamma * F on the joined iterate z = [x | y],
 with the saddle operator F(z) = problem.operator(z) + gossip.penalty(lam, z).
 
 Costs are cost-model ticks on the run's Counters: every gossip product is one
-round even when the penalty weight is zero, and every operator evaluation and
-every prox half-step (`SaddleProblem.prox_step`) one local gradient batch, also
-where sliding's inner solve runs as the affine map the half-steps compose to.
+round even when the penalty weight is zero, and every `SaddleProblem.operator`
+call one local gradient batch; sliding's affine inner map ticks the batches of
+the prox half-steps it replaces.
 """
 
 from __future__ import annotations
@@ -489,11 +489,11 @@ def solve_prox(problem: SaddleProblem, v: np.ndarray, start: np.ndarray,
 
     over the domain balls: a 1-strongly-monotone, (1 + gamma L)-smooth
     saddle problem.  It is attacked by inner_t projected extragradient
-    iterations with step 1/(2 (1 + gamma L)), warm-started at `start`,
-    each half-step the problem family's `prox_step`, or by the map of
-    `_inner_map` they compose to (`affine`: that map, built once per run).
-    Either ticks 2 * inner_t local gradient batches and no communication.
-    The whole stack is advanced at once, as f is row-local.
+    iterations with step eta = 1/(2 (1 + gamma L)), warm-started at `start`,
+    each half-step base - eta * (gamma * F(at) + (at - v)) one operator call,
+    or by the map of `_inner_map` they compose to (`affine`: that map, built
+    once per run).  Either ticks 2 * inner_t local gradient batches and no
+    communication.  The whole stack is advanced at once, as f is row-local.
     """
     affine = affine or _inner_map(problem, gamma, inner_t)
     if affine is not None:
@@ -501,11 +501,11 @@ def solve_prox(problem: SaddleProblem, v: np.ndarray, start: np.ndarray,
             counters.add_grad(2 * inner_t)
         return affine(start, v)
     eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
-    project, step = problem.domain.project_z, problem.prox_step(v, gamma, eta, counters)
+    project, operator = problem.domain.project_z, problem.operator
     u = project(start)
     for _ in range(inner_t):
-        half = project(step(u, u))
-        u = project(step(u, half))
+        half = project(u - eta * (gamma * operator(u, counters) + (u - v)))
+        u = project(u - eta * (gamma * operator(half, counters) + (half - v)))
     return u
 
 

@@ -60,8 +60,8 @@ class Topology:
             raise TopologyError(
                 f"unknown topology kind {self.kind!r}; expected one of {TOPOLOGY_KINDS}"
             )
-        if int(self.num_nodes) < 2:
-            raise TopologyError(f"num_nodes must be >= 2, got {self.num_nodes}")
+        if int(self.num_nodes) != self.num_nodes or self.num_nodes < 2:
+            raise TopologyError(f"num_nodes must be an integer >= 2, got {self.num_nodes}")
         object.__setattr__(self, "num_nodes", int(self.num_nodes))
         if self.kind == "erdos_renyi":
             p = float(self.edge_prob)

@@ -3,8 +3,8 @@
 Communication is counted in gossip rounds: one multiplication of a stacked
 block pair by W.  Local work is counted in gradient batches: one evaluation
 of every node's local gradient pair.  Counts are cost-model ticks, made on the
-Counters a solver hands them by `GossipMatrix.penalty`, `SaddleProblem.operator`
-and each prox half-step, or the affine map standing in for the half-steps (see
+Counters a solver hands `GossipMatrix.penalty` and `SaddleProblem.operator`, or
+by the affine map standing in for sliding's prox half-steps (see
 `algorithms.solve_prox`); the measures below (distance, restricted gap,
 consensus residuals, penalty value) hand none and cost nothing.  Each has one
 array body on a joined stack (..., M, n) with n_x x columns, shared by the

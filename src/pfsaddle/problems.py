@@ -44,13 +44,16 @@ __all__ = [
 
 
 def _sym_psd_stack(mats, name: str, tol: float = 1e-10) -> np.ndarray:
-    """A symmetrized copy of a stack of symmetric PSD matrices; all nodes are
-    checked for symmetry before PSD-ness, and an error names the first bad node."""
+    """A symmetrized copy of a stack of symmetric PSD matrices; all nodes are checked
+    for finite entries, then symmetry, then PSD-ness; an error names the first bad node."""
     arr = np.array(mats, dtype=float, copy=True)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ShapeError(f"{name} must have shape (M, d, d), got {arr.shape}")
+    size = np.maximum(1.0, np.abs(arr).max(axis=(1, 2), initial=0.0))  # NaN or inf stays
+    bad = np.flatnonzero(~np.isfinite(size))
+    if bad.size:
+        raise InvalidValueError(f"{name}[{bad[0]}] contains non-finite entries")
     arr_t = arr.transpose(0, 2, 1)
-    size = np.maximum(1.0, np.abs(arr).max(axis=(1, 2), initial=0.0))
     bad = np.flatnonzero(np.abs(arr - arr_t).max(axis=(1, 2), initial=0.0) > tol * size)
     if bad.size:
         raise InvalidValueError(f"{name}[{bad[0]}] is not symmetric")
@@ -114,22 +117,16 @@ class QuadraticSaddleSpec(_ReadOnlyArrays):
         return self.q.shape[1]
 
     def operator(self, z: np.ndarray) -> np.ndarray:
-        """The saddle operator (d f/d x, -d f/d y) on a joined iterate z = [x | y]."""
-        return (self._k @ z[:, :, None])[:, :, 0] + self._c
-
-    def prox_step(self, v: np.ndarray, gamma: float, eta: float):
-        """Sliding's prox half-step step(base, at) = base - eta * (gamma * F(at)
-        + (at - v)) with the constants folded into B = -(eta gamma) K - eta I
-        and b = eta v - (eta gamma) c: one batched product and two adds."""
-        mat = -(eta * gamma) * self._k - eta * np.eye(self._k.shape[-1])
-        shift = eta * v - (eta * gamma) * self._c
-        return lambda base, at: base + (mat @ at[..., None])[..., 0] + shift
+        """The saddle operator (d f/d x, -d f/d y) on a joined iterate z = [x | y],
+        or on a stack (..., M, n_x + n_y) of them: one batched product and one add."""
+        return (self._k @ z[..., None])[..., 0] + self._c
 
     def prox_map(self, gamma: float, eta: float, inner_t: int):
-        """`inner_t` unprojected iterations u <- u + B h + b, h = u + B u + b, of
-        `prox_step` as one affine map: u = start + D (v - start - gamma F(start))
-        with D = eta (sum_{k<inner_t} A^k)(I + B) and A = I + B + B^2, the sum
-        built by doubling, _BLOCK nodes at a time; two batched products a call."""
+        """`inner_t` unprojected iterations of `algorithms.solve_prox`, whose half-steps
+        base - eta (gamma F(at) + at - v) read base + B at + b, B = -(eta gamma) K - eta I,
+        as one affine map: u = start + D (v - start - gamma F(start)) with D = eta
+        (sum_{k<inner_t} A^k)(I + B) and A = I + B + B^2, the sum built by doubling,
+        _BLOCK nodes at a time; two batched products a call."""
         eye, d = np.eye(self._c.shape[1]), np.empty_like(self._k)
 
         def dot(x, y):  # x @ y by matrix-vector products: numpy sends a stacked
@@ -249,11 +246,6 @@ class RobustRegressionSpec(_ReadOnlyArrays):
         a = (z[..., None, :d] @ z[..., d:, None])[..., 0]
         return (prod[..., :2 * d] + self._offset + a * self._map[:, 2 * d]
                 + (prod[..., 2 * d:2 * d + 1] + 2.0 * a) * prod[..., 2 * d + 1:])
-
-    def prox_step(self, v: np.ndarray, gamma: float, eta: float):
-        """Sliding's prox half-step step(base, at) = base - eta * (gamma * F(at)
-        + (at - v)) on joined iterates, one operator call each."""
-        return lambda base, at: base - eta * (gamma * self.operator(at) + (at - v))
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Sum of the local objective values."""
@@ -376,19 +368,6 @@ class SaddleProblem:
         if counters is not None:
             counters.add_grad()
         return self.spec.operator(z)
-
-    def prox_step(self, v: np.ndarray, gamma: float, eta: float, counters=None):
-        """Sliding's prox half-step oracle, as the spec forms it: step(base, at)
-        = base - eta * (gamma * F(at) + (at - v)) on joined iterates,
-        unchecked; each call is one batch, ticked on `counters` when given."""
-        step = self.spec.prox_step(v, gamma, eta)
-        if counters is None:
-            return step
-
-        def ticked(base: np.ndarray, at: np.ndarray) -> np.ndarray:
-            counters.add_grad()
-            return step(base, at)
-        return ticked
 
     def value_f(self, p: StackedPoint) -> float:
         """Sum of the local objective values."""

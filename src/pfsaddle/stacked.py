@@ -255,6 +255,8 @@ class BallDomain(_ReadOnlyArrays):
             c = np.array(c, dtype=float, copy=True)
             if c.ndim != 1:
                 raise ShapeError(f"{name} must be 1-d")
+            if dim not in (None, c.shape[0]):
+                raise ShapeError(f"{dim_name}={dim} disagrees with {name} of width {c.shape[0]}")
             if not np.all(np.isfinite(c)):
                 raise InvalidValueError(f"{name} contains non-finite entries")
             c.setflags(write=False)

@@ -346,18 +346,6 @@ def test_solve_prox_counts_two_batches_per_inner_iteration():
     assert counters.comm_rounds == 0
 
 
-def loop_prox(problem, v, start, gamma, inner_t, counters=None):
-    """`solve_prox` as the projected loop of `prox_step` half-steps, which
-    every case but a quadratic over unbounded balls still runs."""
-    eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
-    project, step = problem.domain.project_z, problem.prox_step(v, gamma, eta, counters)
-    u = project(start)
-    for _ in range(inner_t):
-        half = project(step(u, u))
-        u = project(step(u, half))
-    return u
-
-
 @pytest.mark.parametrize("make", [
     lambda: (random_quadratic(4, 2, 3, mu=1.0, smoothness=10.0, heterogeneity=1.0, seed=3),
              BallDomain(0.05, math.inf, n_x=2, n_y=3)),
@@ -369,14 +357,15 @@ def loop_prox(problem, v, start, gamma, inner_t, counters=None):
 def test_sliding_keeps_the_projected_loop_where_the_map_would_not_hold(make):
     # a half-bounded domain projects inside the loop, and the robust
     # operator is not affine: solve_prox and a sliding run keep the loop of
-    # prox_step half-steps there, bit for bit, with its ticks
+    # projected half-steps there, bit for bit, with its ticks
+    from test_properties import generic_prox  # the oracle; that module needs hypothesis
     problem, gossip, lam, gamma = SaddleProblem.from_spec(*make()), ring_gossip(4), 0.5, 0.05
     assert algorithms._inner_map(problem, gamma, 9) is None
     rng = np.random.default_rng(4)
     v, start = 3.0 * rng.normal(size=(2, problem.num_nodes, problem.n_x + problem.n_y))
     counters, want_counters = Counters(), Counters()
     got = solve_prox(problem, v, start, gamma, 9, counters)
-    assert np.array_equal(got, loop_prox(problem, v, start, gamma, 9, want_counters))
+    assert np.array_equal(got, generic_prox(problem, v, start, gamma, 9, want_counters))
     assert counters == want_counters == Counters(0, 18)
     if isinstance(problem.spec, QuadraticSaddleSpec):  # the unprojected map misses
         eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
@@ -387,7 +376,7 @@ def test_sliding_keeps_the_projected_loop_where_the_map_would_not_hold(make):
     z, counters = _join(projected_center(problem)), Counters()
     for _ in range(6):
         pg_z = gossip.penalty(lam, z, counters)
-        u = loop_prox(problem, z - gamma * pg_z, z, gamma, 4, counters)
+        u = generic_prox(problem, z - gamma * pg_z, z, gamma, 4, counters)
         z = problem.domain.project_z(u + gamma * (pg_z - gossip.penalty(lam, u, counters)))
     assert np.array_equal(_join(res.last), z) and res.counters == counters
 
@@ -801,7 +790,7 @@ class _CountingW(np.ndarray):
 ], ids=["extragradient", "sliding", "rles-randomized", "rles-deterministic"])
 def test_counters_equal_the_oracle_evaluations_made(monkeypatch, runner, extra):
     # counted from outside: every W product is one gossip round, and every
-    # operator call and every call of a prox half-step one local batch;
+    # operator call (sliding's prox half-steps included) one local batch;
     # metrology (a recorder with gaps and distances) adds evaluations but
     # never ticks
     lam = 0.5
@@ -810,23 +799,13 @@ def test_counters_equal_the_oracle_evaluations_made(monkeypatch, runner, extra):
     gossip = ring_gossip(4)
     reference = reference_solution(problem, gossip, lam)
     object.__setattr__(gossip, "w", gossip.w.view(_CountingW))
-    batches = []
-    operator, prox_step = SaddleProblem.operator, SaddleProblem.prox_step
+    batches, operator = [], SaddleProblem.operator
 
     def counted(self, *args, **kwargs):
         batches.append(1)
         return operator(self, *args, **kwargs)
 
-    def counted_prox(self, *args, **kwargs):
-        step = prox_step(self, *args, **kwargs)
-
-        def counted_step(base, at):
-            batches.append(1)
-            return step(base, at)
-        return counted_step
-
     monkeypatch.setattr(SaddleProblem, "operator", counted)
-    monkeypatch.setattr(SaddleProblem, "prox_step", counted_prox)
     config = AlgorithmConfig(gamma=0.01, lam=lam, target_kind="iterations",
                              target_value=30, max_outer=30, **extra)
     gossip.w.products = 0
@@ -842,22 +821,22 @@ def test_counters_equal_the_oracle_evaluations_made(monkeypatch, runner, extra):
 def test_sliding_counters_on_an_unbounded_quadratic_are_the_cost_model_ticks(
         monkeypatch, inner_t):
     # the affine map runs in place of the half-steps: counted from outside,
-    # every W product is one gossip round, no operator or prox half-step is
-    # called, and each outer step ticks the 2 * inner_t batches of the
-    # half-steps the map stands for; metrology never ticks
+    # every W product is one gossip round, the operator is never called, and
+    # each outer step ticks the 2 * inner_t batches of the half-steps the map
+    # stands for; metrology never ticks
     lam, iters = 0.5, 30
     spec = random_quadratic(4, 2, 3, mu=1.0, smoothness=10.0, seed=9)
     problem = SaddleProblem.from_spec(spec, BallDomain.unbounded(2, 3))
     gossip = ring_gossip(4)
     reference = reference_solution(problem, gossip, lam)
     object.__setattr__(gossip, "w", gossip.w.view(_CountingW))
-    calls = []
-    for name in ("operator", "prox_step"):
-        def counted(self, *args, _method=getattr(SaddleProblem, name), **kwargs):
-            calls.append(1)
-            return _method(self, *args, **kwargs)
+    calls, operator = [], SaddleProblem.operator
 
-        monkeypatch.setattr(SaddleProblem, name, counted)
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return operator(self, *args, **kwargs)
+
+    monkeypatch.setattr(SaddleProblem, "operator", counted)
     config = AlgorithmConfig(gamma=0.01, lam=lam, inner_t=inner_t, target_kind="iterations",
                              target_value=iters, max_outer=iters)
     gossip.w.products = 0

@@ -51,6 +51,12 @@ def test_too_few_nodes_rejected():
         Topology("ring", 1)
 
 
+def test_a_non_integral_node_count_is_rejected():
+    with pytest.raises(TopologyError, match="integer"):
+        Topology("ring", 4.7)
+    assert Topology("ring", 4.0).num_nodes == Topology("ring", np.int64(4)).num_nodes == 4
+
+
 def test_path_and_complete_edges():
     assert sorted(Topology("path", 4).edges()) == [(0, 1), (1, 2), (2, 3)]
     assert sorted(Topology("complete", 4).edges()) == [

@@ -332,6 +332,19 @@ def test_sym_psd_stack_checks_symmetry_on_every_node_first():
         _sym_psd_stack([eye, indefinite, indefinite], "q")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_quadratic_spec_refuses_non_finite_p_or_q_by_node(bad):
+    # let through, a NaN drops out of the max of the smoothness constant and
+    # an inf gives NaN constants
+    poisoned = np.stack([np.eye(2)] * 3)
+    poisoned[1, 0, 1] = poisoned[1, 1, 0] = bad
+    eye, zeros = np.stack([np.eye(2)] * 3), np.zeros((3, 2))
+    with pytest.raises(InvalidValueError, match=r"^p\[1\] contains non-finite entries"):
+        QuadraticSaddleSpec(poisoned, eye, zeros, zeros, np.zeros((3, 2, 2)))
+    with pytest.raises(InvalidValueError, match=r"^q\[1\] contains non-finite entries"):
+        QuadraticSaddleSpec(eye, poisoned, zeros, zeros, np.zeros((3, 2, 2)))
+
+
 def test_generator_pins_exact_constants():
     for seed in range(5):
         spec = random_quadratic(5, 3, 2, mu=0.7, smoothness=9.0,
@@ -771,10 +784,16 @@ def ragged_robust_spec():
     lambda: random_robust_regression(5, 3, 7, beta_x=1.0, beta_y=3.0, seed=2),
     lambda: random_robust_regression(1, 1, 4, beta_x=1.0, beta_y=3.0, seed=2),
     ragged_robust_spec,
-], ids=["16-2-100", "5-3-7", "1-1-4", "ragged"])
+    lambda: random_quadratic(16, 2, 3, mu=1.0, smoothness=10.0, heterogeneity=1.0, seed=2),
+    lambda: random_quadratic(40, 4, 1, mu=1e-3, smoothness=10.0, seed=2),
+    lambda: random_bilinear(5, 3, seed=2),
+    lambda: random_bilinear(1, 1, seed=2),
+], ids=["16-2-100", "5-3-7", "1-1-4", "ragged", "quadratic-16-2-3", "quadratic-40-4-1",
+        "bilinear-5-3", "bilinear-1-1"])
 def test_robust_operator_on_a_stack_is_bit_equal_to_each_point(make):
+    # both families' operators take any stack (..., M, n_x + n_y)
     spec = make()
-    stack = 2.0 * Xoshiro256StarStar(3).normals((5, spec.num_nodes, 2 * spec.n_x))
+    stack = 2.0 * Xoshiro256StarStar(3).normals((5, spec.num_nodes, spec.n_x + spec.n_y))
     out = spec.operator(stack)
     assert out.shape == stack.shape
     for point, got in zip(stack, out):

@@ -69,7 +69,6 @@ from pfsaddle.stacked import (  # noqa: E402
     _sum_sq,
     trace_inner,
 )
-from test_algorithms import loop_prox  # noqa: E402
 from test_rng import OracleDraws  # noqa: E402
 
 # few, reproducible examples, and no example database written to disk
@@ -238,53 +237,45 @@ def test_joined_quadratic_operator_matches_the_four_einsum_gradient(m, dims, see
     assert np.array_equal(grad.x, f[:, :n_x]) and np.array_equal(grad.y, -f[:, n_x:])
 
 
-def generic_half_step(problem, v, gamma, eta, base, at):
-    """Sliding's prox half-step as every family formed it before the
-    quadratic folded its constants: one operator call."""
-    return base - eta * (gamma * problem.operator(at) + (at - v))
-
-
-def generic_prox(problem, v, start, gamma, inner_t):
-    """`solve_prox` on the generic half-step."""
+def generic_prox(problem, v, start, gamma, inner_t, counters=None):
+    """`solve_prox` as the loop of projected extragradient half-steps
+    base - eta (gamma F(at) + at - v), each one operator call, ticked on
+    `counters` when given: the oracle of every inner solve."""
     eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
     project = problem.domain.project_z
+
+    def half_step(base, at):
+        return base - eta * (gamma * problem.operator(at, counters) + (at - v))
     u = project(start)
     for _ in range(inner_t):
-        half = project(generic_half_step(problem, v, gamma, eta, u, u))
-        u = project(generic_half_step(problem, v, gamma, eta, u, half))
+        u = project(half_step(u, project(half_step(u, u))))
     return u
 
 
 @PROPERTY
 @given(problems(), st.floats(1e-3, 10.0), st.integers(1, 6), st.integers(0, 2**16))
 def test_prox_half_step_and_solve_prox_match_the_generic_formula(case, gamma, inner_t, seed):
-    # the quadratic's folded step B at + b within a few ulps of the scale of
-    # its terms, the robust regression's bit for bit, on bounded and
-    # unbounded balls; every half-step is one batch and no round
-    problem, _, _ = case
+    # bit for bit wherever the projected loop runs (both families, bounded
+    # balls: a drawn quadratic also runs on unit balls), within the ulp bound
+    # of the folded map on unbounded quadratics; every half-step is one
+    # batch and no round
+    drawn, _, _ = case
     rng = np.random.default_rng(seed)
-    shape = (problem.num_nodes, problem.n_x + problem.n_y)
-    v, base, at = (rng.normal(size=shape) * 10.0 ** rng.uniform(-2, 2) for _ in range(3))
-    eta = 1.0 / (2.0 * (1.0 + gamma * problem.smoothness))
-    counters = Counters()
-    got = problem.prox_step(v, gamma, eta, counters)(base, at)
-    want = generic_half_step(problem, v, gamma, eta, base, at)
-    assert counters == Counters(0, 1)
-    counters = Counters()
-    prox = solve_prox(problem, v, base, gamma, inner_t, counters)
-    assert counters == Counters(0, 2 * inner_t)
-    want_prox = generic_prox(problem, v, base, gamma, inner_t)
-    spec = problem.spec
-    if isinstance(spec, RobustRegressionSpec):
-        assert np.array_equal(got, want) and np.array_equal(prox, want_prox)
-        return
-    eps, n = np.finfo(float).eps, shape[1]
-    scale = (np.abs(base) + eta * (np.abs(at) + np.abs(v)) + eta * gamma * (
-        (np.abs(spec._k) @ np.abs(at)[:, :, None])[:, :, 0] + np.abs(spec._c)))
-    assert np.all(np.abs(got - want) <= (n + 4) * eps * scale)
-    # the inner steps contract, so the ulps of each step do not compound
-    size = max(np.abs(x).max() for x in (v, base, gamma * spec._c, want_prox))
-    assert np.max(np.abs(prox - want_prox)) <= inner_t * (n + 4) * eps * size
+    shape = (drawn.num_nodes, drawn.n_x + drawn.n_y)
+    v, base = (rng.normal(size=shape) * 10.0 ** rng.uniform(-2, 2) for _ in range(2))
+    balls = BallDomain(1.0, 1.0, n_x=drawn.n_x, n_y=drawn.n_y)
+    for problem in (drawn, SaddleProblem.from_spec(drawn.spec, balls)):
+        counters = Counters()
+        prox = solve_prox(problem, v, base, gamma, inner_t, counters)
+        assert counters == Counters(0, 2 * inner_t)
+        want_prox = generic_prox(problem, v, base, gamma, inner_t)
+        if _inner_map(problem, gamma, inner_t) is None:
+            assert np.array_equal(prox, want_prox)
+            continue
+        # the inner steps contract, so the ulps of each step do not compound
+        eps, n = np.finfo(float).eps, shape[1]
+        size = max(np.abs(x).max() for x in (v, base, gamma * problem.spec._c, want_prox))
+        assert np.max(np.abs(prox - want_prox)) <= inner_t * (n + 4) * eps * size
 
 
 @st.composite
@@ -309,7 +300,7 @@ def unbounded_quadratics(draw):
 def test_solve_prox_on_unbounded_quadratics_matches_the_half_step_loop(
         inner_t, problem, gamma, seed):
     # the affine map stands for the loop of half-steps within the ulp bound
-    # of the folded step, ticks the 2 * inner_t batches of those half-steps
+    # of its folded steps, ticks the 2 * inner_t batches of those half-steps
     # and no round, and the map a run builds once gives the same bits
     rng = np.random.default_rng(seed)
     shape = (problem.num_nodes, problem.n_x + problem.n_y)
@@ -320,7 +311,7 @@ def test_solve_prox_on_unbounded_quadratics_matches_the_half_step_loop(
     affine = _inner_map(problem, gamma, inner_t)
     assert affine is not None
     assert np.array_equal(solve_prox(problem, v, base, gamma, inner_t, affine=affine), got)
-    want = loop_prox(problem, v, base, gamma, inner_t)
+    want = generic_prox(problem, v, base, gamma, inner_t)
     eps, n = np.finfo(float).eps, shape[1]
     size = max(np.abs(x).max() for x in (v, base, gamma * problem.spec._c, want))
     assert np.max(np.abs(got - want)) <= inner_t * (n + 4) * eps * size

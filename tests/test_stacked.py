@@ -151,6 +151,15 @@ def test_domain_validation():
     assert math.isclose(dom.diameter, 2.0 * math.hypot(1.0, 2.0))
 
 
+def test_a_width_that_disagrees_with_its_center_is_refused():
+    with pytest.raises(ShapeError, match="n_x=3 disagrees with center_x of width 2"):
+        BallDomain(1, 1, center_x=[0, 0], center_y=[0], n_x=3, n_y=1)
+    with pytest.raises(ShapeError, match="n_y=5 disagrees with center_y of width 1"):
+        BallDomain(1, 1, center_x=[0, 0], center_y=[0], n_x=2, n_y=5)
+    dom = BallDomain(1, 1, center_x=[0, 0], center_y=[0], n_x=np.int64(2), n_y=1.0)
+    assert (dom.n_x, dom.n_y) == (2, 1)
+
+
 def test_unbounded_domain():
     dom = BallDomain.unbounded(2, 3)
     assert not dom.is_bounded
