@@ -13,6 +13,7 @@ graph, along runs of W's nonzeros.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ class Topology:
 
     kind : one of complete, ring, star, path, grid2d, erdos_renyi
     num_nodes : number of nodes, at least 2
-    seed : RNG seed, only used by erdos_renyi
+    seed : integer RNG seed, only used by erdos_renyi
     edge_prob : edge probability in (0, 1], only used by erdos_renyi
     """
 
@@ -60,79 +61,74 @@ class Topology:
             raise TopologyError(
                 f"unknown topology kind {self.kind!r}; expected one of {TOPOLOGY_KINDS}"
             )
-        if int(self.num_nodes) != self.num_nodes or self.num_nodes < 2:
+        for name in ("num_nodes", "seed"):  # integral floats and numpy integers pass
+            value = getattr(self, name)
+            try:
+                integral = int(value) == value
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
+                raise TopologyError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.num_nodes < 2:
             raise TopologyError(f"num_nodes must be an integer >= 2, got {self.num_nodes}")
-        object.__setattr__(self, "num_nodes", int(self.num_nodes))
-        if self.kind == "erdos_renyi":
-            p = float(self.edge_prob)
-            if not (0.0 < p <= 1.0):
-                raise TopologyError(f"edge_prob must be in (0, 1], got {p}")
+        if isinstance(self.edge_prob, bool) or not isinstance(self.edge_prob, numbers.Real):
+            raise TopologyError(f"edge_prob must be a real number, got {self.edge_prob!r}")
+        object.__setattr__(self, "edge_prob", float(self.edge_prob))
+        if self.kind == "erdos_renyi" and not (0.0 < self.edge_prob <= 1.0):
+            raise TopologyError(f"edge_prob must be in (0, 1], got {self.edge_prob}")
 
     def edges(self) -> list[tuple[int, int]]:
-        """Sorted edge list as (i, j) pairs with i < j."""
+        """Sorted edge list as (i, j) pairs of Python ints, i < j: `_upper()`'s nonzeros."""
+        rows, cols = np.nonzero(self._upper())
+        return list(zip(rows.tolist(), cols.tolist()))
+
+    def _upper(self) -> np.ndarray:
+        """The graph as an (M, M) boolean strict upper triangle, True at each
+        edge (i, j); grid2d fills a lattice of isqrt(M) rows row-major."""
         m = self.num_nodes
         if self.kind == "complete":
-            pairs = {(i, j) for i in range(m) for j in range(i + 1, m)}
-        elif self.kind == "path":
-            pairs = {(i, i + 1) for i in range(m - 1)}
-        elif self.kind == "ring":
-            pairs = {(i, i + 1) for i in range(m - 1)}
-            pairs.add((0, m - 1))
-        elif self.kind == "star":
-            pairs = {(0, j) for j in range(1, m)}
+            return ~np.tri(m, dtype=bool)
+        if self.kind == "erdos_renyi":
+            rng = Xoshiro256StarStar(derive_seed(self.seed, "erdos-renyi", m))
+            upper = np.zeros((m, m), dtype=bool)
+            for _ in range(100):
+                # one draw per pair i < j in (i, j) order, written a row at a time
+                drawn, start = rng.uniforms((m * (m - 1) // 2,)) < self.edge_prob, 0
+                for i in range(m - 1):
+                    upper[i, i + 1:] = drawn[start:start + m - 1 - i]
+                    start += m - 1 - i
+                if _connected(upper):
+                    return upper
+            raise TopologyError(
+                f"no connected Erdos-Renyi draw in 100 attempts "
+                f"(num_nodes={m}, edge_prob={self.edge_prob}); raise edge_prob"
+            )
+        if self.kind == "star":
+            upper = np.zeros((m, m), dtype=bool)
+            upper[0, 1:] = True
+            return upper
+        upper = np.eye(m, k=1, dtype=bool)
+        if self.kind == "ring":
+            upper[0, m - 1] = True
         elif self.kind == "grid2d":
-            pairs = _grid_edges(m)
-        else:
-            pairs = _erdos_renyi_edges(m, self.edge_prob, self.seed)
-        return sorted(pairs)
+            cols = -(-m // math.isqrt(m))
+            upper[cols - 1::cols] = False  # a lattice row's last cell has no right neighbour
+            upper |= np.eye(m, k=cols, dtype=bool)
+        return upper
 
 
-def _grid_edges(m: int) -> set[tuple[int, int]]:
-    """Edges of the first m cells of a near-square lattice, row-major."""
-    rows = int(math.floor(math.sqrt(m)))
-    cols = int(math.ceil(m / rows))
-    pairs = set()
-    for idx in range(m):
-        _, c = divmod(idx, cols)
-        if c + 1 < cols and idx + 1 < m:
-            pairs.add((idx, idx + 1))
-        if idx + cols < m:
-            pairs.add((idx, idx + cols))
-    return pairs
-
-
-def _connected(m: int, pairs: set[tuple[int, int]]) -> bool:
-    adjacency = {i: [] for i in range(m)}
-    for i, j in pairs:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for nbr in adjacency[node]:
-            if nbr not in seen:
-                seen.add(nbr)
-                stack.append(nbr)
-    return len(seen) == m
-
-
-def _erdos_renyi_edges(m: int, edge_prob: float, seed: int) -> set[tuple[int, int]]:
-    rng = Xoshiro256StarStar(derive_seed(seed, "erdos-renyi", m))
-    for _ in range(100):
-        # one draw per pair i < j in (i, j) order, read a row at a time, so
-        # no index arrays of all the pairs are built
-        drawn, pairs, start = rng.uniforms((m * (m - 1) // 2,)) < edge_prob, set(), 0
-        for i in range(m - 1):
-            hits = drawn[start:start + m - 1 - i].nonzero()[0] + (i + 1)
-            pairs.update((i, j) for j in hits.tolist())
-            start += m - 1 - i
-        if _connected(m, pairs):
-            return pairs
-    raise TopologyError(
-        f"no connected Erdos-Renyi draw in 100 attempts "
-        f"(num_nodes={m}, edge_prob={edge_prob}); raise edge_prob"
-    )
+def _connected(upper: np.ndarray) -> bool:
+    """Whether the graph of a strict upper triangle is connected: a
+    breadth-first search from node 0, a frontier at a time."""
+    adjacency = upper | upper.T
+    seen = np.zeros(len(upper), dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,12 +226,10 @@ def _check_symmetric(w: np.ndarray) -> None:
 
 def laplacian(topology: Topology) -> GossipMatrix:
     """Graph Laplacian D - A of the topology."""
-    m = topology.num_nodes
-    pairs = topology.edges()
-    w = np.zeros((m, m))
-    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
-    w[i, j] = w[j, i] = -1.0
-    np.fill_diagonal(w, np.count_nonzero(w, axis=1))  # the degrees
+    upper = topology._upper()
+    adjacency = upper | upper.T
+    w = np.where(adjacency, -1.0, 0.0)
+    np.fill_diagonal(w, np.count_nonzero(adjacency, axis=1))  # the degrees
     return GossipMatrix(w)
 
 

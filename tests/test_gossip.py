@@ -19,8 +19,7 @@ from pfsaddle.gossip import (
     scale,
     validate,
 )
-from pfsaddle.gossip import (_check_symmetric, _connected, _erdos_renyi_edges, _penalty_value,
-                             _runs)
+from pfsaddle.gossip import _check_symmetric, _penalty_value, _runs
 from pfsaddle.rng import Xoshiro256StarStar, derive_seed
 from pfsaddle.stacked import StackedPoint, frobenius_sq
 from test_algorithms import _CountingW
@@ -55,6 +54,35 @@ def test_a_non_integral_node_count_is_rejected():
     with pytest.raises(TopologyError, match="integer"):
         Topology("ring", 4.7)
     assert Topology("ring", 4.0).num_nodes == Topology("ring", np.int64(4)).num_nodes == 4
+
+
+@pytest.mark.parametrize("seed", [1.5, math.nan, math.inf, "1", None])
+def test_a_non_integral_seed_is_rejected(seed):
+    # seed 1.5 would build seed 1's graph yet compare unequal to it
+    with pytest.raises(TopologyError, match="seed must be an integer"):
+        Topology("erdos_renyi", 8, seed=seed)
+
+
+def test_an_integral_seed_is_stored_as_an_int():
+    topology = Topology("erdos_renyi", 8, seed=np.int64(3))
+    assert topology == Topology("erdos_renyi", 8, seed=3.0) == Topology("erdos_renyi", 8, seed=3)
+    assert type(topology.seed) is int
+
+
+@pytest.mark.parametrize("edge_prob", [True, np.bool_(True), "0.5", None, [0.5]],
+                         ids=["bool", "numpy-bool", "str", "none", "list"])
+@pytest.mark.parametrize("kind", ["erdos_renyi", "ring"])
+def test_a_non_numeric_edge_prob_is_rejected(kind, edge_prob):
+    # a str edge_prob once built, and edges() then raised numpy's UFuncTypeError
+    with pytest.raises(TopologyError, match="edge_prob must be a real number"):
+        Topology(kind, 8, edge_prob=edge_prob)
+
+
+def test_edge_prob_is_stored_as_a_float():
+    topology = Topology("erdos_renyi", 8, edge_prob=np.float32(0.5))
+    assert type(topology.edge_prob) is float
+    assert topology == Topology("erdos_renyi", 8, edge_prob=0.5)
+    assert type(Topology("ring", 8, edge_prob=1).edge_prob) is float
 
 
 def test_path_and_complete_edges():
@@ -97,6 +125,92 @@ def test_erdos_renyi_connected_and_seeded():
         assert sorted(top.edges()) == sorted(again.edges())
 
 
+# The graphs as sets of (i, j) pairs, built pair by pair, connectivity by a
+# search over a dict of neighbour lists, and W edge by edge from the sorted
+# pairs: the oracle that `Topology._upper` and `laplacian` must match.
+
+
+def oracle_connected(m, pairs):
+    adjacency = {i: [] for i in range(m)}
+    for i, j in pairs:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for nbr in adjacency[node]:
+            if nbr not in seen:
+                seen.add(nbr)
+                stack.append(nbr)
+    return len(seen) == m
+
+
+def oracle_grid_pairs(m):
+    """The first m cells of a near-square lattice, row-major."""
+    rows = int(math.floor(math.sqrt(m)))
+    cols = int(math.ceil(m / rows))
+    pairs = set()
+    for idx in range(m):
+        _, c = divmod(idx, cols)
+        if c + 1 < cols and idx + 1 < m:
+            pairs.add((idx, idx + 1))
+        if idx + cols < m:
+            pairs.add((idx, idx + cols))
+    return pairs
+
+
+def oracle_erdos_renyi_pairs(m, edge_prob, seed):
+    """The pairs of the first connected bulk draw, one uniform per pair
+    i < j in (i, j) order."""
+    rng = Xoshiro256StarStar(derive_seed(seed, "erdos-renyi", m))
+    for _ in range(100):
+        drawn, pairs, start = rng.uniforms((m * (m - 1) // 2,)) < edge_prob, set(), 0
+        for i in range(m - 1):
+            hits = drawn[start:start + m - 1 - i].nonzero()[0] + (i + 1)
+            pairs.update((i, j) for j in hits.tolist())
+            start += m - 1 - i
+        if oracle_connected(m, pairs):
+            return pairs
+
+
+def oracle_pairs(topology):
+    m = topology.num_nodes
+    return {
+        "complete": lambda: {(i, j) for i in range(m) for j in range(i + 1, m)},
+        "path": lambda: {(i, i + 1) for i in range(m - 1)},
+        "ring": lambda: {(i, i + 1) for i in range(m - 1)} | {(0, m - 1)},
+        "star": lambda: {(0, j) for j in range(1, m)},
+        "grid2d": lambda: oracle_grid_pairs(m),
+        "erdos_renyi": lambda: oracle_erdos_renyi_pairs(m, topology.edge_prob, topology.seed),
+    }[topology.kind]()
+
+
+def oracle_laplacian(m, edges):
+    w = np.zeros((m, m))
+    i, j = np.array(edges, dtype=int).reshape(-1, 2).T
+    w[i, j] = w[j, i] = -1.0
+    np.fill_diagonal(w, np.count_nonzero(w, axis=1))
+    return w
+
+
+@pytest.mark.parametrize("topology", [
+    *(Topology(kind, m) for kind in TOPOLOGY_KINDS for m in (2, 3, 16, 144, 676, 1024)
+      if (kind, m) != ("erdos_renyi", 1024)),
+    # the benchmark's and the CI configs' random graphs; ER(1024) at edge_prob
+    # 0.5 would add two seconds of draws
+    Topology("erdos_renyi", 16, seed=0, edge_prob=0.3),
+    Topology("erdos_renyi", 1024, seed=0, edge_prob=0.05),
+], ids=lambda t: f"{t.kind}-{t.num_nodes}-{t.edge_prob}")
+def test_edges_and_laplacian_equal_the_set_oracle(topology):
+    want = sorted(oracle_pairs(topology))
+    edges = topology.edges()
+    assert edges == want
+    assert all(type(i) is int and type(j) is int for i, j in edges)
+    w = laplacian(topology).w
+    assert w.tobytes() == oracle_laplacian(topology.num_nodes, want).tobytes()
+
+
 def oracle_erdos_renyi(m, edge_prob, seed):
     """The edges drawn pair by pair, one uniform per pair i < j in (i, j)
     order, until a draw is connected; and the number of draws taken."""
@@ -104,7 +218,7 @@ def oracle_erdos_renyi(m, edge_prob, seed):
     for attempt in range(1, 101):
         pairs = {(i, j) for i in range(m) for j in range(i + 1, m)
                  if (gen.next_u64() >> 11) * 2.0**-53 < edge_prob}
-        if _connected(m, pairs):
+        if oracle_connected(m, pairs):
             return pairs, attempt
     return None, attempt
 
@@ -114,7 +228,7 @@ def oracle_erdos_renyi(m, edge_prob, seed):
 ])
 def test_erdos_renyi_edges_equal_the_per_pair_draws(m, edge_prob, seed):
     expected, attempts = oracle_erdos_renyi(m, edge_prob, seed)
-    assert _erdos_renyi_edges(m, edge_prob, seed) == expected
+    assert Topology("erdos_renyi", m, seed=seed, edge_prob=edge_prob).edges() == sorted(expected)
     if (m, seed) in {(6, 5), (8, 8), (9, 7), (16, 0)}:
         assert attempts > 1  # the first draws were not connected
 

@@ -75,23 +75,29 @@ from test_rng import OracleDraws  # noqa: E402
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
+PROBLEM_CASES = ("unbounded quadratic", "quadratic on unit balls",
+                 "robust regression on unit balls")
+
+
 @st.composite
 def problems(draw):
-    """(problem, gossip matrix, lambda): a quadratic instance, unbounded or
-    on balls, or a robust regression on unit balls, over a small ring."""
+    """(problem, gossip matrix, lambda): one of `PROBLEM_CASES`, each as
+    likely, over a small graph of any kind."""
     m = draw(st.integers(2, 5))
     seed = draw(st.integers(0, 2**16))
-    if draw(st.booleans()):
-        n_x, n_y = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-        spec = random_quadratic(m, n_x, n_y, mu=1.0, smoothness=4.0, seed=seed)
-        radius = draw(st.sampled_from([math.inf, 1.0]))
-        domain = BallDomain(radius, radius, n_x=n_x, n_y=n_y)
-    else:
+    case = draw(st.sampled_from(PROBLEM_CASES))
+    if case == "robust regression on unit balls":
         dim = draw(st.integers(1, 3))
         spec = random_robust_regression(m, dim, 6, beta_x=1.0, beta_y=3.0, seed=seed)
         domain = BallDomain(1.0, 1.0, n_x=dim, n_y=dim)
+    else:
+        n_x, n_y = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        spec = random_quadratic(m, n_x, n_y, mu=1.0, smoothness=4.0, seed=seed)
+        radius = math.inf if case == "unbounded quadratic" else 1.0
+        domain = BallDomain(radius, radius, n_x=n_x, n_y=n_y)
     lam = draw(st.sampled_from([0.0, 0.5, 2.0]))
-    return SaddleProblem.from_spec(spec, domain), laplacian(Topology("ring", m)), lam
+    topology = Topology(draw(st.sampled_from(TOPOLOGY_KINDS)), m, seed=seed)
+    return SaddleProblem.from_spec(spec, domain), laplacian(topology), lam
 
 
 def safe_gamma(problem, gossip, lam):
