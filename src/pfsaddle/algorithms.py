@@ -37,10 +37,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DivergenceError, InvalidValueError, ShapeError
+from .errors import ConfigError, ConvergenceError, DivergenceError, ShapeError
 from .gossip import GossipMatrix, _check_penalty_args
 from .gossip import penalty_grad  # no caller here; bench/tracer.py wraps algorithms.penalty_grad
-from .metrics import Counters, RunRecorder, _distances_sq, restricted_gap
+from .metrics import Counters, RunRecorder, _distances_sq, _positive_tol, restricted_gap
 from .problems import QuadraticSaddleSpec, SaddleProblem
 from .rng import Xoshiro256StarStar, derive_seed
 from .stacked import StackedPoint, _join, _split, _sum_sq
@@ -74,7 +74,8 @@ class _Key(NamedTuple):
     str is non-empty, and one of `choices` where they are given.  A row of
     kind list is a non-empty list of `item` rows, one of kind dict an object
     of some of the rows in the dict `item`, with no default filled in.  A
-    MISSING default makes the key required.
+    MISSING default makes the key required.  An `unbounded` row reads null
+    or +inf as math.inf, before any other check (an unbounded radius).
     """
 
     kind: type
@@ -84,9 +85,12 @@ class _Key(NamedTuple):
     below: float = math.inf
     choices: tuple = ()
     item: object = None
+    unbounded: bool = False
 
     def check(self, value, where: str):
         """`value` as this row's type, or a ConfigError that names `where`."""
+        if self.unbounded and (value is None or value == math.inf):
+            return math.inf
         if self.kind in (int, float):
             types = (int, np.integer) if self.kind is int else (int, float, np.integer,
                                                                 np.floating)
@@ -438,8 +442,8 @@ def extragradient_run(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     a residual_tol that is not positive and finite raises InvalidValueError.
     Without it, runs exactly max_iter iterations.
     """
-    if residual_tol is not None and not 0.0 < residual_tol < math.inf:
-        raise InvalidValueError(f"residual_tol must be positive and finite, got {residual_tol}")
+    if residual_tol is not None:
+        residual_tol = _positive_tol("residual_tol", residual_tol)
     result = _extragradient(problem, gossip, lam, gamma, start, recorder,
                             residual_tol, limit=max_iter)
     if residual_tol is not None and result.stop_reason != "residual":

@@ -150,10 +150,8 @@ class GossipMatrix(_ReadOnlyArrays):
             raise InvalidValueError("gossip matrix must be finite")
         _check_symmetric(w)  # eigvalsh reads one triangle, penalty all of w
         # before the copy, so the solver's work array and the copy never coexist
-        object.__setattr__(self, "lambda_max", float(np.linalg.eigvalsh(w)[-1]))
+        lambda_max = float(np.linalg.eigvalsh(w)[-1])
         w = np.array(w, copy=True)
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
         # the size rule: walking a run costs about one numpy call, the time
         # of some 4096 dense multiply-adds per column of z, and the dense
         # product takes M^2 of them; 4096 * runs <= M^2 walks rings and
@@ -162,7 +160,8 @@ class GossipMatrix(_ReadOnlyArrays):
         # Erdos-Renyi graphs (about a run per edge) dense.  It is not the
         # timed crossover: rings break even between 176 and 208 nodes and
         # square grids between 256 and 576 (BENCH_gossip.json, `boundary`)
-        object.__setattr__(self, "_runs", _runs(w, most=w.shape[0] ** 2 // 4096))
+        self.__setstate__({"w": w, "lambda_max": lambda_max,
+                           "_runs": _runs(w, most=w.shape[0] ** 2 // 4096)})
 
     @property
     def num_nodes(self) -> int:

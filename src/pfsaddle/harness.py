@@ -13,9 +13,12 @@ table: the fields of `ExperimentConfig`, `_PROBLEM_KEYS` and
 `_ENTRY_KEYS`, whose solver settings are the rows on `AlgorithmConfig`'s
 fields.  `parse_config` reads the table and `config_to_dict` writes it;
 only `topology.kind`, `problem.family` and each algorithm's `name` are
-required.  Unknown keys are rejected so typos fail loudly.  Nothing
-written to disk contains timestamps or absolute paths, which is what
-makes byte-identical reproduction possible.
+required.  A row marked unbounded (the quadratic's radii) reads null or
++inf as math.inf, written back as null.  A problem section's rows are its
+family generator's keyword arguments (data_seed as seed) and its ball
+radii.  Unknown keys are rejected so typos fail loudly.  Nothing written
+to disk contains timestamps or absolute paths, which is what makes
+byte-identical reproduction possible.
 """
 
 from __future__ import annotations
@@ -102,7 +105,8 @@ _PROBLEM_KEYS = {  # the rows of a problem section besides its family, by family
         "n_x": _Key(int, 2, at_least=1), "n_y": _Key(int, 2, at_least=1),
         "mu": _Key(float, 1.0), "smoothness": _Key(float, 10.0),
         "heterogeneity": _Key(float, 1.0), "data_seed": _Key(int, 0),
-        "radius_x": _Key(float, 10.0), "radius_y": _Key(float, 10.0),
+        "radius_x": _Key(float, 10.0, unbounded=True),
+        "radius_y": _Key(float, 10.0, unbounded=True),
     },
     "bilinear": {
         "dim": _Key(int, 2, at_least=1), "coupling_scale": _Key(float, 1.0),
@@ -252,15 +256,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raw = raw["config"]
     problem = raw.get("problem") if isinstance(raw, dict) else None
     family = problem.get("family") if isinstance(problem, dict) else None
-    # a quadratic radius of null (or +inf) is an unbounded domain
-    unbounded = [key for key in ("radius_x", "radius_y") if family == "quadratic"
-                 and key in problem and (problem[key] is None or problem[key] == math.inf)]
-    if unbounded:
-        raw = {**raw, "problem": {k: v for k, v in problem.items() if k not in unbounded}}
     # the problem section's rows are its family's
     rows = {**_CONFIG_KEYS["problem"], **(_PROBLEM_KEYS[family] if family in FAMILIES else {})}
     top = _read({**_CONFIG_KEYS, "problem": rows}, raw, "")
-    top["problem"].update(dict.fromkeys(unbounded, math.inf))
 
     for key in ("lambda_grid", "seeds"):
         if len(set(top[key])) != len(top[key]):
@@ -326,27 +324,14 @@ def build_topology(config: ExperimentConfig) -> Topology:
 
 
 def build_problem(config: ExperimentConfig) -> SaddleProblem:
+    """One call to the family's generator, whose keyword arguments are the
+    section's rows (data_seed as seed), on balls of the section's radii."""
     params = config.problem_params()
-    m = config.num_nodes
-    if config.family == "quadratic":
-        spec = random_quadratic(
-            m, params["n_x"], params["n_y"], mu=params["mu"],
-            smoothness=params["smoothness"],
-            heterogeneity=params["heterogeneity"], seed=params["data_seed"],
-        )
-    elif config.family == "bilinear":
-        spec = random_bilinear(
-            m, params["dim"], coupling_scale=params["coupling_scale"],
-            heterogeneity=params["heterogeneity"], seed=params["data_seed"],
-        )
-    else:
-        spec = random_robust_regression(
-            m, params["dim"], params["num_samples"], beta_x=params["beta_x"],
-            beta_y=params["beta_y"], heterogeneity=params["heterogeneity"],
-            seed=params["data_seed"],
-        )
-    domain = BallDomain(params["radius_x"], params["radius_y"], n_x=spec.n_x, n_y=spec.n_y)
-    return SaddleProblem.from_spec(spec, domain)
+    radii = params.pop("radius_x"), params.pop("radius_y")
+    generate = {"quadratic": random_quadratic, "bilinear": random_bilinear,
+                "robust_regression": random_robust_regression}[config.family]
+    spec = generate(config.num_nodes, seed=params.pop("data_seed"), **params)
+    return SaddleProblem.from_spec(spec, BallDomain(*radii, n_x=spec.n_x, n_y=spec.n_y))
 
 
 def _resolve_algorithm(entry: dict, config: ExperimentConfig,

@@ -133,8 +133,10 @@ class RunRecorder:
         self.lam = float(lam)
         _check_penalty_args(gossip, self.lam, problem.num_nodes)
         self._reference = None if reference is None else _join(reference)
+        if not float(gap_every).is_integer():
+            raise InvalidValueError(f"gap_every must be an integer, got {gap_every}")
         self.gap_every = int(gap_every)
-        self.gap_tol = float(gap_tol)
+        self.gap_tol = _positive_tol("gap_tol", gap_tol)
         self._record = RunRecord()
         shape = (problem.num_nodes, problem.n_x + problem.n_y)
         self._pending = np.empty((max(1, _CHUNK_BYTES // (8 * shape[0] * shape[1])), *shape))
@@ -173,6 +175,15 @@ class RunRecorder:
             rec.consensus_x.extend(cx.tolist())
             rec.consensus_y.extend(cy.tolist())
         self._filled = 0
+
+
+def _positive_tol(name: str, tol) -> float:
+    """`tol` as a float, or InvalidValueError unless it is positive and finite:
+    an inner solve to a tolerance of zero, below or NaN never stops."""
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise InvalidValueError(f"{name} must be positive and finite, got {tol}")
+    return tol
 
 
 def _inner_ball_opt(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
@@ -225,8 +236,10 @@ def restricted_gap(problem: SaddleProblem, gossip: GossipMatrix, lam: float,
     The inner problems are solved by accelerated projected gradient with
     adaptive restart, step 1/(L + lam*lambda_max), down to gradient-mapping
     norm inner_tol, so the result may be negative by O(inner_tol * diameter)
-    at a near-saddle point, never by more.
+    at a near-saddle point, never by more.  An inner_tol that is not
+    positive and finite raises InvalidValueError.
     """
+    inner_tol = _positive_tol("inner_tol", inner_tol)
     if not problem.domain.is_bounded:
         raise InvalidValueError("restricted gap requires a bounded domain")
     _check_penalty_args(gossip, lam, problem.num_nodes)

@@ -63,7 +63,6 @@ def _sym_psd_stack(mats, name: str, tol: float = 1e-10) -> np.ndarray:
     if bad.size:
         raise InvalidValueError(
             f"{name}[{bad[0]}] is not PSD (eigenvalue {smallest[bad[0]]:.3e})")
-    arr.setflags(write=False)
     return arr
 
 
@@ -78,14 +77,14 @@ class QuadraticSaddleSpec(_ReadOnlyArrays):
     coupling: np.ndarray  # (M, n_x, n_y)
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _sym_psd_stack(self.p, "p"))
-        object.__setattr__(self, "q", _sym_psd_stack(self.q, "q"))
+        p, q = _sym_psd_stack(self.p, "p"), _sym_psd_stack(self.q, "q")
         coupling = np.array(self.coupling, dtype=float, copy=True)
         a_lin = np.array(self.a_lin, dtype=float, copy=True)
         b_lin = np.array(self.b_lin, dtype=float, copy=True)
-        m, n_x = self.p.shape[0], self.p.shape[1]
-        n_y = self.q.shape[1]
-        if self.q.shape[0] != m:
+        m, n_x, n_y = p.shape[0], p.shape[1], q.shape[1]
+        if m < 1:
+            raise ShapeError("a quadratic spec needs at least one node")
+        if q.shape[0] != m:
             raise ShapeError("p and q disagree on node count")
         if coupling.shape != (m, n_x, n_y):
             raise ShapeError(
@@ -97,12 +96,10 @@ class QuadraticSaddleSpec(_ReadOnlyArrays):
             if not np.all(np.isfinite(arr)):
                 raise InvalidValueError("quadratic spec contains non-finite entries")
         # the saddle operator on z = [x | y] is F(z) = K z + c, node by node
-        k = np.block([[self.p, coupling], [-coupling.transpose(0, 2, 1), self.q]])
-        c = np.hstack((a_lin, b_lin))
-        for name, arr in (("coupling", coupling), ("a_lin", a_lin), ("b_lin", b_lin),
-                          ("_k", k), ("_c", c)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self.__setstate__({
+            "p": p, "q": q, "a_lin": a_lin, "b_lin": b_lin, "coupling": coupling,
+            "_k": np.block([[p, coupling], [-coupling.transpose(0, 2, 1), q]]),
+            "_c": np.hstack((a_lin, b_lin))})
 
     @property
     def num_nodes(self) -> int:
@@ -221,7 +218,6 @@ class RobustRegressionSpec(_ReadOnlyArrays):
                     raise InvalidValueError(
                         f"node {m}: the sums (2/N) A'A, (2/N) A'1, (2/N) A'b and "
                         f"(2/N) sum b of its data leave the float range")
-        # set the fields as unpickling does, read-only
         self.__setstate__({"features": feats, "targets": targs, "beta_x": beta_x,
                            "beta_y": beta_y, "_map": mat, "_offset": offset})
 
@@ -509,7 +505,7 @@ def random_quadratic(num_nodes: int, n_x: int, n_y: int, *, mu: float,
 
     Requires 0 < mu < smoothness.
     """
-    _check_dims(n_x=n_x, n_y=n_y)
+    _check_dims(num_nodes=num_nodes, n_x=n_x, n_y=n_y)
     if not (0.0 < mu < smoothness):
         raise InvalidValueError(f"need 0 < mu < smoothness, got mu={mu}, L={smoothness}")
     rng = Xoshiro256StarStar(derive_seed(seed, "quadratic", num_nodes, n_x, n_y))
@@ -567,7 +563,7 @@ def random_bilinear(num_nodes: int, dim: int, *, coupling_scale: float = 1.0,
     other nodes' couplings are scaled strictly below it.  All couplings
     are square and nonsingular.
     """
-    _check_dims(dim=dim)
+    _check_dims(num_nodes=num_nodes, dim=dim)
     if coupling_scale <= 0.0:
         raise InvalidValueError("coupling_scale must be positive")
     rng = Xoshiro256StarStar(derive_seed(seed, "bilinear", num_nodes, dim))
@@ -597,7 +593,7 @@ def random_robust_regression(num_nodes: int, dim: int, num_samples: int, *,
                              heterogeneity: float = 1.0,
                              seed: int = 0) -> RobustRegressionSpec:
     """Synthetic per-node regression data with planted node-wise models."""
-    _check_dims(dim=dim)
+    _check_dims(num_nodes=num_nodes, dim=dim, num_samples=num_samples)
     rng = Xoshiro256StarStar(derive_seed(seed, "robust-regression", num_nodes, dim))
     # the shared model, then per node its model offset, features and noise:
     # successive normals, so one draw in that order, sliced

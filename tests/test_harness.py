@@ -41,7 +41,12 @@ from pfsaddle.harness import (
     serialize_config,
 )
 from pfsaddle.metrics import CSV_COLUMNS, RunRecord, RunRecorder
-from pfsaddle.problems import reference_solution
+from pfsaddle.problems import (
+    random_bilinear,
+    random_quadratic,
+    random_robust_regression,
+    reference_solution,
+)
 
 
 def minimal_raw(**extra):
@@ -162,6 +167,51 @@ def test_quadratic_radius_none_means_unbounded():
     # serialization writes the infinities back as nulls
     round_trip = parse_config(json.loads(serialize_config(config)))
     assert round_trip == config
+
+
+@pytest.mark.parametrize("family", ["bilinear", "robust_regression"])
+def test_only_a_quadratic_radius_may_be_null(family):
+    for key in ("radius_x", "radius_y"):
+        with pytest.raises(ConfigError, match=f"problem.{key}"):
+            parse_config(minimal_raw(problem={"family": family, key: None}))
+    # the quadratic's rows read +inf as null
+    config = parse_config(minimal_raw(problem={"family": "quadratic", "radius_x": math.inf}))
+    assert dict(config.problem)["radius_x"] == math.inf
+    assert dict(config.problem)["radius_y"] == 10.0
+    assert config_to_dict(config)["problem"]["radius_x"] is None
+
+
+@pytest.mark.parametrize("section, generate", [
+    ({"family": "quadratic", "n_x": 3, "n_y": 2, "mu": 0.5, "smoothness": 7.0},
+     lambda m, s: random_quadratic(m, s["n_x"], s["n_y"], mu=s["mu"],
+                                   smoothness=s["smoothness"],
+                                   heterogeneity=s["heterogeneity"], seed=s["data_seed"])),
+    ({"family": "bilinear", "dim": 3, "coupling_scale": 2.0},
+     lambda m, s: random_bilinear(m, s["dim"], coupling_scale=s["coupling_scale"],
+                                  heterogeneity=s["heterogeneity"], seed=s["data_seed"])),
+    ({"family": "robust_regression", "dim": 3, "num_samples": 7, "beta_x": 0.5,
+      "beta_y": 4.0, "radius_x": 0.5, "radius_y": 2.0},
+     lambda m, s: random_robust_regression(m, s["dim"], s["num_samples"], beta_x=s["beta_x"],
+                                           beta_y=s["beta_y"], heterogeneity=s["heterogeneity"],
+                                           seed=s["data_seed"])),
+], ids=["quadratic", "bilinear", "robust_regression"])
+def test_build_problem_is_the_generator_called_with_the_section(section, generate):
+    config = parse_config(minimal_raw(
+        topology={"kind": "ring", "num_nodes": 5},
+        problem={**section, "heterogeneity": 0.5, "data_seed": 3}))
+    problem, values = build_problem(config), config.problem_params()
+    want = generate(5, values)
+    assert type(problem.spec) is type(want)
+    for name, value in vars(want).items():
+        got = getattr(problem.spec, name)
+        if isinstance(value, tuple):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in value], name
+        elif isinstance(value, np.ndarray):
+            assert got.tobytes() == value.tobytes(), name
+        else:
+            assert got == value, name
+    assert (problem.domain.radius_x, problem.domain.radius_y) == (
+        values["radius_x"], values["radius_y"])
 
 
 def test_lam_token_is_filename_safe():

@@ -498,6 +498,31 @@ def test_restricted_gap_and_recorder_check_lambda_and_the_gossip_size(lam, gossi
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_restricted_gap_and_recorder_refuse_an_inner_tol_not_positive_and_finite(tol):
+    # a negative or NaN inner_tol never stopped the inner solve: its
+    # 5,000,000-iteration cap took minutes before a ConvergenceError
+    spec = random_quadratic(4, 2, 2, mu=1.0, smoothness=4.0, seed=5)
+    problem = SaddleProblem.from_spec(spec, BallDomain(2.0, 2.0, n_x=2, n_y=2))
+    gossip = laplacian(Topology("ring", 4))
+    start = time.perf_counter()
+    with pytest.raises(InvalidValueError, match="inner_tol"):
+        restricted_gap(problem, gossip, 0.5, StackedPoint.zeros(4, 2, 2), inner_tol=tol)
+    with pytest.raises(InvalidValueError, match="gap_tol"):
+        RunRecorder(problem, gossip, 0.5, gap_every=10, gap_tol=tol)
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("gap_every", [2.7, math.nan, math.inf])
+def test_recorder_refuses_a_gap_every_that_is_not_integral(gap_every):
+    # 2.7 was truncated to 2
+    spec = random_quadratic(4, 2, 2, mu=1.0, smoothness=4.0, seed=5)
+    problem = SaddleProblem.from_spec(spec, BallDomain(2.0, 2.0, n_x=2, n_y=2))
+    with pytest.raises(InvalidValueError, match="gap_every"):
+        RunRecorder(problem, laplacian(Topology("ring", 4)), 0.5, gap_every=gap_every)
+    assert RunRecorder(problem, laplacian(Topology("ring", 4)), 0.5, gap_every=4.0).gap_every == 4
+
+
 def test_restricted_gap_checks_the_point_rows_before_any_inner_solve():
     # a 5-row point on a 4-node problem failed in the inner solve's broadcast
     spec = random_quadratic(4, 2, 2, mu=1.0, smoothness=4.0, seed=5)

@@ -377,6 +377,25 @@ def test_generators_reject_an_empty_dimension(make):
         make()
 
 
+@pytest.mark.parametrize("make, name", [
+    # these raised IndexError, numpy's ValueError, or built a spec of 0 nodes
+    (lambda: random_quadratic(0, 2, 2, mu=1.0, smoothness=10.0), "num_nodes"),
+    (lambda: random_quadratic(-3, 2, 2, mu=1.0, smoothness=10.0), "num_nodes"),
+    (lambda: random_bilinear(0, 2), "num_nodes"),
+    (lambda: random_robust_regression(0, 2, 5, beta_x=1.0, beta_y=3.0), "num_nodes"),
+    (lambda: random_robust_regression(3, 2, 0, beta_x=1.0, beta_y=3.0), "num_samples"),
+], ids=["quadratic-0", "quadratic-negative", "bilinear-0", "robust-0", "robust-samples-0"])
+def test_generators_reject_a_size_below_one(make, name):
+    with pytest.raises(ShapeError, match=f"^{name} must be >= 1"):
+        make()
+
+
+def test_quadratic_spec_refuses_zero_nodes():
+    empty = np.zeros((0, 2, 2))
+    with pytest.raises(ShapeError, match="at least one node"):
+        QuadraticSaddleSpec(empty, empty, np.zeros((0, 2)), np.zeros((0, 2)), empty)
+
+
 def test_bilinear_generator_coupling_norm():
     for seed in range(4):
         spec = random_bilinear(4, 3, coupling_scale=2.0, seed=seed)
@@ -740,17 +759,27 @@ def _arrays_of(obj):
         yield from _arrays_in(value)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: laplacian(Topology("ring", 4)),
-    lambda: StackedPoint(np.ones((3, 2)), np.zeros((3, 1))),
-    lambda: BallDomain(1.0, 2.0, n_x=2, n_y=3),
-    lambda: random_quadratic(3, 2, 2, mu=1.0, smoothness=5.0, seed=1),
-    lambda: random_robust_regression(3, 2, 5, beta_x=1.0, beta_y=3.0, seed=1),
-], ids=["GossipMatrix", "StackedPoint", "BallDomain", "QuadraticSaddleSpec",
-        "RobustRegressionSpec"])
-def test_value_types_stay_read_only_through_pickling(make):
-    # parallel runs ship these to worker processes by pickling
+@pytest.mark.parametrize("make, holders", [
+    (lambda: laplacian(Topology("ring", 4)), {"w"}),
+    (lambda: StackedPoint(np.ones((3, 2)), np.zeros((3, 1))), {"x", "y"}),
+    (lambda: BallDomain(1.0, 2.0, n_x=2, n_y=3), {"center_x", "center_y"}),
+    # equal widths, unequal radii and a center off the origin: _joined holds
+    # the stacked center, the radii and their bounds as arrays
+    (lambda: BallDomain(1.0, 2.0, np.ones(2), np.zeros(2)),
+     {"center_x", "center_y", "_joined"}),
+    (lambda: random_quadratic(3, 2, 2, mu=1.0, smoothness=5.0, seed=1),
+     {"p", "q", "a_lin", "b_lin", "coupling", "_k", "_c"}),
+    (lambda: random_robust_regression(3, 2, 5, beta_x=1.0, beta_y=3.0, seed=1),
+     {"features", "targets", "_map", "_offset"}),
+], ids=["GossipMatrix", "StackedPoint", "BallDomain", "BallDomain-joined",
+        "QuadraticSaddleSpec", "RobustRegressionSpec"])
+def test_value_types_stay_read_only_through_pickling(make, holders):
+    # every field holding an array is read-only as built, by the one setter
     original = make()
+    assert {name for name, value in vars(original).items()
+            if any(True for _ in _arrays_in(value))} == holders
+    assert not any(arr.flags.writeable for arr in _arrays_of(original))
+    # parallel runs ship these to worker processes by pickling
     restored = pickle.loads(pickle.dumps(original))
     arrays = list(_arrays_of(restored))
     assert len(arrays) == len(list(_arrays_of(original))) >= 1

@@ -658,11 +658,13 @@ def sections(draw, rows, required):
 
 
 def outside(row):
-    """Numbers a numeric row rejects: past its bound, or not finite."""
+    """Numbers a numeric row rejects: past its bound, or not finite (but
+    +inf, which an unbounded row reads)."""
     past = [value for value, bounded in ((row.at_least - 1, row.at_least > -math.inf),
                                          (row.above, row.above > -math.inf),
                                          (row.below, row.below < math.inf)) if bounded]
-    return past + ([math.inf, -math.inf, math.nan] if row.kind is float else [])
+    unread = [] if row.unbounded else [math.inf]
+    return past + (unread + [-math.inf, math.nan] if row.kind is float else [])
 
 
 def numbers(node, value):
@@ -699,18 +701,16 @@ def raw_configs(draw):
     for entry in raw.get("algorithms", []):
         if entry.get("params") == "manual" and "gamma" not in entry.get("overrides", {}):
             entry["params"] = "auto"
-    # at most one number outside its row (a quadratic radius may be infinite)
+    for key, row in _PROBLEM_KEYS[family].items():
+        if row.unbounded and key in problem and draw(st.booleans()):
+            problem[key] = None  # an unbounded row reads null as math.inf
+    # at most one number outside its row
     candidates = [(container, key, row) for container, key, row in
-                  numbers({**top, "problem": _PROBLEM_KEYS[family]}, raw)
-                  if outside(row) and not (family == "quadratic" and container is problem
-                                           and key.startswith("radius"))]
+                  numbers({**top, "problem": _PROBLEM_KEYS[family]}, raw) if outside(row)]
     invalid = bool(candidates) and draw(st.booleans())
     if invalid:
         container, key, row = draw(st.sampled_from(candidates))
         container[key] = draw(st.sampled_from(outside(row)))
-    for key in ("radius_x", "radius_y"):
-        if family == "quadratic" and key in problem and draw(st.booleans()):
-            problem[key] = None  # unbounded
     problem["family"] = family
     return raw, invalid
 

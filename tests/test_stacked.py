@@ -73,6 +73,16 @@ def test_replicated_and_zeros():
     assert frobenius_sq(z.x) == frobenius_sq(z.y) == 0.0
 
 
+def test_replicated_takes_scalars_and_refuses_rows_that_are_not_1d():
+    p = StackedPoint.replicated(1.0, 2.0, 3)
+    assert p.x.shape == p.y.shape == (3, 1)
+    # a 2-d row was tiled into a point of 6 nodes
+    with pytest.raises(ShapeError, match="1-d"):
+        StackedPoint.replicated(np.ones((2, 2)), np.ones((2, 2)), 3)
+    with pytest.raises(ShapeError, match="1-d"):
+        StackedPoint.replicated(np.ones(2), np.ones((1, 2)), 3)
+
+
 def test_arithmetic_matches_numpy():
     a = random_point(1)
     b = random_point(2)
